@@ -41,6 +41,7 @@ from .operators import (
 
 STRICT_POSITIVE_TOL = 1e-12  # eigenvalues this close to zero are not "strictly positive"
 MAX_TYPE_CLASSES = 2_000_000
+RUN_CLASS_CHUNK = 16_384  # Markov run classes per chunk: bounds the engine's working set
 R_SQUARED_GATE = 0.98
 
 __all__ = [
@@ -195,36 +196,43 @@ def error_pair(pair, t, n=1, a=0.0, log_pos_part=None):
 # -- exact classical engines ----------------------------------------------
 
 
-def _log_terms_to_pair(n, a, log_mult, lp, lq, c):
+def _log_terms_to_pair(n, a, chunks, c):
     """Assemble an ErrorPair from per-class exact log-weights.
 
-    Classes carry multiplicity ``e^log_mult`` and per-string log-likelihoods
-    ``lp``/``lq``. Inclusion is the strict comparison ``lp - lq > c``; the
-    positive part accumulates ``log1p(-e^{-(lp - lq - c)})`` per included
-    class, all in log space.
+    ``chunks`` yields ``(log_mult, lp, lq)`` arrays: classes of multiplicity
+    ``e^log_mult`` and per-string log-likelihoods ``lp``/``lq``. Inclusion is
+    the strict comparison ``lp - lq > c``; the positive part accumulates
+    ``log1p(-e^{-(lp - lq - c)})`` per included class, all in log space.
+    Each chunk is reduced to four partial log-sums as it arrives and then
+    dropped, so one chunk is held at a time; a single chunk reduces exactly
+    as one array would.
     """
-    lp = np.asarray(lp, float)
-    lq = np.asarray(lq, float)
-    log_mult = np.asarray(log_mult, float)
-    alive = lp > -math.inf
-    with np.errstate(invalid="ignore"):  # (-inf) - (-inf) under a dead class
-        ratio = lp - lq
-    inc = alive & (ratio > c)
-    exc = alive & ~inc
-    lsp = log_mult + lp
-    lsq = log_mult + lq
 
     def _lse(mask, arr):
         return float(logsumexp(arr[mask])) if mask.any() else -math.inf
 
-    log_success = _lse(inc, lsp)
-    log_alpha = _lse(exc, lsp)
-    log_beta = _lse(inc, lsq)
-    if inc.any():
+    def _chunk_sums(chunk):
+        log_mult, lp, lq = chunk
+        alive = lp > -math.inf
+        with np.errstate(invalid="ignore"):  # (-inf) - (-inf) under a dead class
+            ratio = lp - lq
+        inc = alive & (ratio > c)
+        exc = alive & ~inc
+        lsp = log_mult + lp
         d = ratio[inc] - c  # > 0 strictly
-        log_pos = float(logsumexp(lsp[inc] + np.log1p(-np.exp(-d))))
-    else:
-        log_pos = -math.inf
+        pos = lsp[inc] + np.log1p(-np.exp(-d))
+        return (
+            _lse(inc, lsp),
+            _lse(exc, lsp),
+            _lse(inc, log_mult + lq),
+            float(logsumexp(pos)) if pos.size else -math.inf,
+        )
+
+    # map() lets go of each chunk before the next one is built
+    sums = np.array(list(map(_chunk_sums, chunks)))
+    log_success, log_alpha, log_beta, log_pos = (
+        float(logsumexp(col)) for col in sums.T
+    )
     total = np.logaddexp(log_success, log_alpha)
     if abs(total) > 1e-9:
         raise AssertionError(f"class masses sum to e^{total}, not 1")
@@ -278,113 +286,81 @@ def iid_type_class_error_pair(p, q, n, c, a=0.0):
     with np.errstate(invalid="ignore"):
         lp = np.where(counts > 0, counts * logp[None, :], 0.0).sum(axis=1)
         lq = np.where(counts > 0, counts * logq[None, :], 0.0).sum(axis=1)
-    return _log_terms_to_pair(n, a, log_mult, lp, lq, c)
+    return _log_terms_to_pair(n, a, [(log_mult, lp, lq)], c)
 
 
-def _log_binom(m, k):
-    """log C(m, k) elementwise, -inf outside the valid range."""
-    m = np.asarray(m, dtype=float)
-    k = np.asarray(k, dtype=float)
-    out = gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-    return np.where((k >= 0) & (k <= m), out, -math.inf)
+def _markov_run_classes(payload, n):
+    """Yield the run classes of a two-state chain as ``(log_mult, lp, lq)`` chunks.
+
+    Strings are grouped by (start s, end e, zero count z, number j of 0->1
+    transitions): within a group both chain log-likelihoods are constant and
+    the multiplicity is a product of two run-composition binomials, read off
+    one log-factorial table.  The two constant strings come first; then each
+    (s, e) numbers its (z, j) classes z-major and emits them as whole arrays,
+    at most ``RUN_CLASS_CHUNK`` classes per chunk.
+    """
+    lpi = (_safe_log(payload.pi0), _safe_log(payload.pi1))
+    lP = (_safe_log(payload.P0).ravel(), _safe_log(payload.P1).ravel())
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+
+    def _log_likelihoods(s, counts):
+        """Both chains' log-likelihoods from the start ``s`` and the edge
+        counts ``(n00, n01, n10, n11)``."""
+        lp, lq = lpi[0][s], lpi[1][s]
+        with np.errstate(invalid="ignore"):
+            for edge, cnt in enumerate(counts):
+                # 0 * (-inf) must read as "edge unused": contribute nothing
+                used = cnt > 0
+                lp = lp + np.where(used, cnt * lP[0][edge], 0.0)
+                lq = lq + np.where(used, cnt * lP[1][edge], 0.0)
+        return lp, lq
+
+    # constant strings (all zeros, all ones); at n = 1 these are all strings
+    starts = np.array([0, 1])
+    zero = np.zeros(2)
+    counts = ((n - 1) * (1 - starts), zero, zero, (n - 1) * starts)
+    yield (zero, *_log_likelihoods(starts, counts))
+
+    def _mixed(s, e, j_lo, offsets, k0):
+        """Classes ``k0 ..`` of the (s, e) numbering: zero runs = j + r0,
+        one runs = j + r1."""
+        r0, r1 = 1 - e, s
+        k = np.arange(k0, min(k0 + RUN_CLASS_CHUNK, offsets[-1]))
+        z = np.searchsorted(offsets, k, side="right")  # class k lies in row z
+        j = k - offsets[z - 1] + j_lo
+        o = n - z
+        log_mult = (
+            log_fact[z - 1] - log_fact[j + r0 - 1] - log_fact[z - j - r0]
+        ) + (log_fact[o - 1] - log_fact[j + r1 - 1] - log_fact[o - j - r1])
+        n10 = j + s - e
+        return (log_mult, *_log_likelihoods(s, (z - r0 - j, j, n10, o - e - n10)))
+
+    # mixed strings, z = 1..n-1 zeros: row z holds the j with j_lo <= j <= j_hi
+    z_all = np.arange(1, n)
+    for s in (0, 1):
+        for e in (0, 1):
+            j_lo = max(e, 1 - s)
+            j_hi = np.minimum(z_all - 1 + e, n - z_all - s)
+            width = np.maximum(j_hi - j_lo + 1, 0)
+            offsets = np.concatenate(([0], np.cumsum(width)))
+            for k0 in range(0, int(offsets[-1]), RUN_CLASS_CHUNK):
+                yield _mixed(s, e, j_lo, offsets, k0)
 
 
 def markov_error_pair(payload, n, c, a=0.0):
     """Exact error pair for a two-state Markov chain test.
 
-    Strings are grouped by (start, end, zero-count, number of 0->1
-    transitions): within a group both chain log-likelihoods are constant and
-    the multiplicity is a product of two run-composition binomials.  Groups
-    number O(n^2), exact through n in the low thousands.
+    The ``2^n`` strings fall into O(n^2) run classes of equal likelihood
+    (``_markov_run_classes``), built as arrays of at most ``RUN_CLASS_CHUNK``
+    classes and reduced chunk by chunk in log space.  The working set is the
+    arrays of one chunk, about 2 MB whatever ``n``; exact through ``n`` in the
+    low thousands.
     """
     if payload.d != 2:
         raise ValueError("exact run combinatorics requires a two-state chain")
     if n < 1:
         raise ValueError("block size must be positive")
-    lpi0, lpi1 = _safe_log(payload.pi0), _safe_log(payload.pi1)
-    lP0, lP1 = _safe_log(payload.P0), _safe_log(payload.P1)
-    if n == 1:
-        return _log_terms_to_pair(n, a, np.zeros(2), lpi0, lpi1, c)
-
-    def _affine(lpi, lP, s, n00, n01, n10, n11):
-        acc = np.full(n00.shape, lpi[s])
-        with np.errstate(invalid="ignore"):
-            for cnt, (i, j) in (
-                (n00, (0, 0)),
-                (n01, (0, 1)),
-                (n10, (1, 0)),
-                (n11, (1, 1)),
-            ):
-                # 0 * (-inf) must read as "edge unused": contribute nothing
-                acc = acc + np.where(cnt > 0, cnt * lP[i, j], 0.0)
-        return acc
-
-    succ_parts, alpha_parts, beta_parts, pos_parts = [], [], [], []
-
-    def _feed(log_mult, lp, lq):
-        alive = lp > -math.inf
-        with np.errstate(invalid="ignore"):
-            ratio = lp - lq
-        inc = alive & (ratio > c)
-        exc = alive & ~inc
-        if inc.any():
-            succ_parts.append(logsumexp((log_mult + lp)[inc]))
-            beta_parts.append(logsumexp((log_mult + lq)[inc]))
-            pos_parts.append(
-                logsumexp((log_mult + lp)[inc] + np.log1p(-np.exp(-(ratio[inc] - c))))
-            )
-        if exc.any():
-            alpha_parts.append(logsumexp((log_mult + lp)[exc]))
-
-    # constant strings (all zeros, all ones)
-    for s in (0, 1):
-        cnts = [np.zeros(1)] * 4
-        cnts[3 * s] = np.full(1, float(n - 1))  # n00 for s=0, n11 for s=1
-        lp = _affine(lpi0, lP0, s, *cnts)
-        lq = _affine(lpi1, lP1, s, *cnts)
-        _feed(np.zeros(1), lp, lq)
-
-    # mixed strings: z zeros (1..n-1), j = number of 0->1 transitions
-    for s in (0, 1):
-        for e in (0, 1):
-            for z in range(1, n):
-                o = n - z
-                r0_off = 1 if e == 0 else 0  # runs of zeros = j + r0_off
-                r1_off = 1 if s == 1 else 0
-                j_lo = max(1 - r0_off, 1 - r1_off, 0)
-                j_hi = min(z - r0_off, o - r1_off)
-                if j_hi < j_lo:
-                    continue
-                j = np.arange(j_lo, j_hi + 1, dtype=float)
-                n01 = j
-                n10 = j + (1.0 if s == 1 else 0.0) - (1.0 if e == 1 else 0.0)
-                n00 = z - (1.0 if e == 0 else 0.0) - j
-                n11 = o - (1.0 if e == 1 else 0.0) - n10
-                log_mult = _log_binom(z - 1, j + r0_off - 1) + _log_binom(
-                    o - 1, j + r1_off - 1
-                )
-                lp = _affine(lpi0, lP0, s, n00, n01, n10, n11)
-                lq = _affine(lpi1, lP1, s, n00, n01, n10, n11)
-                _feed(log_mult, lp, lq)
-
-    def _tot(parts):
-        return float(logsumexp(np.array(parts))) if parts else -math.inf
-
-    log_success, log_alpha = _tot(succ_parts), _tot(alpha_parts)
-    log_beta, log_pos = _tot(beta_parts), _tot(pos_parts)
-    total = np.logaddexp(log_success, log_alpha)
-    if abs(total) > 1e-9:
-        raise AssertionError(f"run-class masses sum to e^{total}, not 1")
-    return ErrorPair(
-        n=n,
-        a=a,
-        alpha_err=math.exp(log_alpha) if log_alpha > -math.inf else 0.0,
-        beta_err=math.exp(log_beta) if log_beta > -math.inf else 0.0,
-        success=math.exp(log_success) if log_success > -math.inf else 0.0,
-        log_success=log_success,
-        log_beta=log_beta,
-        log_pos_part=log_pos,
-    )
+    return _log_terms_to_pair(n, a, _markov_run_classes(payload, n), c)
 
 
 # -- pinched qubit i.i.d. sector engine ------------------------------------

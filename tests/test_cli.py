@@ -32,6 +32,18 @@ def binary_family(p=0.78, q=0.5):
     }
 
 
+def markov_family():
+    """The two-state chain pair of acceptance test 11."""
+    return {
+        "kind": "markov",
+        "scaling_exponent": 1,
+        "payload": {
+            "pi0": [0.6, 0.4], "pi1": [0.5, 0.5],
+            "P0": [[0.7, 0.3], [0.4, 0.6]], "P1": [[0.5, 0.5], [0.55, 0.45]],
+        },
+    }
+
+
 def write_scenario(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -234,23 +246,25 @@ class TestMain:
         assert (tmp_path / "np_sweep_00.csv").exists()
         assert (tmp_path / "np_sweep_01.csv").exists()
 
-    def test_byte_stable_across_threads(self, tmp_path):
+    @pytest.mark.parametrize("task, family, params", [
+        ("np-sweep", binary_family(),
+         {"n_list": [16, 32, 64], "a_grid": [0.05, 0.1]}),
+        ("sc-report", markov_family(),
+         {"n_list": [32, 64, 128, 256], "r_grid": [0.2, 0.4]}),
+    ], ids=["np-sweep", "markov-sc-report"])
+    def test_byte_stable_across_threads(self, tmp_path, task, family, params):
         scenario = write_scenario(
-            tmp_path,
-            {
-                "task": "np-sweep",
-                "family": binary_family(),
-                "params": {"n_list": [16, 32, 64], "a_grid": [0.05, 0.1]},
-            },
+            tmp_path, {"task": task, "family": family, "params": params}
         )
         for threads, sub in ((1, "one"), (3, "three")):
             (tmp_path / sub).mkdir()
             rc = main([
-                "np-sweep", "--scenario", scenario,
+                task, "--scenario", scenario,
                 "--out", str(tmp_path / sub), "--threads", str(threads),
             ])
             assert rc == 0
-        for name in ("np_sweep_00.csv", "np_sweep_01.csv"):
+        stem = task.replace("-", "_")
+        for name in (f"{stem}_00.csv", f"{stem}_01.csv"):
             b1 = (tmp_path / "one" / name).read_bytes()
             b3 = (tmp_path / "three" / name).read_bytes()
             assert b1 == b3

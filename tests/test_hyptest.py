@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from sconv.families import IIDPayload, MarkovPayload, StateFamilySpec
+from sconv.families import IIDPayload, MarkovPayload, StateFamilySpec, markov_psi_n
 from sconv.hyptest import (
+    RUN_CLASS_CHUNK,
     ErrorPair,
+    _markov_run_classes,
     default_a_grid,
     error_pair,
     exponent_sweep,
@@ -209,6 +212,26 @@ class TestExactClassicalEngines:
         dense = error_pair(pair, np_test(pair, c), n=n)
         assert exact.success == pytest.approx(dense.success, abs=1e-12)
         assert exact.beta_err == pytest.approx(dense.beta_err, abs=1e-12)
+
+    @pytest.mark.parametrize("chain", [
+        dict(pi0=[0.6, 0.4], pi1=[0.5, 0.5],  # the chain of acceptance test 11
+             P0=[[0.7, 0.3], [0.4, 0.6]], P1=[[0.5, 0.5], [0.55, 0.45]]),
+        dict(pi0=[1.0, 0.0], pi1=[0.5, 0.5],  # the zero-edge chain above
+             P0=[[1.0, 0.0], [0.3, 0.7]], P1=[[0.6, 0.4], [0.2, 0.8]]),
+    ], ids=["test_11", "zero_edge"])
+    def test_markov_run_classes_match_transfer_matrix(self, chain):
+        mp = MarkovPayload(**chain)
+        for n in (2, 7, 1024):
+            chunks = list(_markov_run_classes(mp, n))
+            assert max(lm.size for lm, _, _ in chunks) <= RUN_CLASS_CHUNK
+            for alpha in (0.5, 1.0, 2.0):
+                psi = markov_psi_n(mp, alpha, n)
+                got = logsumexp([
+                    logsumexp(lm + alpha * lp + (1.0 - alpha) * lq)
+                    for lm, lp, lq in chunks
+                ])
+                assert abs(got - psi) <= 1e-9 * max(1.0, abs(psi))
+        assert len(chunks) > 1 + 4 * 2  # n = 1024: over two chunks per (s, e)
 
     def test_markov_requires_two_states(self):
         mp3 = MarkovPayload(
