@@ -23,7 +23,7 @@ from . import families as fam
 from . import hyptest as ht
 from . import ldp as ldp_mod
 from . import renyi
-from .hoeffding import hoeffding_anti, polar_detail
+from .hoeffding import hoeffding_anti
 from .operators import DEFAULT_DIM_CAP
 from .verify import run_all_checks
 
@@ -130,6 +130,11 @@ def load_scenario(path):
     for grid_name in ("alpha_grid", "a_grid", "r_grid", "x_grid"):
         if grid_name in params:
             _check_grid(params[grid_name], f"$.params.{grid_name}")
+    if "t_range" in params:
+        tr = params["t_range"]
+        if not (isinstance(tr, list) and len(tr) == 2
+                and all(type(v) in (int, float) for v in tr) and tr[0] < tr[1]):
+            raise ScenarioError("$.params.t_range", "t_range must be [lo, hi] with lo < hi")
     if "mode" in params and params["mode"] not in ("np", "pinched"):
         raise ScenarioError("$.params.mode", "mode must be 'np' or 'pinched'")
     if "variant" in params and params["variant"] not in renyi.VARIANTS:
@@ -393,8 +398,6 @@ def _run_ldp(scenario, out_dir, dim_cap, threads):
     xs = _check_grid(params.get("x_grid", [0.7]), "$.params.x_grid")
     window_hi = float(params.get("window_hi", 1.0))
     t_range = params.get("t_range", [-1.0, 4.0])
-    if not (isinstance(t_range, list) and len(t_range) == 2):
-        raise ScenarioError("$.params.t_range", "t_range must be [lo, hi]")
     seq = ldp_mod.binomial_sequence(ns, prob)
     path = os.path.join(out_dir, params.get("out", "ldp.csv"))
     f, w = _open_csv(path)

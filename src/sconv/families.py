@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .operators import (
     tensor_power,
     tensor_product,
 )
-from .renyi import max_relative_entropy, psi, relative_entropy
+from .renyi import _overlap, max_relative_entropy, psi, relative_entropy
 
 __all__ = [
     "PAULI_X",
@@ -308,37 +308,28 @@ def _all_splits(max_total):
                 yield m, k, r_rem
 
 
-def smallest_factorization_eta(payload, max_total=8, tol=1e-3, dim_cap=DEFAULT_DIM_CAP):
-    """Bisect the smallest eta certifying every split with ``k*m + r <= max_total``.
+def smallest_factorization_eta(payload, max_total=8, dim_cap=DEFAULT_DIM_CAP):
+    """Smallest eta certifying every split with ``k*m + r <= max_total``, in closed form.
 
-    The bisection seed is the crude norm bound
-    ``exp(2 * beta * range * sum_j ||Phi_j||)``; the result certifies the
-    tested sizes only (reports should say so).  Raises if even the seed fails.
+    With ``prod = w_m^(x k) (x) w_r``, both inequalities of
+    :func:`factorization_certificate` hold iff ``eta^k`` is at least
+    ``exp(D_max(w_n || prod))`` and ``exp(D_max(prod || w_n))``, so eta is the
+    largest ``exp(max(D_max(w_n || prod), D_max(prod || w_n)) / k)``, and at
+    least 1.  A split that passes both checks at ``eta = 1`` (within the slack
+    of :func:`psd_dominates`) contributes exactly 1, so on-site interactions
+    give ``1.0``.  The result certifies the tested sizes only.
     """
-    splits = list(_all_splits(max_total))
-
-    def works(eta):
-        return all(
-            all(factorization_certificate(payload, m, k, r, eta, dim_cap=dim_cap))
-            for m, k, r in splits
-        )
-
-    norm_sum = sum(t.norm for t in payload.terms)
-    hi = math.exp(2.0 * payload.beta * payload.interaction_range * norm_sum)
-    if not works(hi):
-        raise ValueError(
-            f"norm-bound seed eta = {hi:.6g} does not certify splits <= {max_total}"
-        )
-    lo = 1.0
-    if works(lo):
-        return 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if works(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    w = {j: gibbs_state(payload, j, dim_cap=dim_cap) for j in range(1, max_total + 1)}
+    eta = 1.0
+    for m, k, r_rem in _all_splits(max_total):
+        w_n = w[k * m + r_rem]
+        factors = [w[m]] * k + ([w[r_rem]] if r_rem else [])
+        prod = tensor_product(*factors, dim_cap=dim_cap)
+        if psd_dominates(prod, w_n) and psd_dominates(w_n, prod):
+            continue
+        d_max = max(max_relative_entropy(w_n, prod), max_relative_entropy(prod, w_n))
+        eta = max(eta, math.exp(d_max / k))
+    return eta
 
 
 # -- Markov transfer machinery --------------------------------------------
@@ -444,16 +435,14 @@ def markov_rate(payload, alphas=None):
 def _plain_slope_at_infinity(rho, sigma, support_tol=1e-12):
     """``lim psi(t)/t`` for the plain variant: max log-ratio over overlapping
     eigenpairs."""
-    ir = rho.support_indices(support_tol)
-    js = sigma.support_indices(support_tol)
-    ov = np.abs(rho.eigenvectors[:, ir].conj().T @ sigma.eigenvectors[:, js]) ** 2
-    logp = np.log(rho.eigenvalues[ir])
-    logq = np.log(sigma.eigenvalues[js])
-    diffs = logp[:, None] - logq[None, :]
+    overlap = _overlap(rho, sigma, support_tol)
+    if overlap is None:
+        return math.inf
+    logp, logq, ov = overlap
     mask = ov > 1e-12
     if not mask.any():
         return math.inf
-    return float(diffs[mask].max())
+    return float((logp[:, None] - logq[None, :])[mask].max())
 
 
 def iid_rate(rho1, sigma1, variant="sandwiched", t_hi=64.0):

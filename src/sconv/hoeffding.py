@@ -174,6 +174,23 @@ class PolarResult:
     tail_dominated: bool
 
 
+def _sup(g, f, xtol, tail_slope_tol):
+    """``(t, value, climbing)`` for the sup of ``g`` over ``[1, f.t_hi]``.
+
+    A ``g`` still rising at ``t_hi`` returns ``(t_hi, g(t_hi), True)`` unsearched;
+    otherwise the better of a golden search and the end point.
+    """
+    t_hi = f.t_hi
+    delta = min(1e-6, (t_hi - 1.0) * 1e-3)
+    end = g(t_hi)
+    if end - g(t_hi - delta) > tail_slope_tol * delta:
+        return t_hi, end, True
+    t_star, val = _golden_max(g, 1.0, t_hi, xtol=xtol)
+    if end > val:
+        return t_hi, end, False
+    return t_star, val, False
+
+
 def polar_detail(f, a, xtol=1e-10, tail_slope_tol=1e-8):
     """Polar transform with diagnostics.
 
@@ -184,21 +201,11 @@ def polar_detail(f, a, xtol=1e-10, tail_slope_tol=1e-8):
     """
     if a <= f.right_derivative_at_1:
         return PolarResult(0.0, None, False)
-
-    def g(t):
-        return a * (t - 1.0) - f(t)
-
-    t_hi = f.t_hi
-    delta = min(1e-6, (t_hi - 1.0) * 1e-3)
-    climbing = g(t_hi) - g(t_hi - delta) > tail_slope_tol * delta
+    t_star, val, climbing = _sup(lambda t: a * (t - 1.0) - f(t), f, xtol, tail_slope_tol)
     if climbing:
         if a > f.slope_at_infinity:
             return PolarResult(math.inf, None, True)
-        return PolarResult(g(t_hi), t_hi, True)
-    t_star, val = _golden_max(g, 1.0, t_hi, xtol=xtol)
-    end = g(t_hi)
-    if end > val:
-        t_star, val = t_hi, end
+        return PolarResult(val, t_star, True)
     return PolarResult(max(val, 0.0), t_star, False)
 
 
@@ -282,18 +289,10 @@ def sc_lower_bound_curve(f, r, xtol=1e-10, tail_slope_tol=1e-8):
     Numerically identical to ``hoeffding_anti(f, r).value``; exposed
     separately so reports can cross-check the two routes.
     """
-
-    def g(t):
-        return (r * (t - 1.0) - f(t)) / t
-
-    t_hi = f.t_hi
-    delta = min(1e-6, (t_hi - 1.0) * 1e-3)
-    if g(t_hi) - g(t_hi - delta) > tail_slope_tol * delta:
-        if math.isfinite(f.slope_at_infinity):
-            return max(r - f.slope_at_infinity, g(t_hi), 0.0)
-        return max(g(t_hi), 0.0)
-    _, val = _golden_max(g, 1.0, t_hi, xtol=xtol)
-    return max(val, g(t_hi), 0.0)
+    _, val, climbing = _sup(lambda t: (r * (t - 1.0) - f(t)) / t, f, xtol, tail_slope_tol)
+    if climbing and math.isfinite(f.slope_at_infinity):
+        return max(r - f.slope_at_infinity, val, 0.0)
+    return max(val, 0.0)
 
 
 def rate_from_samples(n_list, alphas, psi_matrix, scaling=1.0, slope_at_infinity=None):

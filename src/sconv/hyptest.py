@@ -22,18 +22,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import families as fam
-from .hoeffding import ConvexRate, hoeffding_anti, polar_detail
+from .hoeffding import hoeffding_anti, polar_detail
 from .operators import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_DIM_CAP,
     HermitianOperator,
-    StatePair,
     Test,
     pinch,
     positive_part_trace,

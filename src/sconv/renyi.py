@@ -50,18 +50,28 @@ def _check_variant(variant):
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def _overlap_log_terms(rho, sigma, t, support_tol):
-    """Log-terms of Tr rho^t sigma^(1-t) over the joint supports."""
+def _overlap(rho, sigma, support_tol):
+    """``(logp, logq, ov)`` over the two supports, ``None`` if either is empty.
+
+    ``logp``/``logq`` are the log-eigenvalues of ``rho``/``sigma`` on their
+    supports and ``ov[i, j]`` is the squared overlap of their eigenvectors.
+    """
     ir = rho.support_indices(support_tol)
     js = sigma.support_indices(support_tol)
     if ir.size == 0 or js.size == 0:
-        return np.array([-np.inf])
+        return None
     logp = np.log(rho.eigenvalues[ir])
     logq = np.log(sigma.eigenvalues[js])
     ov = np.abs(rho.eigenvectors[:, ir].conj().T @ sigma.eigenvectors[:, js]) ** 2
+    return logp, logq, ov
+
+
+def _log_terms(overlap, t):
+    """Log-terms of Tr rho^t sigma^(1-t) as a (support, support) array."""
+    logp, logq, ov = overlap
     with np.errstate(divide="ignore"):
         logw = np.log(ov)
-    return (logw + t * logp[:, None] + (1.0 - t) * logq[None, :]).ravel()
+    return logw + t * logp[:, None] + (1.0 - t) * logq[None, :]
 
 
 def _sandwiched_base(rho, sigma, t, support_tol):
@@ -78,8 +88,10 @@ def psi(rho, sigma, t, variant="plain", support_tol=DEFAULT_SUPPORT_TOL):
     """Cumulant-type functional ``log Q_t``; ``-inf`` when ``Q_t`` vanishes."""
     _check_variant(variant)
     if variant == "plain":
-        terms = _overlap_log_terms(rho, sigma, t, support_tol)
-        return float(logsumexp(terms))
+        overlap = _overlap(rho, sigma, support_tol)
+        if overlap is None:
+            return -math.inf
+        return float(logsumexp(_log_terms(overlap, t).ravel()))
     m = _sandwiched_base(rho, sigma, t, support_tol)
     cut = m.support_cutoff(support_tol)
     lam = m.eigenvalues[m.eigenvalues > cut]
@@ -156,16 +168,11 @@ def psi_derivative(rho, sigma, t, variant="plain", support_tol=DEFAULT_SUPPORT_T
     """
     _check_variant(variant)
     if variant == "plain":
-        ir = rho.support_indices(support_tol)
-        js = sigma.support_indices(support_tol)
-        if ir.size == 0 or js.size == 0:
+        overlap = _overlap(rho, sigma, support_tol)
+        if overlap is None:
             raise ValueError("derivative undefined: rho * sigma vanishes")
-        logp = np.log(rho.eigenvalues[ir])
-        logq = np.log(sigma.eigenvalues[js])
-        ov = np.abs(rho.eigenvectors[:, ir].conj().T @ sigma.eigenvectors[:, js]) ** 2
-        with np.errstate(divide="ignore"):
-            logw = np.log(ov)
-        terms = logw + t * logp[:, None] + (1.0 - t) * logq[None, :]
+        logp, logq, _ = overlap
+        terms = _log_terms(overlap, t)
         total = logsumexp(terms)
         if math.isinf(total):
             raise ValueError("derivative undefined: rho * sigma vanishes")

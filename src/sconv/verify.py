@@ -19,7 +19,6 @@ from . import quasifree as qf
 from . import renyi
 from .hoeffding import ConvexRate, hoeffding_anti, polar
 from .operators import (
-    HermitianOperator,
     StatePair,
     pinch,
     power_on_support,

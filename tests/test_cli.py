@@ -138,6 +138,11 @@ class TestLoadScenario:
         assert scenario["family"].kind == "iid"
         assert scenario["params"]["n"] == 2
 
+    def test_reversed_t_range(self, tmp_path):
+        obj = {"task": "ldp", "params": {"t_range": [4.0, -1.0]}}
+        err = expect_error(tmp_path, obj, "$.params.t_range")
+        assert "lo < hi" in err.message
+
     def test_ldp_needs_no_family(self, tmp_path):
         obj = {"task": "ldp", "params": {"n_list": [256, 512, 1024]}}
         scenario = load_scenario(write_scenario(tmp_path, obj))
@@ -283,6 +288,15 @@ class TestMain:
         err = json.loads(capsys.readouterr().err.strip())
         assert set(err) == {"error", "field"}
         assert err["field"] == "$.params.mode"
+
+    def test_bad_t_range_exits_two(self, tmp_path, capsys):
+        scenario = write_scenario(
+            tmp_path, {"task": "ldp", "params": {"t_range": ["a", 4.0]}}
+        )
+        rc = main(["ldp", "--scenario", scenario, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "$.params.t_range"
 
     def test_task_mismatch_exits_two(self, tmp_path, capsys):
         scenario = write_scenario(

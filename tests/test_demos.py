@@ -1,0 +1,30 @@
+"""Smoke test: the quicker demo scripts run to completion.
+
+Demos 04 and 07 are left out; each takes over 100 s.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = [
+    "02_hoeffding_regimes.py",
+    "03_binary_strong_converse.py",
+    "05_markov_transfer.py",
+    "06_gibbs_factorization.py",
+    "08_ldp_binomial.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

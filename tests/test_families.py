@@ -178,6 +178,18 @@ class TestGibbs:
         upper, lower = factorization_certificate(p, 2, 2, 0, eta)
         assert upper and lower
 
+    def test_zzx_eta_is_tight(self):
+        # the closed form certifies every split, and no smaller eta does
+        p = zzx_gibbs()
+        eta = smallest_factorization_eta(p, max_total=6)
+        splits = [(m, k, r) for m in range(1, 7) for k in range(1, 6 // m + 1)
+                  for r in range(0, 6 - k * m + 1)]
+        assert all(all(factorization_certificate(p, m, k, r, eta)) for m, k, r in splits)
+        below = eta * (1.0 - 1e-6)
+        assert not all(
+            all(factorization_certificate(p, m, k, r, below)) for m, k, r in splits
+        )
+
     def test_certificate_argument_validation(self):
         p = onsite_gibbs()
         with pytest.raises(ValueError, match="m >= 1"):
