@@ -295,9 +295,9 @@ def factorization_certificate(payload, m, k, r_rem, eta, dim_cap=DEFAULT_DIM_CAP
     if r_rem:
         factors.append(gibbs_state(payload, r_rem, dim_cap=dim_cap))
     prod = tensor_product(*factors, dim_cap=dim_cap)
-    scale = eta**k
-    upper = psd_dominates(HermitianOperator(scale * prod.entries), w_n)
-    lower = psd_dominates(w_n, HermitianOperator(prod.entries / scale))
+    w, v, scale = prod.eigenvalues, prod.eigenvectors, eta**k
+    upper = psd_dominates(HermitianOperator.from_spectral(scale * w, v), w_n)
+    lower = psd_dominates(w_n, HermitianOperator.from_spectral(w / scale, v))
     return upper, lower
 
 

@@ -15,6 +15,10 @@ Engines, most specific first:
 * non-commuting qubit i.i.d. in pinched mode — per-sector spectral sums over
   the Hamming blocks of the reference basis;
 * everything else — dense matrices up to the dimension cap.
+
+The exact engines share one log-space reducer, ``_log_terms_to_pair``.  The
+dense engine diagonalises the (pinched) threshold operator once per
+``(n, c)`` and reads both traces and the positive-part floor off it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ class ErrorPair:
     ``alpha_err + success`` must account for all of ``rho_n`` (1e-10);
     ``log_success``/``log_beta`` stay meaningful after the floats underflow.
     ``log_pos_part`` is ``log Tr(rho_n - e^c sigma_n)_+`` when the engine can
-    compute it (it lower-bounds ``log_success`` for threshold tests).
+    compute it, with ``rho_n`` pinched in pinched mode (it lower-bounds
+    ``log_success`` for the threshold test of the same pair).
     """
 
     n: int
@@ -149,13 +154,17 @@ class ExponentReport:
 # -- test constructions (matrix route) -------------------------------------
 
 
+def _threshold_split(rho, sigma, c):
+    """``rho - e^c sigma`` (``c`` capped at 700) and the eigenvectors of its
+    strictly positive eigenvalues: none when ``e^c`` overflows."""
+    diff = HermitianOperator(rho.entries - math.exp(min(c, 700.0)) * sigma.entries)
+    cut = STRICT_POSITIVE_TOL if c <= 700.0 else math.inf
+    return diff, diff.eigenvectors[:, diff.eigenvalues > cut]
+
+
 def _threshold_projection(rho, sigma, c):
     """Spectral projection onto the strictly positive part of rho - e^c sigma."""
-    if c > 700.0:  # e^c overflows; rho - e^c sigma has no positive part
-        return Test(HermitianOperator(np.zeros((rho.dim, rho.dim))))
-    diff = HermitianOperator(rho.entries - math.exp(c) * sigma.entries)
-    keep = diff.eigenvalues > STRICT_POSITIVE_TOL
-    v = diff.eigenvectors[:, keep]
+    _, v = _threshold_split(rho, sigma, c)
     return Test(HermitianOperator(v @ v.conj().T))
 
 
@@ -385,8 +394,10 @@ def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
     The reference state's eigenbasis splits block ``n`` into Hamming sectors;
     pinching keeps exactly the sector-diagonal blocks, so the pinched spectrum
     is the union of the per-sector spectra and the threshold comparison is a
-    scalar test per eigenvalue.  Cost is driven by the largest sector,
-    ``C(n, n/2)``, instead of ``2^n``.
+    scalar test per eigenvalue: each sector is one ``(0, log lambda, log mu_k)``
+    chunk of ``_log_terms_to_pair``, where eigenvalues ``<= 0`` (the dust of
+    rank-deficient blocks) carry no mass.  Cost is driven by the largest
+    sector, ``C(n, n/2)``, instead of ``2^n``.
     """
     mu = sigma1.eigenvalues
     if mu.size != 2:
@@ -396,40 +407,14 @@ def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
     v = sigma1.eigenvectors
     rho_ref = v.conj().T @ rho1.entries @ v
     log_mu = np.log(mu)
-    succ_parts, alpha_parts, beta_parts, pos_parts = [], [], [], []
-    for k in range(n + 1):
-        lam = np.linalg.eigvalsh(_hamming_block(rho_ref, n, k))
-        log_mu_k = (n - k) * log_mu[0] + k * log_mu[1]
-        pos = lam > 0
-        log_lam = np.log(lam[pos])
-        inc = log_lam - log_mu_k > c
-        if inc.any():
-            succ_parts.append(logsumexp(log_lam[inc]))
-            beta_parts.append(log_mu_k + math.log(int(inc.sum())))
-            diff = log_lam[inc] - log_mu_k - c
-            pos_parts.append(logsumexp(log_lam[inc] + np.log1p(-np.exp(-diff))))
-        # excluded rho-mass: remaining eigenvalues (including numerical dust)
-        excl = float(lam[pos][~inc].sum()) + float(lam[~pos].sum())
-        alpha_parts.append(excl)
 
-    def _tot(parts):
-        return float(logsumexp(np.array(parts))) if parts else -math.inf
+    def _sectors():
+        for k in range(n + 1):
+            lam = np.linalg.eigvalsh(_hamming_block(rho_ref, n, k))
+            log_mu_k = (n - k) * log_mu[0] + k * log_mu[1]
+            yield np.zeros(lam.size), _safe_log(lam), np.full(lam.size, log_mu_k)
 
-    log_success = _tot(succ_parts)
-    log_beta, log_pos = _tot(beta_parts), _tot(pos_parts)
-    success = math.exp(log_success) if log_success > -math.inf else 0.0
-    if abs(success + math.fsum(alpha_parts) - 1.0) > 1e-9:
-        raise AssertionError("sector masses do not account for the pinched state")
-    return ErrorPair(
-        n=n,
-        a=a,
-        alpha_err=1.0 - success,
-        beta_err=math.exp(log_beta) if log_beta > -math.inf else 0.0,
-        success=success,
-        log_success=log_success,
-        log_beta=log_beta,
-        log_pos_part=log_pos,
-    )
+    return _log_terms_to_pair(n, a, _sectors(), c)
 
 
 # -- engine dispatch -------------------------------------------------------
@@ -474,16 +459,21 @@ def _resolve_engine(spec, mode, dim_cap):
         return markov, "exact-run-classes"
 
     def dense(n, c, a):
+        # one eigh of the threshold operator per (n, c): both traces are sums
+        # of <v|X|v> over the test's range V, and the floor is its positive part
         pair = fam.family_states(spec, n, dim_cap=dim_cap)
-        if mode == "pinched":
-            t = pinched_np_test(pair, c)
-        else:
-            t = np_test(pair, c)
-        lp = positive_part_trace(
-            pair.rho.entries - math.exp(min(c, 700.0)) * pair.sigma.entries
-        )
-        return error_pair(
-            pair, t, n=n, a=a, log_pos_part=math.log(lp) if lp > 0 else -math.inf
+        rho = pinch(pair.rho, pair.sigma) if mode == "pinched" else pair.rho
+        diff, v = _threshold_split(rho, pair.sigma, c)
+        success, beta = (
+            float(np.vdot(v, x.entries @ v).real) for x in (pair.rho, pair.sigma))
+        lp = positive_part_trace(diff)
+        return ErrorPair(
+            n=n,
+            a=a,
+            alpha_err=1.0 - success,
+            beta_err=beta,
+            success=success,
+            log_pos_part=math.log(lp) if lp > 0 else -math.inf,
         )
 
     return dense, "dense"

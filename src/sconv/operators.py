@@ -291,16 +291,18 @@ def tensor_power(op, n, dim_cap=DEFAULT_DIM_CAP, cluster_tol=DEFAULT_CLUSTER_TOL
 
 
 def tensor_product(*ops, dim_cap=DEFAULT_DIM_CAP):
-    """Plain Kronecker product of operators (fresh eigendecomposition)."""
+    """Plain Kronecker product of operators, its spectrum the Kronecker product
+    of the factors' cached spectra (no fresh eigendecomposition)."""
     total = 1
     for op in ops:
         total *= op.dim
     if total > dim_cap:
         raise ValueError(f"product dimension {total} exceeds cap {dim_cap}")
-    out = np.array([[1.0 + 0j]])
+    w, v = np.ones(1), np.ones((1, 1), dtype=complex)
     for op in ops:
-        out = np.kron(out, op.entries)
-    return HermitianOperator(out)
+        w = np.kron(w, op.eigenvalues)
+        v = np.kron(v, op.eigenvectors)
+    return HermitianOperator.from_spectral(w, v)
 
 
 def supports_nested(rho, sigma, support_tol=DEFAULT_SUPPORT_TOL):

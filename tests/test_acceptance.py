@@ -287,7 +287,7 @@ def test_09_gibbs_factorization_certificates_and_bracket():
                 for r in range(0, m):
                     if not 2 <= k * m + r <= 8:
                         continue
-                    assert factorization_certificate(payload, m, k, r, e)
+                    assert all(factorization_certificate(payload, m, k, r, e))
     # near-additivity bracket: |psi*_n/n - psibar| <= (2 alpha - 1) log(eta)/n
     GibbsPairPayload(null=zzx, alt=onsite)  # payload validation
     ns = (4, 5, 6, 7, 8)

@@ -4,7 +4,9 @@ exit codes, and byte-stable CSV output."""
 import json
 import math
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sconv import families as fam
@@ -17,6 +19,7 @@ from sconv.cli import (
     main,
     parse_convergence_table,
 )
+from sconv.operators import operator_to_json, rand_density
 
 FLOAT_CELL = re.compile(r"^(-?\d\.\d{11}e[+-]\d{2,3}|inf|-inf|nan|)$")
 
@@ -184,7 +187,7 @@ class TestConvergenceTable:
 
     def test_file_format(self, report, tmp_path):
         path = emit_convergence_table(report, str(tmp_path / "table.csv"))
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert not raw.startswith(b"\xef\xbb\xbf")  # no BOM
         assert b"\r" not in raw  # LF only
         text = raw.decode("utf-8")
@@ -199,7 +202,7 @@ class TestConvergenceTable:
     def test_emission_is_deterministic(self, report, tmp_path):
         p1 = emit_convergence_table(report, str(tmp_path / "a.csv"))
         p2 = emit_convergence_table(report, str(tmp_path / "b.csv"))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_parse_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -273,6 +276,27 @@ class TestMain:
             b1 = (tmp_path / "one" / name).read_bytes()
             b3 = (tmp_path / "three" / name).read_bytes()
             assert b1 == b3
+
+    def test_pinched_dense_sc_report_exits_zero(self, tmp_path, capsys):
+        # a qutrit pair takes the dense route in pinched mode; its floor must
+        # be the pinched pair's positive part, which the pinched test attains
+        rng = np.random.default_rng(3)
+        rho, sigma = rand_density(3, rng), rand_density(3, rng)
+        family = {
+            "kind": "iid",
+            "scaling_exponent": 1,
+            "payload": {"rho": operator_to_json(rho), "sigma": operator_to_json(sigma)},
+        }
+        scenario = write_scenario(tmp_path, {
+            "task": "sc-report",
+            "family": family,
+            "params": {"mode": "pinched", "n_list": [3, 4, 5], "r_grid": [0.05, 0.2]},
+        })
+        rc = main(["sc-report", "--scenario", scenario, "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        for name in ("sc_report_00.csv", "sc_report_01.csv"):
+            parsed = parse_convergence_table(str(tmp_path / name))
+            assert parsed["footer"]["provenance"] == "dense"
 
     def test_malformed_scenario_exits_two(self, tmp_path, capsys):
         scenario = write_scenario(

@@ -10,6 +10,7 @@ from sconv.families import IIDPayload, MarkovPayload, StateFamilySpec, markov_ps
 from sconv.hyptest import (
     RUN_CLASS_CHUNK,
     ErrorPair,
+    _hamming_block,
     _markov_run_classes,
     default_a_grid,
     error_pair,
@@ -25,7 +26,13 @@ from sconv.hyptest import (
 )
 from sconv.families import asymptotic_rate, family_states
 from sconv.hoeffding import polar
-from sconv.operators import HermitianOperator, StatePair, rand_density
+from sconv.operators import (
+    HermitianOperator,
+    StatePair,
+    pinch,
+    positive_part_trace,
+    rand_density,
+)
 
 from conftest import classical_pair
 
@@ -254,6 +261,34 @@ class TestSectorEngine:
             dense = error_pair(pair, pinched_np_test(pair, c), n=n)
             assert exact.success == pytest.approx(dense.success, abs=1e-10)
             assert exact.beta_err == pytest.approx(dense.beta_err, abs=1e-10)
+            assert exact.alpha_err == pytest.approx(dense.alpha_err, abs=1e-10)
+            floor = positive_part_trace(
+                pinch(pair.rho, pair.sigma).entries - math.exp(c) * pair.sigma.entries
+            )
+            assert math.exp(exact.log_pos_part) == pytest.approx(floor, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_pure_state_dust(self, n):
+        # a pure rho_1 makes every Hamming block rank one, so eigvalsh returns
+        # dust around 0; the engine drops the dust <= 0 from the mass sums
+        rho1 = HermitianOperator(np.diag([1.0, 0.0]))
+        _, sigma1 = noncommuting_qubits()
+        v = sigma1.eigenvectors
+        rho_ref = v.conj().T @ rho1.entries @ v
+        lams = np.concatenate([
+            np.linalg.eigvalsh(_hamming_block(rho_ref, n, k)) for k in range(n + 1)
+        ])
+        assert (lams <= 0).any()
+        assert abs(lams[lams <= 0].sum()) < 1e-12
+        for a in (0.0, 0.15, 0.4):
+            ep = qubit_sector_error_pair(rho1, sigma1, n, a * n)
+            assert ep.success + ep.alpha_err == pytest.approx(1.0, abs=1e-10)
+            if n == 4:
+                spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+                pair = family_states(spec, n)
+                dense = error_pair(pair, pinched_np_test(pair, a * n), n=n)
+                assert ep.success == pytest.approx(dense.success, abs=1e-10)
+                assert ep.beta_err == pytest.approx(dense.beta_err, abs=1e-10)
 
     def test_requires_nondegenerate_reference(self):
         rho1 = HermitianOperator(np.diag([0.9, 0.1]))
@@ -349,6 +384,21 @@ class TestSweepAndReport:
         )
         typed = exponent_sweep(qutrit, 0.3, [4, 8, 16])
         assert typed.provenance == "exact-type-classes"
+
+    def test_dense_pinched_floor_is_pinched_positive_part(self, qutrit_pair):
+        rho1, sigma1 = qutrit_pair
+        spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+        a = 0.05
+        report = exponent_sweep(spec, a, [2, 3, 4, 5], mode="pinched")
+        assert report.provenance == "dense"
+        for ep in report.per_n:
+            pair = family_states(spec, ep.n)
+            floor = positive_part_trace(
+                pinch(pair.rho, pair.sigma).entries
+                - math.exp(a * ep.n) * pair.sigma.entries
+            )
+            assert ep.log_pos_part == pytest.approx(math.log(floor), abs=1e-12)
+            assert ep.log_pos_part <= ep.log_success + 1e-12
 
     def test_sc_report_zero_regime(self):
         spec = binary_spec()
