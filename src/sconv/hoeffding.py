@@ -34,6 +34,7 @@ __all__ = [
     "hoeffding_anti",
     "sc_lower_bound_curve",
     "rate_from_samples",
+    "richardson",
 ]
 
 
@@ -295,6 +296,23 @@ def sc_lower_bound_curve(f, r, xtol=1e-10, tail_slope_tol=1e-8):
     return max(val, 0.0)
 
 
+def richardson(c, s):
+    """One-term Richardson in ``1/c`` of rows ``s[i]`` sampled at scales ``c[i]``.
+
+    Returns ``(fine, residual)``: ``fine`` cancels the ``1/c`` term between
+    the two largest scales; ``residual`` is its change against the
+    next-coarser pair, the last difference for two scales, ``inf`` for one.
+    """
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    if c.size == 1:
+        return s[0], np.full(np.shape(s[0]), math.inf)
+    fine = (c[-1] * s[-1] - c[-2] * s[-2]) / (c[-1] - c[-2])
+    if c.size == 2:
+        return fine, np.abs(s[-1] - s[-2])
+    coarse = (c[-2] * s[-2] - c[-3] * s[-3]) / (c[-2] - c[-3])
+    return fine, np.abs(fine - coarse)
+
+
 def rate_from_samples(n_list, alphas, psi_matrix, scaling=1.0, slope_at_infinity=None):
     """Extrapolated rate curve from finite-size cumulant samples.
 
@@ -316,16 +334,8 @@ def rate_from_samples(n_list, alphas, psi_matrix, scaling=1.0, slope_at_infinity
         raise ValueError("sample sizes must be strictly increasing")
     if m.shape != (n.size, a.size):
         raise ValueError(f"psi matrix shape {m.shape} does not match grids")
-    x = 1.0 / n**scaling
-    y = m * x[:, None]
-
-    def richardson(i, j):
-        d = (y[i] - y[j]) / (x[i] - x[j])
-        return y[i] - d * x[i]
-
-    c_fine = richardson(-1, -2)
-    c_coarse = richardson(-2, -3)
-    residuals = np.abs(c_fine - c_coarse)
+    c = n**scaling
+    c_fine, residuals = richardson(c, m / c[:, None])
     return ConvexRate.from_samples(
         a, c_fine, residuals=residuals, slope_at_infinity=slope_at_infinity
     )

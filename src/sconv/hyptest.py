@@ -9,8 +9,8 @@ where the float error probabilities underflow long before the rates converge.
 
 Engines, most specific first:
 
-* commuting i.i.d. pairs — exact type-class sums (binomial for two outcomes,
-  compositions for more);
+* commuting i.i.d. pairs — exact type-class sums over the compositions of
+  ``n``;
 * two-state Markov chains — exact run-length combinatorics, O(n^2) classes;
 * non-commuting qubit i.i.d. in pinched mode — per-sector spectral sums over
   the Hamming blocks of the reference basis;
@@ -38,7 +38,7 @@ from .operators import (
     DEFAULT_DIM_CAP,
     HermitianOperator,
     Test,
-    pinch,
+    _pinch_matrix,
     positive_part_trace,
 )
 
@@ -155,9 +155,9 @@ class ExponentReport:
 
 
 def _threshold_split(rho, sigma, c):
-    """``rho - e^c sigma`` (``c`` capped at 700) and the eigenvectors of its
-    strictly positive eigenvalues: none when ``e^c`` overflows."""
-    diff = HermitianOperator(rho.entries - math.exp(min(c, 700.0)) * sigma.entries)
+    """``rho - e^c sigma`` of two matrices (``c`` capped at 700) and the eigenvectors
+    of its strictly positive eigenvalues: none when ``e^c`` overflows."""
+    diff = HermitianOperator(rho - math.exp(min(c, 700.0)) * sigma)
     cut = STRICT_POSITIVE_TOL if c <= 700.0 else math.inf
     return diff, diff.eigenvectors[:, diff.eigenvalues > cut]
 
@@ -170,13 +170,13 @@ def _threshold_projection(rho, sigma, c):
 
 def np_test(pair, n_scaled_a):
     """Threshold test ``{rho - e^c sigma > 0}`` with ``c`` the total exponent."""
-    return _threshold_projection(pair.rho, pair.sigma, n_scaled_a)
+    return _threshold_projection(pair.rho.entries, pair.sigma.entries, n_scaled_a)
 
 
 def pinched_np_test(pair, n_scaled_a, cluster_tol=DEFAULT_CLUSTER_TOL):
     """Threshold test of the pinched pair; commutes with sigma by construction."""
-    rho_hat = pinch(pair.rho, pair.sigma, cluster_tol)
-    return _threshold_projection(rho_hat, pair.sigma, n_scaled_a)
+    rho_hat = _pinch_matrix(pair.rho, pair.sigma, cluster_tol)
+    return _threshold_projection(rho_hat, pair.sigma.entries, n_scaled_a)
 
 
 def scaled_test(t, n, r, a, phi_a, scaling=1.0):
@@ -266,31 +266,28 @@ def _safe_log(x):
 def iid_type_class_error_pair(p, q, n, c, a=0.0):
     """Exact error pair for a commuting i.i.d. pair via type classes.
 
-    Two outcomes cost ``n + 1`` classes; ``d`` outcomes cost
-    ``C(n + d - 1, d - 1)`` and are capped.
+    The classes are the ``C(n + d - 1, d - 1)`` compositions of ``n`` into
+    ``d`` parts (``n + 1`` for two outcomes) and are capped.
     """
     logp, logq = _safe_log(p), _safe_log(q)
     d = logp.size
-    if d == 2:
-        k = np.arange(n + 1, dtype=float)
-        log_mult = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        counts = np.stack([k, n - k], axis=1)
-    else:
-        total = math.comb(n + d - 1, d - 1)
-        if total > MAX_TYPE_CLASSES:
-            raise ValueError(
-                f"{total} type classes exceed the exact-enumeration cap; "
-                "use smaller n or the dense route"
-            )
-        bars = np.array(
-            list(itertools.combinations(range(n + d - 1), d - 1)), dtype=float
-        ).reshape(total, d - 1)
-        edges = np.concatenate(
-            [np.full((total, 1), -1.0), bars, np.full((total, 1), float(n + d - 1))],
-            axis=1,
+    total = math.comb(n + d - 1, d - 1)
+    if total > MAX_TYPE_CLASSES:
+        raise ValueError(
+            f"{total} type classes exceed the exact-enumeration cap; "
+            "use smaller n or the dense route"
         )
-        counts = np.diff(edges, axis=1) - 1.0
-        log_mult = gammaln(n + 1) - gammaln(counts + 1.0).sum(axis=1)
+    bars = np.array(
+        list(itertools.combinations(range(n + d - 1), d - 1)), dtype=float
+    ).reshape(total, d - 1)
+    edges = np.concatenate(
+        [np.full((total, 1), -1.0), bars, np.full((total, 1), float(n + d - 1))],
+        axis=1,
+    )
+    counts = np.diff(edges, axis=1) - 1.0
+    log_mult = gammaln(n + 1)
+    for col in counts.T:  # one column at a time: two outcomes give the binomial bits
+        log_mult = log_mult - gammaln(col + 1.0)
     with np.errstate(invalid="ignore"):
         lp = np.where(counts > 0, counts * logp[None, :], 0.0).sum(axis=1)
         lq = np.where(counts > 0, counts * logq[None, :], 0.0).sum(axis=1)
@@ -388,33 +385,38 @@ def _hamming_block(rho_ref, n, k):
     return block
 
 
-def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
-    """Exact pinched-test error pair for a qubit i.i.d. pair.
+def _pinched_sectors(rho1, sigma1, n):
+    """Yield ``(lam, log mu_k)`` per Hamming sector ``k = 0..n`` of block ``n``.
 
     The reference state's eigenbasis splits block ``n`` into Hamming sectors;
     pinching keeps exactly the sector-diagonal blocks, so the pinched spectrum
-    is the union of the per-sector spectra and the threshold comparison is a
-    scalar test per eigenvalue: each sector is one ``(0, log lambda, log mu_k)``
-    chunk of ``_log_terms_to_pair``, where eigenvalues ``<= 0`` (the dust of
-    rank-deficient blocks) carry no mass.  Cost is driven by the largest
-    sector, ``C(n, n/2)``, instead of ``2^n``.
+    is the union of the sector spectra ``lam`` (with dust ``<= 0`` from
+    rank-deficient blocks), and on sector ``k`` the reference is ``mu_k``.
     """
     mu = sigma1.eigenvalues
-    if mu.size != 2:
-        raise ValueError("sector engine requires qubits")
-    if mu.min() <= 0 or mu[1] - mu[0] <= 1e-12:
-        raise ValueError("sector engine requires a positive nondegenerate reference")
+    if mu.size != 2 or mu.min() <= 0 or mu[1] - mu[0] <= 1e-12:
+        raise ValueError("Hamming sectors need a positive nondegenerate qubit reference")
     v = sigma1.eigenvectors
     rho_ref = v.conj().T @ rho1.entries @ v
     log_mu = np.log(mu)
+    for k in range(n + 1):
+        lam = np.linalg.eigvalsh(_hamming_block(rho_ref, n, k))
+        yield lam, (n - k) * log_mu[0] + k * log_mu[1]
 
-    def _sectors():
-        for k in range(n + 1):
-            lam = np.linalg.eigvalsh(_hamming_block(rho_ref, n, k))
-            log_mu_k = (n - k) * log_mu[0] + k * log_mu[1]
-            yield np.zeros(lam.size), _safe_log(lam), np.full(lam.size, log_mu_k)
 
-    return _log_terms_to_pair(n, a, _sectors(), c)
+def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
+    """Exact pinched-test error pair for a qubit i.i.d. pair.
+
+    The pinched threshold comparison is a scalar test per eigenvalue, so each
+    sector of ``_pinched_sectors`` is one ``(0, log lambda, log mu_k)`` chunk of
+    ``_log_terms_to_pair``; eigenvalues ``<= 0`` carry no mass.  Cost is
+    driven by the largest sector, ``C(n, n/2)``, instead of ``2^n``.
+    """
+    chunks = (
+        (np.zeros(lam.size), _safe_log(lam), np.full(lam.size, log_mu_k))
+        for lam, log_mu_k in _pinched_sectors(rho1, sigma1, n)
+    )
+    return _log_terms_to_pair(n, a, chunks, c)
 
 
 # -- engine dispatch -------------------------------------------------------
@@ -462,8 +464,8 @@ def _resolve_engine(spec, mode, dim_cap):
         # one eigh of the threshold operator per (n, c): both traces are sums
         # of <v|X|v> over the test's range V, and the floor is its positive part
         pair = fam.family_states(spec, n, dim_cap=dim_cap)
-        rho = pinch(pair.rho, pair.sigma) if mode == "pinched" else pair.rho
-        diff, v = _threshold_split(rho, pair.sigma, c)
+        rho = _pinch_matrix(pair.rho, pair.sigma) if mode == "pinched" else pair.rho.entries
+        diff, v = _threshold_split(rho, pair.sigma.entries, c)
         success, beta = (
             float(np.vdot(v, x.entries @ v).real) for x in (pair.rho, pair.sigma))
         lp = positive_part_trace(diff)

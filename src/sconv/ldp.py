@@ -3,8 +3,10 @@
 A :class:`WeightedSampleSequence` is a family of finite positive measures
 ``mu_n`` (support points plus log-weights, not necessarily normalized) with a
 positive scale sequence ``c_n``.  The module computes log-moment-generating
-functions, extrapolates the normalized curve ``Lambda_bar(t) = lim (1/c_n)
-Lambda_n(c_n t)``, derives Chernoff-style upper bounds on tail rates, and
+functions and extrapolates the normalized curve ``Lambda_bar(t) = lim (1/c_n)
+Lambda_n(c_n t)`` over whole ``t`` grids: each call builds one ``(size x t)``
+table of ``Lambda_n(c_n t)/c_n`` and takes :func:`sconv.hoeffding.richardson`
+of it.  From that curve it derives Chernoff-style upper bounds on tail rates and
 verifies the matching lower bound empirically through the tilted-measure
 construction: locate ``t_x`` with ``Lambda_bar'(t_x) = x``, predict the
 windowed tail rate ``-Lambda_bar*(x)``, and report per-``n`` margins plus the
@@ -24,6 +26,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
+
+from .hoeffding import richardson
+from .hyptest import _pinched_sectors
 
 CAUCHY_TOL = 1e-3
 TILT_WINDOW_FRACTION = 0.05
@@ -70,23 +75,31 @@ class WeightedSampleSequence:
             raise ValueError("scales c_n must be positive")
 
 
-def log_mgf(seq, n, t):
-    """``Lambda_n(t) = log sum w_i e^{t y_i}`` by log-sum-exp."""
+def _support(seq, n):
     y, lw = seq.support(n)
-    y = np.asarray(y, dtype=float)
-    lw = np.asarray(lw, dtype=float)
+    return np.asarray(y, dtype=float), np.asarray(lw, dtype=float)
+
+
+def log_mgf(seq, n, t):
+    """``Lambda_n(t) = log sum w_i e^{t y_i}`` by log-sum-exp.
+
+    A 1-d ``t`` gives the array of values over the grid from one fetch of the
+    support.
+    """
+    y, lw = _support(seq, n)
     if y.size == 0:
         raise ValueError("empty support")
-    return float(logsumexp(lw + t * y))
+    if np.ndim(t) == 0:
+        return float(logsumexp(lw + t * y))
+    return np.array([logsumexp(lw + ti * y) for ti in t])
 
 
-def _normalized_samples(seq, t, n_list=None):
-    ns = seq.n_list if n_list is None else tuple(n_list)
-    out = []
-    for n in ns:
-        cn = float(seq.c(n))
-        out.append(log_mgf(seq, n, cn * t) / cn)
-    return ns, np.array(out)
+def _normalized_samples(seq, t_grid):
+    """Scales ``c_n`` and the ``(size x t)`` table of ``Lambda_n(c_n t)/c_n``."""
+    cs = np.array([float(seq.c(n)) for n in seq.n_list])
+    table = np.array([log_mgf(seq, n, cn * t_grid) / cn
+                      for n, cn in zip(seq.n_list, cs)])
+    return cs, table
 
 
 def lambda_bar(seq, t):
@@ -94,22 +107,12 @@ def lambda_bar(seq, t):
 
     One-term Richardson in ``1/c_n`` from the two largest sizes; the residual
     is the change against the next-coarser pair (or the last finite
-    difference when only two sizes exist).
+    difference when only two sizes exist).  A 1-d ``t`` gives both as arrays.
     """
-    ns, s = _normalized_samples(seq, t)
-    if len(ns) == 1:
-        return float(s[0]), math.inf
-    cs = np.array([float(seq.c(n)) for n in ns])
-
-    def _rich(i, j):
-        return (cs[j] * s[j] - cs[i] * s[i]) / (cs[j] - cs[i])
-
-    fine = _rich(-2, -1)
-    if len(ns) >= 3:
-        resid = abs(fine - _rich(-3, -2))
-    else:
-        resid = abs(s[-1] - s[-2])
-    return float(fine), float(resid)
+    fine, resid = richardson(*_normalized_samples(seq, np.atleast_1d(t)))
+    if np.ndim(t) == 0:
+        return float(fine[0]), float(resid[0])
+    return fine, resid
 
 
 @dataclass
@@ -146,20 +149,27 @@ class RateCurve:
         return x * t_x - float(self.spline(t_x))
 
 
-def build_rate_curve(seq, t_grid):
-    """Richardson-extrapolate ``Lambda_bar`` over a grid and spline it."""
+def _check_grid(t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 4 or np.diff(t_grid).min() <= 0:
         raise ValueError("need an increasing grid with at least four points")
-    pairs = [lambda_bar(seq, t) for t in t_grid]
-    vals = np.array([p[0] for p in pairs])
-    resid = np.array([p[1] for p in pairs])
+    return t_grid
+
+
+def _rate_curve(t_grid, cs, table):
+    vals, resid = richardson(cs, table)
     second = np.diff(vals, 2)
     scale = max(float(np.abs(vals).max()), 1.0)
     if second.min() < -1e-6 * scale:
         raise ValueError("extrapolated curve is visibly non-convex; refuse to spline")
     return RateCurve(t_grid=t_grid, values=vals, residuals=resid,
                      spline=CubicSpline(t_grid, vals))
+
+
+def build_rate_curve(seq, t_grid):
+    """Richardson-extrapolate ``Lambda_bar`` over a grid and spline it."""
+    t_grid = _check_grid(t_grid)
+    return _rate_curve(t_grid, *_normalized_samples(seq, t_grid))
 
 
 def chernoff_upper(seq, x, t_grid=None, side="ge"):
@@ -183,18 +193,15 @@ def chernoff_upper(seq, x, t_grid=None, side="ge"):
         raise ValueError("lower-tail bound needs t <= 0")
     if not np.any(t_grid == 0.0):
         t_grid = np.append(t_grid, 0.0)
-    best = -math.inf
-    for t in t_grid:
-        lb, _ = lambda_bar(seq, float(t))
-        best = max(best, float(t) * x - lb)
-    return -best
+    vals, _ = lambda_bar(seq, t_grid)
+    return -float(np.max(t_grid * x - vals))
 
 
 def exact_tail_rate(seq, n, x, side="ge"):
     """``(1/c_n) log mu_n`` of the closed tail at ``x`` (exact log-space sum)."""
-    y, lw = seq.support(n)
-    y = np.asarray(y, dtype=float)
-    lw = np.asarray(lw, dtype=float)
+    if side not in ("ge", "le"):
+        raise ValueError(f"unknown side {side!r}")
+    y, lw = _support(seq, n)
     mask = y >= x if side == "ge" else y <= x
     if not mask.any():
         return -math.inf
@@ -203,9 +210,7 @@ def exact_tail_rate(seq, n, x, side="ge"):
 
 def windowed_rate(seq, n, x0, x1):
     """``(1/c_n) log mu_n((x0, x1))`` over the open window."""
-    y, lw = seq.support(n)
-    y = np.asarray(y, dtype=float)
-    lw = np.asarray(lw, dtype=float)
+    y, lw = _support(seq, n)
     mask = (y > x0) & (y < x1)
     if not mask.any():
         return -math.inf
@@ -248,22 +253,18 @@ def gartner_ellis_lower_check(seq, x, window, t_range, grid_points=201,
         raise ValueError("x must lie at the left edge of the open window")
     if len(seq.n_list) < 3:
         raise ValueError("need at least three sizes for the convergence gate")
-    t_grid = np.linspace(t_range[0], t_range[1], grid_points)
-    tail = seq.n_list[-3:]
-    samples = np.stack([_normalized_samples(seq, t, tail)[1] for t in t_grid])
-    gaps = np.abs(np.diff(samples, axis=1)).max(axis=0)
+    t_grid = _check_grid(np.linspace(t_range[0], t_range[1], grid_points))
+    cs, table = _normalized_samples(seq, t_grid)
+    gaps = np.abs(np.diff(table[-3:], axis=0)).max(axis=1)
     converged = bool((gaps <= cauchy_tol).all())
     if not converged:
         raise ValueError(
             f"normalized log-MGF not Cauchy at tolerance {cauchy_tol}: gaps {gaps}"
         )
-    curve = build_rate_curve(seq, t_grid)
+    curve = _rate_curve(t_grid, cs, table)
     t_x = curve.stationary_t(x)
     leg = x * t_x - float(curve.spline(t_x))
-    margins = []
-    for n in seq.n_list:
-        emp = windowed_rate(seq, n, x0, x1)
-        margins.append((n, emp + leg))
+    margins = [(n, windowed_rate(seq, n, x0, x1) + leg) for n in seq.n_list]
     # tilted-measure concentration at the largest size
     delta = delta_fraction * (x1 - x0)
     y_mid = x + 0.5 * delta
@@ -272,9 +273,7 @@ def gartner_ellis_lower_check(seq, x, window, t_range, grid_points=201,
     except ValueError:
         t_y = t_x
     n_big = seq.n_list[-1]
-    y, lw = seq.support(n_big)
-    y = np.asarray(y, dtype=float)
-    lw = np.asarray(lw, dtype=float)
+    y, lw = _support(seq, n_big)
     cn = float(seq.c(n_big))
     log_tilt = lw + cn * t_y * y
     log_tilt -= logsumexp(log_tilt)
@@ -328,40 +327,23 @@ def pinched_pair_sequence(rho1, sigma1, n_list, under="sigma"):
     """Normalized log-likelihood ratio of a pinched qubit i.i.d. pair.
 
     Support points are ``y = (1/n)(log lam - log mu)`` over joint eigenpairs
-    of the pinched state and the reference ``sigma_n``; weights are the
+    of the pinched state and the reference ``sigma_n``, one Hamming sector of
+    ``hyptest._pinched_sectors`` at a time; weights are the
     ``sigma_n`` eigenvalues (``under='sigma'``) or the pinched-state
     eigenvalues (``under='rho_hat'``).  With sigma-weights,
     ``Lambda_n(n t) = psi(t)`` of the pinched pair; with rho-weights it is
     ``psi(1 + t)``.
     """
-    from .hyptest import _hamming_block  # sector data shared with the test engine
-
     if under not in ("sigma", "rho_hat"):
         raise ValueError(f"unknown weighting {under!r}")
-    mu = sigma1.eigenvalues
-    if mu.size != 2 or mu.min() <= 0 or mu[1] - mu[0] <= 1e-12:
-        raise ValueError("need a positive nondegenerate qubit reference")
-    v = sigma1.eigenvectors
-    rho_ref = v.conj().T @ rho1.entries @ v
-    log_mu = np.log(mu)
-    cache = {}
 
     def support(n):
-        if n not in cache:
-            ys, lws = [], []
-            for k in range(n + 1):
-                lam = np.linalg.eigvalsh(_hamming_block(rho_ref, n, k))
-                lam = lam[lam > 0]
-                log_mu_k = (n - k) * log_mu[0] + k * log_mu[1]
-                y = (np.log(lam) - log_mu_k) / n
-                ys.append(y)
-                lws.append(
-                    np.full(lam.size, log_mu_k)
-                    if under == "sigma"
-                    else np.log(lam)
-                )
-            cache[n] = (np.concatenate(ys), np.concatenate(lws))
-        return cache[n]
+        ys, lws = [], []
+        for lam, log_mu_k in _pinched_sectors(rho1, sigma1, n):
+            lam = lam[lam > 0]
+            ys.append((np.log(lam) - log_mu_k) / n)
+            lws.append(np.full(lam.size, log_mu_k) if under == "sigma" else np.log(lam))
+        return np.concatenate(ys), np.concatenate(lws)
 
     return WeightedSampleSequence(support=support, c=lambda n: float(n),
                                   n_list=tuple(n_list))

@@ -237,6 +237,11 @@ def pinch(x, sigma, cluster_tol=DEFAULT_CLUSTER_TOL):
     Returns ``sum_i P_i x P_i`` over sigma's distinct-eigenvalue projections;
     the result commutes with ``sigma`` and has the same trace as ``x``.
     """
+    return HermitianOperator(_pinch_matrix(x, sigma, cluster_tol))
+
+
+def _pinch_matrix(x, sigma, cluster_tol=DEFAULT_CLUSTER_TOL):
+    """The exactly Hermitian matrix of :func:`pinch`, without its eigenbasis."""
     if x.dim != sigma.dim:
         raise ValueError("dimension mismatch")
     clusters = eigenvalue_clusters(sigma, cluster_tol)
@@ -246,7 +251,7 @@ def pinch(x, sigma, cluster_tol=DEFAULT_CLUSTER_TOL):
     for ix in clusters:
         masked[np.ix_(ix, ix)] = w[np.ix_(ix, ix)]
     out = v @ masked @ v.conj().T
-    return HermitianOperator(0.5 * (out + out.conj().T))
+    return 0.5 * (out + out.conj().T)
 
 
 def psd_dominates(a, b, slack=None):

@@ -21,6 +21,8 @@ from sconv.cli import (
 )
 from sconv.operators import operator_to_json, rand_density
 
+LDP_CASE = (Path(__file__).resolve().parents[1]
+            / "perfbench" / "catalog" / "pinched-and-short-jobs" / "s00")
 FLOAT_CELL = re.compile(r"^(-?\d\.\d{11}e[+-]\d{2,3}|inf|-inf|nan|)$")
 
 
@@ -420,3 +422,9 @@ class TestMain:
             assert margin <= 1e-12  # lower-bound margins approach 0 from below
         margins = [float(r[5]) for r in rows]
         assert margins[-1] > margins[0]
+
+    def test_ldp_bytes_match_benchmark_reference(self, tmp_path):
+        # the benchmark's draw-0 ldp scenario and the CSV its reference commit wrote
+        rc = main(["ldp", "--scenario", str(LDP_CASE / "ldp.json"), "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "ldp.csv").read_bytes() == (LDP_CASE / "ref" / "ldp.csv").read_bytes()

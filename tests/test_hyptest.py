@@ -12,6 +12,7 @@ from sconv.hyptest import (
     ErrorPair,
     _hamming_block,
     _markov_run_classes,
+    _resolve_engine,
     default_a_grid,
     error_pair,
     exponent_sweep,
@@ -27,6 +28,7 @@ from sconv.hyptest import (
 from sconv.families import asymptotic_rate, family_states
 from sconv.hoeffding import polar
 from sconv.operators import (
+    DEFAULT_DIM_CAP,
     HermitianOperator,
     StatePair,
     pinch,
@@ -384,6 +386,19 @@ class TestSweepAndReport:
         )
         typed = exponent_sweep(qutrit, 0.3, [4, 8, 16])
         assert typed.provenance == "exact-type-classes"
+
+    def test_dense_pinched_one_eigh_per_block(self, qutrit_pair, monkeypatch):
+        # the pinched matrix needs no eigenbasis: only the threshold operator's eigh
+        rho1, sigma1 = qutrit_pair
+        spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+        engine, provenance = _resolve_engine(spec, "pinched", DEFAULT_DIM_CAP)
+        assert provenance == "dense"
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
+        for n, c in ((3, 0.15), (4, 0.2), (4, -0.4)):
+            engine(n, c, c / n)
+        assert shapes == [(27, 27), (81, 81), (81, 81)]
 
     def test_dense_pinched_floor_is_pinched_positive_part(self, qutrit_pair):
         rho1, sigma1 = qutrit_pair

@@ -61,6 +61,12 @@ class TestLogMgf:
                 got = log_mgf(seq, n, n * t) / n
                 assert got == pytest.approx(fair_coin_lambda(t), abs=1e-12)
 
+    def test_grid_equals_scalar_calls(self):
+        seq = binomial_sequence([16, 64, 256])
+        t = np.linspace(-2.0, 3.0, 11) * 64
+        grid = log_mgf(seq, 64, t)
+        assert grid.tolist() == [log_mgf(seq, 64, float(ti)) for ti in t]
+
     def test_lambda_bar_exact_for_binomial(self):
         seq = binomial_sequence([64, 128, 256, 512])
         val, resid = lambda_bar(seq, 1.3)
@@ -144,6 +150,13 @@ class TestChernoff:
         seq = binomial_sequence([64, 128, 256])
         assert chernoff_upper(seq, 0.5) <= 1e-12
 
+    def test_grid_equals_pointwise_sup(self):
+        seq = binomial_sequence([256, 512, 1024])
+        t_grid = np.linspace(0.0, 8.0, 321)
+        for x in (0.6, 0.7):
+            pointwise = -max(t * x - lambda_bar(seq, float(t))[0] for t in t_grid)
+            assert chernoff_upper(seq, x, t_grid) == pointwise
+
     def test_side_validation(self):
         seq = binomial_sequence([64, 128, 256])
         with pytest.raises(ValueError, match="side"):
@@ -167,6 +180,11 @@ class TestTailHelpers:
             math.log(4.0 / 16.0) / 4.0, abs=1e-12
         )
 
+    def test_exact_tail_rate_side_validation(self):
+        seq = binomial_sequence([4])
+        with pytest.raises(ValueError, match="side"):
+            exact_tail_rate(seq, 4, 0.5, side="both")
+
     def test_empty_tail_is_minus_inf(self):
         seq = binomial_sequence([4])
         assert exact_tail_rate(seq, 4, 1.5) == -math.inf
@@ -189,6 +207,15 @@ class TestGartnerEllisLower:
         assert abs(verdict.final_margin) < 0.01
         assert verdict.tilted_mass >= 0.99
         assert verdict.notes == ()
+
+    def test_curve_equals_pointwise_lambda_bar(self):
+        seq = binomial_sequence([256, 512, 1024])
+        verdict = gartner_ellis_lower_check(seq, 0.7, (0.7, 1.0), (-1.0, 4.0),
+                                            grid_points=41)
+        t_grid = np.linspace(-1.0, 4.0, 41)
+        values = build_rate_curve(seq, t_grid).values
+        assert verdict.curve.values.tolist() == values.tolist()
+        assert values.tolist() == [lambda_bar(seq, t)[0] for t in t_grid]
 
     def test_narrow_tilt_window_flagged(self):
         seq = binomial_sequence([256, 512, 1024, 2048, 4096])
