@@ -82,7 +82,7 @@ def _require(d, field, typ, path):
 def _check_n_list(ns, path):
     if not isinstance(ns, list) or not ns:
         raise ScenarioError(path, "n_list must be a nonempty list")
-    if any(not isinstance(n, int) or n < 1 for n in ns):
+    if any(type(n) is not int or n < 1 for n in ns):  # JSON true parses as int
         raise ScenarioError(path, "n_list entries must be positive integers")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ScenarioError(path, "n_list must be strictly increasing")
@@ -93,9 +93,12 @@ def _check_grid(g, path):
     if not isinstance(g, list) or not g:
         raise ScenarioError(path, "grid must be a nonempty list of numbers")
     try:
-        return [float(v) for v in g]
-    except (TypeError, ValueError):
+        vals = [float(v) for v in g]
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(path, "grid entries must be numbers") from None
+    if not all(map(math.isfinite, vals)):  # JSON NaN and Infinity parse as floats
+        raise ScenarioError(path, "grid entries must be finite numbers")
+    return vals
 
 
 def load_scenario(path):
@@ -132,9 +135,17 @@ def load_scenario(path):
             _check_grid(params[grid_name], f"$.params.{grid_name}")
     if "t_range" in params:
         tr = params["t_range"]
-        if not (isinstance(tr, list) and len(tr) == 2
-                and all(type(v) in (int, float) for v in tr) and tr[0] < tr[1]):
-            raise ScenarioError("$.params.t_range", "t_range must be [lo, hi] with lo < hi")
+        try:
+            ok = (isinstance(tr, list) and len(tr) == 2
+                  and all(type(v) in (int, float) and math.isfinite(v) for v in tr)
+                  and tr[0] < tr[1])
+        except OverflowError:  # an integer beyond the double range
+            ok = False
+        if not ok:
+            raise ScenarioError("$.params.t_range",
+                                "t_range must be finite [lo, hi] with lo < hi")
+    if "out" in params and not isinstance(params["out"], str):
+        raise ScenarioError("$.params.out", "out must be a file name string")
     if "mode" in params and params["mode"] not in ("np", "pinched"):
         raise ScenarioError("$.params.mode", "mode must be 'np' or 'pinched'")
     if "variant" in params and params["variant"] not in renyi.VARIANTS:

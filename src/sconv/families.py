@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quasifree as qf
-from .hoeffding import ConvexRate, rate_from_samples
+from .hoeffding import DEFAULT_T_HI, ConvexRate, rate_from_samples
 from .operators import (
     DEFAULT_DIM_CAP,
     HermitianOperator,
@@ -35,6 +35,10 @@ from .operators import (
     tensor_product,
 )
 from .renyi import _overlap, max_relative_entropy, psi, relative_entropy
+
+PERRON_TOL = 1e-12  # relative Rayleigh-quotient change that ends the power iteration
+PERRON_MAX_ITER = 200_000  # bounds the work on a slowly mixing chain; keeps the last root
+RELENT_CHORD_STEP = 1e-6  # chord step at 1: O(h) truncation against O(eps/h) rounding
 
 __all__ = [
     "PAULI_X",
@@ -373,7 +377,7 @@ def markov_psi_n(payload, alpha, n):
     return math.log(total) + log_scale
 
 
-def markov_psi_limit(payload, alpha, tol=1e-12, max_iter=200_000):
+def markov_psi_limit(payload, alpha):
     """Log of the Perron root of the transfer matrix, by power iteration.
 
     A unit shift keeps the iteration convergent for periodic-but-irreducible
@@ -391,11 +395,11 @@ def markov_psi_limit(payload, alpha, tol=1e-12, max_iter=200_000):
     shifted = m + np.eye(d)
     v = np.ones(d) / d
     root = 0.0
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         w = shifted @ v
         new_root = float(w @ v)  # Rayleigh quotient (v normalized)
         w /= np.linalg.norm(w)
-        if abs(new_root - root) <= tol * max(new_root, 1.0):
+        if abs(new_root - root) <= PERRON_TOL * max(new_root, 1.0):
             v = w
             root = new_root
             break
@@ -404,38 +408,38 @@ def markov_psi_limit(payload, alpha, tol=1e-12, max_iter=200_000):
     return math.log(root - 1.0)
 
 
-def markov_relent_rate(payload, h=1e-6):
+def markov_relent_rate(payload):
     """Relative-entropy rate as the Perron curve's derivative at 1 (chord)."""
+    h = RELENT_CHORD_STEP
     return (markov_psi_limit(payload, 1.0 + h) - markov_psi_limit(payload, 1.0)) / h
 
 
-_DEFAULT_MARKOV_GRID = np.concatenate(
+_MARKOV_GRID = np.concatenate(
     [
         np.linspace(1.0, 1.5, 26),
         np.linspace(1.52, 4.0, 63),
-        np.geomspace(4.1, 64.0, 64),
+        np.geomspace(4.1, DEFAULT_T_HI, 64),
     ]
 )
 
 
-def markov_rate(payload, alphas=None):
+def markov_rate(payload):
     """Convex rate curve sampled from the Perron-root limit."""
-    grid = _DEFAULT_MARKOV_GRID if alphas is None else np.asarray(alphas, float)
-    vals = np.array([markov_psi_limit(payload, a) for a in grid])
+    vals = np.array([markov_psi_limit(payload, a) for a in _MARKOV_GRID])
     if not np.isfinite(vals).all():
         raise ValueError("Perron curve is infinite on the requested grid")
     return ConvexRate.from_samples(
-        grid, vals, right_derivative_at_1=markov_relent_rate(payload)
+        _MARKOV_GRID, vals, right_derivative_at_1=markov_relent_rate(payload)
     )
 
 
 # -- asymptotic rate curves per family ------------------------------------
 
 
-def _plain_slope_at_infinity(rho, sigma, support_tol=1e-12):
+def _plain_slope_at_infinity(rho, sigma):
     """``lim psi(t)/t`` for the plain variant: max log-ratio over overlapping
     eigenpairs."""
-    overlap = _overlap(rho, sigma, support_tol)
+    overlap = _overlap(rho, sigma)
     if overlap is None:
         return math.inf
     logp, logq, ov = overlap
@@ -445,7 +449,7 @@ def _plain_slope_at_infinity(rho, sigma, support_tol=1e-12):
     return float((logp[:, None] - logq[None, :])[mask].max())
 
 
-def iid_rate(rho1, sigma1, variant="sandwiched", t_hi=64.0):
+def iid_rate(rho1, sigma1, variant="sandwiched"):
     """Asymptotic cumulant curve of an i.i.d. pair (additivity makes it exact)."""
     if variant == "sandwiched":
         slope = max_relative_entropy(rho1, sigma1)
@@ -455,36 +459,34 @@ def iid_rate(rho1, sigma1, variant="sandwiched", t_hi=64.0):
         lambda t: psi(rho1, sigma1, t, variant),
         right_derivative_at_1=relative_entropy(rho1, sigma1),
         slope_at_infinity=slope,
-        t_hi=t_hi,
     )
 
 
-def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), alphas=None, variant="sandwiched",
+_GIBBS_GRID = np.concatenate([np.linspace(1.0, 2.0, 21), np.linspace(2.1, 8.0, 60)])
+
+
+def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), variant="sandwiched",
                dim_cap=DEFAULT_DIM_CAP):
     """Extrapolated rate curve for a Gibbs pair from finite-volume samples."""
-    if alphas is None:
-        alphas = np.concatenate([np.linspace(1.0, 2.0, 21), np.linspace(2.1, 8.0, 60)])
-    alphas = np.asarray(alphas, float)
     pairs = [
         (gibbs_state(pair_payload.null, n, dim_cap), gibbs_state(pair_payload.alt, n, dim_cap))
         for n in n_list
     ]
     mat = np.array(
-        [[psi(rho, sig, a, variant) for a in alphas] for rho, sig in pairs]
+        [[psi(rho, sig, a, variant) for a in _GIBBS_GRID] for rho, sig in pairs]
     )
-    return rate_from_samples(list(n_list), alphas, mat, scaling=1.0)
+    return rate_from_samples(list(n_list), _GIBBS_GRID, mat, scaling=1.0)
 
 
-def asymptotic_rate(spec, variant="sandwiched", **kwargs):
+def asymptotic_rate(spec, variant="sandwiched", dim_cap=DEFAULT_DIM_CAP):
     """Dispatch to the family-appropriate rate-curve construction."""
     if spec.kind == "iid":
-        return iid_rate(spec.payload.rho1, spec.payload.sigma1, variant=variant,
-                        t_hi=kwargs.get("t_hi", 64.0))
+        return iid_rate(spec.payload.rho1, spec.payload.sigma1, variant=variant)
     if spec.kind == "markov":
-        return markov_rate(spec.payload, alphas=kwargs.get("alphas"))
+        return markov_rate(spec.payload)
     if spec.kind == "gibbs":
-        return gibbs_rate(spec.payload, variant=variant, **kwargs)
-    return qf.quasifree_rate(spec.payload, t_hi=kwargs.get("t_hi", 64.0))
+        return gibbs_rate(spec.payload, variant=variant, dim_cap=dim_cap)
+    return qf.quasifree_rate(spec.payload)
 
 
 # -- JSON round trip -------------------------------------------------------

@@ -23,6 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 
 DEFAULT_T_HI = 64.0
+GOLDEN_XTOL = 1e-10  # golden-search stop width in t; at a smooth max, value error O(width^2)
+TAIL_SLOPE_TOL = 1e-8  # a sup objective rising faster than this at t_hi is still climbing
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
@@ -38,13 +40,13 @@ __all__ = [
 ]
 
 
-def _golden_max(g, lo, hi, xtol=1e-10):
+def _golden_max(g, lo, hi):
     """Golden-section maximizer of a unimodal function on [lo, hi]."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     gc, gd = g(c), g(d)
-    while b - a > xtol:
+    while b - a > GOLDEN_XTOL:
         if gc >= gd:
             b, d, gd = d, c, gc
             c = b - _INVPHI * (b - a)
@@ -78,9 +80,10 @@ def _convex_minorant(x, y):
 class ConvexRate:
     """Convex rate function on ``[1, t_hi]`` with ``f(1) = 0``.
 
-    ``slope_at_infinity`` may be ``math.inf``; when it comes from a last-chord
-    proxy rather than an exact limit, ``slope_is_exact`` is False and regime
-    labels derived from it are best-available rather than certified.
+    ``slope_at_infinity`` may be ``math.inf``.  Sampled curves take it from
+    their last chord, a proxy rather than an exact limit, so ``slope_is_exact``
+    is False and regime labels derived from it are best-available rather than
+    certified.
     """
 
     fn: Callable[[float], float]
@@ -104,7 +107,6 @@ class ConvexRate:
         right_derivative_at_1=None,
         slope_at_infinity=math.inf,
         t_hi=DEFAULT_T_HI,
-        slope_is_exact=True,
     ):
         f1 = fn(1.0)
         if abs(f1) > 1e-9:
@@ -117,12 +119,10 @@ class ConvexRate:
             right_derivative_at_1=float(right_derivative_at_1),
             slope_at_infinity=float(slope_at_infinity),
             t_hi=float(t_hi),
-            slope_is_exact=slope_is_exact,
         )
 
     @classmethod
-    def from_samples(cls, alphas, values, residuals=None, slope_at_infinity=None,
-                     right_derivative_at_1=None):
+    def from_samples(cls, alphas, values, residuals=None, right_derivative_at_1=None):
         """Piecewise-linear convex rate through sampled points.
 
         The grid must start at ``alpha = 1`` where the value must vanish to
@@ -153,15 +153,14 @@ class ConvexRate:
             )
         v = minorant
         chord_last = (v[-1] - v[-2]) / (a[-1] - a[-2])
-        exact = slope_at_infinity is not None
         if right_derivative_at_1 is None:
             right_derivative_at_1 = (v[1] - v[0]) / (a[1] - a[0])
         return cls(
             fn=lambda t: float(np.interp(t, a, v)),
             right_derivative_at_1=float(right_derivative_at_1),
-            slope_at_infinity=float(slope_at_infinity) if exact else float(chord_last),
+            slope_at_infinity=float(chord_last),
             t_hi=float(a[-1]),
-            slope_is_exact=exact,
+            slope_is_exact=False,
             grid=a,
             values=v,
             residuals=None if residuals is None else np.asarray(residuals, float),
@@ -175,7 +174,7 @@ class PolarResult:
     tail_dominated: bool
 
 
-def _sup(g, f, xtol, tail_slope_tol):
+def _sup(g, f):
     """``(t, value, climbing)`` for the sup of ``g`` over ``[1, f.t_hi]``.
 
     A ``g`` still rising at ``t_hi`` returns ``(t_hi, g(t_hi), True)`` unsearched;
@@ -184,15 +183,15 @@ def _sup(g, f, xtol, tail_slope_tol):
     t_hi = f.t_hi
     delta = min(1e-6, (t_hi - 1.0) * 1e-3)
     end = g(t_hi)
-    if end - g(t_hi - delta) > tail_slope_tol * delta:
+    if end - g(t_hi - delta) > TAIL_SLOPE_TOL * delta:
         return t_hi, end, True
-    t_star, val = _golden_max(g, 1.0, t_hi, xtol=xtol)
+    t_star, val = _golden_max(g, 1.0, t_hi)
     if end > val:
         return t_hi, end, False
     return t_star, val, False
 
 
-def polar_detail(f, a, xtol=1e-10, tail_slope_tol=1e-8):
+def polar_detail(f, a):
     """Polar transform with diagnostics.
 
     ``tail_dominated`` means the objective was still climbing at ``t_hi``; the
@@ -202,7 +201,7 @@ def polar_detail(f, a, xtol=1e-10, tail_slope_tol=1e-8):
     """
     if a <= f.right_derivative_at_1:
         return PolarResult(0.0, None, False)
-    t_star, val, climbing = _sup(lambda t: a * (t - 1.0) - f(t), f, xtol, tail_slope_tol)
+    t_star, val, climbing = _sup(lambda t: a * (t - 1.0) - f(t), f)
     if climbing:
         if a > f.slope_at_infinity:
             return PolarResult(math.inf, None, True)
@@ -210,9 +209,9 @@ def polar_detail(f, a, xtol=1e-10, tail_slope_tol=1e-8):
     return PolarResult(max(val, 0.0), t_star, False)
 
 
-def polar(f, a, xtol=1e-10):
+def polar(f, a):
     """``sup_{t > 1} { a (t - 1) - f(t) }``; exactly 0 below the derivative at 1."""
-    return polar_detail(f, a, xtol=xtol).value
+    return polar_detail(f, a).value
 
 
 @dataclass
@@ -227,7 +226,7 @@ class HoeffdingResult:
     tail_dominated: bool = False
 
 
-def hoeffding_anti(f, r, xtol=1e-10):
+def hoeffding_anti(f, r):
     """Anti-divergence ``sup_{t > 1} (r (t - 1) - f(t)) / t`` with case split.
 
     Returns a :class:`HoeffdingResult`; ``value`` is zero iff ``r`` does not
@@ -238,7 +237,7 @@ def hoeffding_anti(f, r, xtol=1e-10):
         return HoeffdingResult(r=r, value=0.0, regime="zero")
     a_max = f.slope_at_infinity
     if math.isfinite(a_max):
-        tail = polar_detail(f, a_max, xtol=xtol)
+        tail = polar_detail(f, a_max)
         if math.isfinite(tail.value):
             r_max = tail.value + a_max
             if r >= r_max - 1e-12:
@@ -253,7 +252,7 @@ def hoeffding_anti(f, r, xtol=1e-10):
         # an infinite polar at a_max pushes r_max to infinity: always interior
 
     def h(a):
-        return polar(f, a, xtol=xtol) + a - r
+        return polar(f, a) + a - r
 
     lo = a_min
     if math.isfinite(a_max):
@@ -273,7 +272,7 @@ def hoeffding_anti(f, r, xtol=1e-10):
             else:
                 lo = mid
         a_r = 0.5 * (lo + hi)
-    detail = polar_detail(f, a_r, xtol=xtol)
+    detail = polar_detail(f, a_r)
     return HoeffdingResult(
         r=r,
         value=r - a_r,
@@ -284,13 +283,13 @@ def hoeffding_anti(f, r, xtol=1e-10):
     )
 
 
-def sc_lower_bound_curve(f, r, xtol=1e-10, tail_slope_tol=1e-8):
+def sc_lower_bound_curve(f, r):
     """Direct evaluation of ``sup_{t > 1} (r (t - 1) - f(t)) / t``.
 
     Numerically identical to ``hoeffding_anti(f, r).value``; exposed
     separately so reports can cross-check the two routes.
     """
-    _, val, climbing = _sup(lambda t: (r * (t - 1.0) - f(t)) / t, f, xtol, tail_slope_tol)
+    _, val, climbing = _sup(lambda t: (r * (t - 1.0) - f(t)) / t, f)
     if climbing and math.isfinite(f.slope_at_infinity):
         return max(r - f.slope_at_infinity, val, 0.0)
     return max(val, 0.0)
@@ -313,7 +312,7 @@ def richardson(c, s):
     return fine, np.abs(fine - coarse)
 
 
-def rate_from_samples(n_list, alphas, psi_matrix, scaling=1.0, slope_at_infinity=None):
+def rate_from_samples(n_list, alphas, psi_matrix, scaling=1.0):
     """Extrapolated rate curve from finite-size cumulant samples.
 
     Parameters
@@ -336,6 +335,4 @@ def rate_from_samples(n_list, alphas, psi_matrix, scaling=1.0, slope_at_infinity
         raise ValueError(f"psi matrix shape {m.shape} does not match grids")
     c = n**scaling
     c_fine, residuals = richardson(c, m / c[:, None])
-    return ConvexRate.from_samples(
-        a, c_fine, residuals=residuals, slope_at_infinity=slope_at_infinity
-    )
+    return ConvexRate.from_samples(a, c_fine, residuals=residuals)

@@ -34,7 +34,6 @@ from scipy.special import gammaln, logsumexp
 from . import families as fam
 from .hoeffding import hoeffding_anti, polar_detail
 from .operators import (
-    DEFAULT_CLUSTER_TOL,
     DEFAULT_DIM_CAP,
     HermitianOperator,
     Test,
@@ -43,6 +42,7 @@ from .operators import (
 )
 
 STRICT_POSITIVE_TOL = 1e-12  # eigenvalues this close to zero are not "strictly positive"
+COMMUTING_TOL = 1e-12  # off-diagonal size in sigma's eigenbasis that still counts as commuting
 MAX_TYPE_CLASSES = 2_000_000
 RUN_CLASS_CHUNK = 16_384  # Markov run classes per chunk: bounds the engine's working set
 R_SQUARED_GATE = 0.98
@@ -173,9 +173,9 @@ def np_test(pair, n_scaled_a):
     return _threshold_projection(pair.rho.entries, pair.sigma.entries, n_scaled_a)
 
 
-def pinched_np_test(pair, n_scaled_a, cluster_tol=DEFAULT_CLUSTER_TOL):
+def pinched_np_test(pair, n_scaled_a):
     """Threshold test of the pinched pair; commutes with sigma by construction."""
-    rho_hat = _pinch_matrix(pair.rho, pair.sigma, cluster_tol)
+    rho_hat = _pinch_matrix(pair.rho, pair.sigma)
     return _threshold_projection(rho_hat, pair.sigma.entries, n_scaled_a)
 
 
@@ -187,7 +187,7 @@ def scaled_test(t, n, r, a, phi_a, scaling=1.0):
     return t.scale(math.exp(-float(n) ** scaling * max(gap, 0.0)))
 
 
-def error_pair(pair, t, n=1, a=0.0, log_pos_part=None):
+def error_pair(pair, t, n=1, a=0.0):
     """Evaluate the three traces of a test against a state pair."""
     success = float(np.trace(pair.rho.entries @ t.op.entries).real)
     beta = float(np.trace(pair.sigma.entries @ t.op.entries).real)
@@ -197,7 +197,6 @@ def error_pair(pair, t, n=1, a=0.0, log_pos_part=None):
         alpha_err=1.0 - success,
         beta_err=beta,
         success=success,
-        log_pos_part=log_pos_part,
     )
 
 
@@ -422,13 +421,13 @@ def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
 # -- engine dispatch -------------------------------------------------------
 
 
-def _commuting_iid_probs(payload, tol=1e-12):
+def _commuting_iid_probs(payload):
     """(p, q) classical tables when the single-site pair shares an eigenbasis."""
     sigma = payload.sigma1
     v = sigma.eigenvectors
     w = v.conj().T @ payload.rho1.entries @ v
     off = w - np.diag(np.diag(w))
-    if np.abs(off).max() > tol:
+    if np.abs(off).max() > COMMUTING_TOL:
         return None
     p = np.clip(np.diag(w).real, 0.0, None)
     return p, sigma.eigenvalues.copy()
@@ -509,16 +508,16 @@ def fit_rate(n_list, log_errors, scaling=1.0):
     )
 
 
-def default_a_grid(rate, count=9, margin=0.02):
-    """Threshold grid spanning the open interval between the two endpoint
-    slopes of the rate curve, inset by ``margin`` of the gap on each side."""
+def default_a_grid(rate):
+    """Nine thresholds spanning the open interval between the two endpoint
+    slopes of the rate curve, inset by 2% of the gap on each side."""
     lo, hi = rate.right_derivative_at_1, rate.slope_at_infinity
     if not math.isfinite(hi):
         raise ValueError("rate curve has unbounded slope; supply thresholds explicitly")
     gap = hi - lo
     if gap <= 0:
         raise ValueError("degenerate rate curve: no open threshold interval")
-    return np.linspace(lo + margin * gap, hi - margin * gap, count)
+    return np.linspace(lo + 0.02 * gap, hi - 0.02 * gap, 9)
 
 
 def exponent_sweep(spec, a, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,

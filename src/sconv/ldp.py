@@ -30,7 +30,7 @@ from scipy.special import gammaln, logsumexp
 from .hoeffding import richardson
 from .hyptest import _pinched_sectors
 
-CAUCHY_TOL = 1e-3
+CAUCHY_TOL = 1e-3  # normalized log-MGF gap between the largest sizes that counts as converged
 TILT_WINDOW_FRACTION = 0.05
 
 __all__ = [
@@ -238,12 +238,11 @@ class GELowerVerdict:
 
 
 def gartner_ellis_lower_check(seq, x, window, t_range, grid_points=201,
-                              delta_fraction=TILT_WINDOW_FRACTION,
-                              cauchy_tol=CAUCHY_TOL):
+                              delta_fraction=TILT_WINDOW_FRACTION):
     """Verify the tilted-measure lower bound for the windowed tail at ``x``.
 
     Refuses to run when the normalized log-MGF samples have not numerically
-    converged (successive differences over the grid above ``cauchy_tol`` for
+    converged (successive differences over the grid above ``CAUCHY_TOL`` for
     the last three sizes).  Returns the stationary point, the rate prediction
     ``-Lambda_bar*(x)``, per-``n`` margins (windowed empirical rate minus
     prediction), and the concentration of the tilted measure near ``x``.
@@ -256,10 +255,10 @@ def gartner_ellis_lower_check(seq, x, window, t_range, grid_points=201,
     t_grid = _check_grid(np.linspace(t_range[0], t_range[1], grid_points))
     cs, table = _normalized_samples(seq, t_grid)
     gaps = np.abs(np.diff(table[-3:], axis=0)).max(axis=1)
-    converged = bool((gaps <= cauchy_tol).all())
+    converged = bool((gaps <= CAUCHY_TOL).all())
     if not converged:
         raise ValueError(
-            f"normalized log-MGF not Cauchy at tolerance {cauchy_tol}: gaps {gaps}"
+            f"normalized log-MGF not Cauchy at tolerance {CAUCHY_TOL}: gaps {gaps}"
         )
     curve = _rate_curve(t_grid, cs, table)
     t_x = curve.stationary_t(x)

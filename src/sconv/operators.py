@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_HERMITICITY_TOL = 1e-12
-DEFAULT_SUPPORT_TOL = 1e-12
-DEFAULT_CLUSTER_TOL = 1e-10
+HERMITICITY_TOL = 1e-12  # relative asymmetry that rounding leaves; more means bad input
+SUPPORT_TOL = 1e-12  # eigenvalues under this fraction of the largest are noise: off-support
+CLUSTER_TOL = 1e-10  # eigenvalue gaps under this fraction of the norm are rounding: one level
+PSD_ORDER_TOL = 1e-9  # relative slack of the PSD order, above eigvalsh noise on a difference
 DEFAULT_DIM_CAP = 4096
 
 __all__ = [
@@ -69,7 +70,7 @@ class HermitianOperator:
 
     __slots__ = ("entries", "dim", "eigenvalues", "eigenvectors", "eig_labels")
 
-    def __init__(self, entries, hermiticity_tol=DEFAULT_HERMITICITY_TOL):
+    def __init__(self, entries, hermiticity_tol=HERMITICITY_TOL):
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -129,21 +130,21 @@ class HermitianOperator:
     def max_eigenvalue(self):
         return float(self.eigenvalues[-1])
 
-    def support_cutoff(self, support_tol=DEFAULT_SUPPORT_TOL):
+    def support_cutoff(self):
         """Absolute cutoff below which eigenvalues count as zero."""
-        return support_tol * max(self.max_eigenvalue, 0.0)
+        return SUPPORT_TOL * max(self.max_eigenvalue, 0.0)
 
-    def support_indices(self, support_tol=DEFAULT_SUPPORT_TOL):
-        return np.nonzero(self.eigenvalues > self.support_cutoff(support_tol))[0]
+    def support_indices(self):
+        return np.nonzero(self.eigenvalues > self.support_cutoff())[0]
 
-    def support_projection(self, support_tol=DEFAULT_SUPPORT_TOL):
-        idx = self.support_indices(support_tol)
+    def support_projection(self):
+        idx = self.support_indices()
         v = self.eigenvectors[:, idx]
         p = v @ v.conj().T
         return HermitianOperator(0.5 * (p + p.conj().T))
 
-    def rank(self, support_tol=DEFAULT_SUPPORT_TOL):
-        return int(self.support_indices(support_tol).size)
+    def rank(self):
+        return int(self.support_indices().size)
 
     def map_eigenvalues(self, fn):
         """New operator with the same eigenvectors and mapped eigenvalues."""
@@ -159,24 +160,24 @@ def spectral(op):
     return op.eigenvalues.copy(), op.eigenvectors.copy()
 
 
-def _require_psd(op, support_tol, what="operator"):
-    floor = -(support_tol * max(op.norm, 1.0) + 1e-14)
+def _require_psd(op):
+    floor = -(SUPPORT_TOL * max(op.norm, 1.0) + 1e-14)
     if op.min_eigenvalue < floor:
         raise ValueError(
-            f"{what} is not positive semidefinite: min eigenvalue "
+            "operator is not positive semidefinite: min eigenvalue "
             f"{op.min_eigenvalue:.3e}"
         )
 
 
-def power_on_support(op, t, support_tol=DEFAULT_SUPPORT_TOL):
+def power_on_support(op, t):
     """``op**t`` on the support; eigenvalues at or below the cutoff map to 0.
 
     ``t = 0`` returns the support projection.  Negative ``t`` inverts on the
     support (Moore-Penrose style).  The operator must be PSD up to support
     tolerance; tiny negative eigenvalues are clipped.
     """
-    _require_psd(op, support_tol)
-    cut = op.support_cutoff(support_tol)
+    _require_psd(op)
+    cut = op.support_cutoff()
     w = op.eigenvalues
     out = np.zeros_like(w)
     on = w > cut
@@ -184,10 +185,10 @@ def power_on_support(op, t, support_tol=DEFAULT_SUPPORT_TOL):
     return HermitianOperator.from_spectral(out, op.eigenvectors, op.eig_labels)
 
 
-def log_on_support(op, support_tol=DEFAULT_SUPPORT_TOL):
+def log_on_support(op):
     """Eigenvalue-wise natural log on the support, zero elsewhere."""
-    _require_psd(op, support_tol)
-    cut = op.support_cutoff(support_tol)
+    _require_psd(op)
+    cut = op.support_cutoff()
     w = op.eigenvalues
     out = np.zeros_like(w)
     on = w > cut
@@ -202,12 +203,12 @@ def positive_part_trace(op):
     return float(np.clip(op.eigenvalues, 0.0, None).sum())
 
 
-def eigenvalue_clusters(op, cluster_tol=DEFAULT_CLUSTER_TOL):
+def eigenvalue_clusters(op):
     """Group eigenvalue indices into degenerate clusters.
 
     Operators carrying symbolic ``eig_labels`` (tensor powers) are grouped by
     exact label; otherwise clusters are maximal runs of the sorted spectrum
-    with consecutive gaps at most ``cluster_tol`` relative to the norm.
+    with consecutive gaps at most ``CLUSTER_TOL`` relative to the norm.
     """
     if op.eig_labels is not None:
         groups = {}
@@ -221,30 +222,30 @@ def eigenvalue_clusters(op, cluster_tol=DEFAULT_CLUSTER_TOL):
     w = op.eigenvalues
     if w.size == 0:
         return []
-    thr = cluster_tol * max(np.abs(w).max(), 1e-300)
+    thr = CLUSTER_TOL * max(np.abs(w).max(), 1e-300)
     breaks = np.nonzero(np.diff(w) > thr)[0]
     return np.split(np.arange(w.size), breaks + 1)
 
 
-def distinct_eigenvalue_count(op, cluster_tol=DEFAULT_CLUSTER_TOL):
+def distinct_eigenvalue_count(op):
     """Number of distinct eigenvalues (pinching constant ``v``)."""
-    return len(eigenvalue_clusters(op, cluster_tol))
+    return len(eigenvalue_clusters(op))
 
 
-def pinch(x, sigma, cluster_tol=DEFAULT_CLUSTER_TOL):
+def pinch(x, sigma):
     """Pinching of ``x`` by the spectral projections of ``sigma``.
 
     Returns ``sum_i P_i x P_i`` over sigma's distinct-eigenvalue projections;
     the result commutes with ``sigma`` and has the same trace as ``x``.
     """
-    return HermitianOperator(_pinch_matrix(x, sigma, cluster_tol))
+    return HermitianOperator(_pinch_matrix(x, sigma))
 
 
-def _pinch_matrix(x, sigma, cluster_tol=DEFAULT_CLUSTER_TOL):
+def _pinch_matrix(x, sigma):
     """The exactly Hermitian matrix of :func:`pinch`, without its eigenbasis."""
     if x.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    clusters = eigenvalue_clusters(sigma, cluster_tol)
+    clusters = eigenvalue_clusters(sigma)
     v = sigma.eigenvectors
     w = v.conj().T @ x.entries @ v
     masked = np.zeros_like(w)
@@ -254,18 +255,15 @@ def _pinch_matrix(x, sigma, cluster_tol=DEFAULT_CLUSTER_TOL):
     return 0.5 * (out + out.conj().T)
 
 
-def psd_dominates(a, b, slack=None):
-    """Whether ``a >= b`` in the PSD order, up to ``slack``.
-
-    The default slack is ``1e-9`` times the larger operator norm.
-    """
-    if slack is None:
-        slack = 1e-9 * max(a.norm, b.norm, 1.0)
+def psd_dominates(a, b):
+    """Whether ``a >= b`` in the PSD order, up to a slack of ``PSD_ORDER_TOL``
+    times the larger operator norm (at least 1)."""
+    slack = PSD_ORDER_TOL * max(a.norm, b.norm, 1.0)
     w = np.linalg.eigvalsh(a.entries - b.entries)
     return bool(w[0] >= -slack)
 
 
-def tensor_power(op, n, dim_cap=DEFAULT_DIM_CAP, cluster_tol=DEFAULT_CLUSTER_TOL):
+def tensor_power(op, n, dim_cap=DEFAULT_DIM_CAP):
     """``op^{\\otimes n}`` with a symbolically labelled spectrum.
 
     The eigenvectors are Kronecker products of the base eigenvectors and each
@@ -278,7 +276,7 @@ def tensor_power(op, n, dim_cap=DEFAULT_DIM_CAP, cluster_tol=DEFAULT_CLUSTER_TOL
         raise ValueError("tensor power requires n >= 1")
     if op.dim ** n > dim_cap:
         raise ValueError(f"dim {op.dim}^{n} exceeds cap {dim_cap}")
-    base_clusters = eigenvalue_clusters(op, cluster_tol)
+    base_clusters = eigenvalue_clusters(op)
     cluster_of = np.empty(op.dim, dtype=int)
     for ci, ix in enumerate(base_clusters):
         cluster_of[ix] = ci
@@ -310,17 +308,17 @@ def tensor_product(*ops, dim_cap=DEFAULT_DIM_CAP):
     return HermitianOperator.from_spectral(w, v)
 
 
-def supports_nested(rho, sigma, support_tol=DEFAULT_SUPPORT_TOL):
+def supports_nested(rho, sigma):
     """Check ``supp rho \\subseteq supp sigma``.
 
     Returns ``(ok, leakage)`` where leakage is the largest squared overlap of
     a supported eigenvector of ``rho`` with the kernel of ``sigma`` and ``ok``
     means leakage at most 1e-8.
     """
-    idx = rho.support_indices(support_tol)
+    idx = rho.support_indices()
     if idx.size == 0:
         return True, 0.0
-    ker = np.nonzero(sigma.eigenvalues <= sigma.support_cutoff(support_tol))[0]
+    ker = np.nonzero(sigma.eigenvalues <= sigma.support_cutoff())[0]
     if ker.size == 0:
         return True, 0.0
     k = sigma.eigenvectors[:, ker]
@@ -342,7 +340,6 @@ class StatePair:
 
     rho: HermitianOperator
     sigma: HermitianOperator
-    support_tol: float = DEFAULT_SUPPORT_TOL
     support_leakage: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -353,7 +350,7 @@ class StatePair:
                 raise ValueError(f"{name} is not PSD: min eig {op.min_eigenvalue:.3e}")
             if abs(op.trace - 1.0) > 1e-10:
                 raise ValueError(f"{name} is not normalized: trace {op.trace!r}")
-        ok, leak = supports_nested(self.rho, self.sigma, self.support_tol)
+        ok, leak = supports_nested(self.rho, self.sigma)
         self.support_leakage = leak
         if not ok:
             raise ValueError(
@@ -367,7 +364,7 @@ class StatePair:
     @property
     def support_margin(self):
         """Smallest retained relative eigenvalue of sigma."""
-        idx = self.sigma.support_indices(self.support_tol)
+        idx = self.sigma.support_indices()
         w = self.sigma.eigenvalues[idx]
         return float(w.min() / w.max()) if idx.size else 0.0
 
@@ -420,19 +417,19 @@ def operator_to_json(op):
     }
 
 
-def operator_from_json(data, hermiticity_tol=DEFAULT_HERMITICITY_TOL):
+def operator_from_json(data):
     dim = int(data["dim"])
     re = np.asarray(data["re"], dtype=float).reshape(dim, dim)
     im = np.asarray(data.get("im") or np.zeros(dim * dim), dtype=float).reshape(dim, dim)
-    return HermitianOperator(re + 1j * im, hermiticity_tol=hermiticity_tol)
+    return HermitianOperator(re + 1j * im)
 
 
 # -- random instances (seeded; used by tests, demos and `sconv verify`) ----
 
 
-def rand_hermitian(dim, rng, scale=1.0):
+def rand_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(scale * 0.5 * (g + g.conj().T))
+    return HermitianOperator(0.5 * (g + g.conj().T))
 
 
 def rand_density(dim, rng, rank=None):

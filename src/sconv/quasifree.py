@@ -204,9 +204,9 @@ def singleparticle_psi(qn, rn, alpha, variant="sandwiched"):
     return term_q + term_r + float(np.log1p(mu).sum())
 
 
-def quasifree_psi_singleparticle(payload, n, alpha, variant="sandwiched", dim_cap=4096):
+def quasifree_psi_singleparticle(payload, n, alpha, variant="sandwiched"):
     """``psi`` at block ``n`` straight from the payload's symbols."""
-    qn, rn = quasifree_block_symbol(payload, n, dim_cap=dim_cap)
+    qn, rn = quasifree_block_symbol(payload, n)
     return singleparticle_psi(qn, rn, alpha, variant=variant)
 
 
@@ -221,7 +221,7 @@ def fock_basis(m):
     return out
 
 
-def fock_density(symbol, mode_cap=FOCK_MODE_CAP):
+def fock_density(symbol):
     """Explicit ``2^m``-dimensional density of the quasi-free state.
 
     Built as ``det(I-Q)`` times the direct sum over particle sectors of
@@ -230,8 +230,8 @@ def fock_density(symbol, mode_cap=FOCK_MODE_CAP):
     evaluated in batched chunks.
     """
     m = symbol.dim
-    if m > mode_cap:
-        raise ValueError(f"{m} modes exceed the Fock cap {mode_cap}")
+    if m > FOCK_MODE_CAP:
+        raise ValueError(f"{m} modes exceed the Fock cap {FOCK_MODE_CAP}")
     lam = _strict_unit_interval(symbol, "symbol")
     log_det = float(np.log1p(-lam).sum())
     c0 = math.exp(log_det)
@@ -317,13 +317,12 @@ def quasifree_slope_at_infinity(payload, grid=QUAD_GRID):
     return _symbol_mean(payload, integrand, grid)
 
 
-def quasifree_rate(payload, t_hi=64.0, grid=QUAD_GRID):
+def quasifree_rate(payload, grid=QUAD_GRID):
     """Asymptotic rate curve of the family from the Szego limits."""
     return ConvexRate.from_callable(
         lambda t: szego_limit(payload, t, grid),
         right_derivative_at_1=quasifree_relent_limit(payload, grid),
         slope_at_infinity=quasifree_slope_at_infinity(payload, grid),
-        t_hi=t_hi,
     )
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .operators import (
-    DEFAULT_SUPPORT_TOL,
     HermitianOperator,
     log_on_support,
     power_on_support,
@@ -50,14 +49,14 @@ def _check_variant(variant):
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def _overlap(rho, sigma, support_tol):
+def _overlap(rho, sigma):
     """``(logp, logq, ov)`` over the two supports, ``None`` if either is empty.
 
     ``logp``/``logq`` are the log-eigenvalues of ``rho``/``sigma`` on their
     supports and ``ov[i, j]`` is the squared overlap of their eigenvectors.
     """
-    ir = rho.support_indices(support_tol)
-    js = sigma.support_indices(support_tol)
+    ir = rho.support_indices()
+    js = sigma.support_indices()
     if ir.size == 0 or js.size == 0:
         return None
     logp = np.log(rho.eigenvalues[ir])
@@ -74,56 +73,56 @@ def _log_terms(overlap, t):
     return logw + t * logp[:, None] + (1.0 - t) * logq[None, :]
 
 
-def _sandwiched_base(rho, sigma, t, support_tol):
+def _sandwiched_base(rho, sigma, t):
     """The operator M = rho^(1/2) sigma^((1-t)/t) rho^(1/2)."""
     if t <= 0:
         raise ValueError(f"sandwiched quantities need t > 0, got {t!r}")
-    a = power_on_support(sigma, (1.0 - t) / t, support_tol)
-    sq = power_on_support(rho, 0.5, support_tol)
+    a = power_on_support(sigma, (1.0 - t) / t)
+    sq = power_on_support(rho, 0.5)
     m = sq.entries @ a.entries @ sq.entries
     return HermitianOperator(0.5 * (m + m.conj().T))
 
 
-def psi(rho, sigma, t, variant="plain", support_tol=DEFAULT_SUPPORT_TOL):
+def psi(rho, sigma, t, variant="plain"):
     """Cumulant-type functional ``log Q_t``; ``-inf`` when ``Q_t`` vanishes."""
     _check_variant(variant)
     if variant == "plain":
-        overlap = _overlap(rho, sigma, support_tol)
+        overlap = _overlap(rho, sigma)
         if overlap is None:
             return -math.inf
         return float(logsumexp(_log_terms(overlap, t).ravel()))
-    m = _sandwiched_base(rho, sigma, t, support_tol)
-    cut = m.support_cutoff(support_tol)
+    m = _sandwiched_base(rho, sigma, t)
+    cut = m.support_cutoff()
     lam = m.eigenvalues[m.eigenvalues > cut]
     if lam.size == 0:
         return -math.inf
     return float(logsumexp(t * np.log(lam)))
 
 
-def q_value(rho, sigma, t, variant="plain", support_tol=DEFAULT_SUPPORT_TOL):
+def q_value(rho, sigma, t, variant="plain"):
     """Trace functional ``Q_t`` (plain) or ``Q*_t`` (sandwiched)."""
-    return math.exp(psi(rho, sigma, t, variant, support_tol))
+    return math.exp(psi(rho, sigma, t, variant))
 
 
-def relative_entropy(rho, sigma, support_tol=DEFAULT_SUPPORT_TOL):
+def relative_entropy(rho, sigma):
     """Umegaki relative entropy, normalized by ``Tr rho``; ``inf`` off-support."""
-    ok, _ = supports_nested(rho, sigma, support_tol)
+    ok, _ = supports_nested(rho, sigma)
     if not ok:
         return math.inf
-    idx = rho.support_indices(support_tol)
+    idx = rho.support_indices()
     p = rho.eigenvalues[idx]
     term1 = float((p * np.log(p)).sum())
-    ls = log_on_support(sigma, support_tol)
+    ls = log_on_support(sigma)
     term2 = float(np.trace(rho.entries @ ls.entries).real)
     return (term1 - term2) / rho.trace
 
 
-def max_relative_entropy(rho, sigma, support_tol=DEFAULT_SUPPORT_TOL):
+def max_relative_entropy(rho, sigma):
     """``log`` of the largest eigenvalue of ``sigma^(-1/2) rho sigma^(-1/2)``."""
-    ok, _ = supports_nested(rho, sigma, support_tol)
+    ok, _ = supports_nested(rho, sigma)
     if not ok:
         return math.inf
-    si = power_on_support(sigma, -0.5, support_tol)
+    si = power_on_support(sigma, -0.5)
     x = si.entries @ rho.entries @ si.entries
     w = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
     top = float(w[-1])
@@ -132,7 +131,7 @@ def max_relative_entropy(rho, sigma, support_tol=DEFAULT_SUPPORT_TOL):
     return math.log(top)
 
 
-def renyi_divergence(rho, sigma, alpha, variant="plain", support_tol=DEFAULT_SUPPORT_TOL):
+def renyi_divergence(rho, sigma, alpha, variant="plain"):
     """Renyi divergence of order ``alpha``; ``inf`` flags the singular cases.
 
     ``alpha = 1`` is the relative entropy; ``alpha > 1`` returns ``inf``
@@ -142,19 +141,19 @@ def renyi_divergence(rho, sigma, alpha, variant="plain", support_tol=DEFAULT_SUP
     if alpha < 0:
         raise ValueError("negative orders are out of scope")
     if abs(alpha - 1.0) < 1e-12:
-        return relative_entropy(rho, sigma, support_tol)
+        return relative_entropy(rho, sigma)
     if alpha > 1.0:
-        ok, _ = supports_nested(rho, sigma, support_tol)
+        ok, _ = supports_nested(rho, sigma)
         if not ok:
             return math.inf
-    p = psi(rho, sigma, alpha, variant, support_tol)
+    p = psi(rho, sigma, alpha, variant)
     if math.isinf(p):
         # vanishing Q at alpha < 1 means orthogonal supports
         return math.inf
     return (p - math.log(rho.trace)) / (alpha - 1.0)
 
 
-def psi_derivative(rho, sigma, t, variant="plain", support_tol=DEFAULT_SUPPORT_TOL):
+def psi_derivative(rho, sigma, t, variant="plain"):
     """Closed-form derivative ``d psi / dt`` at ``t``.
 
     Plain variant: ``(1/Q_t) Tr rho^t sigma^(1-t) (log rho - log sigma)``,
@@ -168,7 +167,7 @@ def psi_derivative(rho, sigma, t, variant="plain", support_tol=DEFAULT_SUPPORT_T
     """
     _check_variant(variant)
     if variant == "plain":
-        overlap = _overlap(rho, sigma, support_tol)
+        overlap = _overlap(rho, sigma)
         if overlap is None:
             raise ValueError("derivative undefined: rho * sigma vanishes")
         logp, logq, _ = overlap
@@ -179,19 +178,19 @@ def psi_derivative(rho, sigma, t, variant="plain", support_tol=DEFAULT_SUPPORT_T
         weights = np.exp(terms - total)
         return float((weights * (logp[:, None] - logq[None, :])).sum())
 
-    m = _sandwiched_base(rho, sigma, t, support_tol)
-    cut = m.support_cutoff(support_tol)
+    m = _sandwiched_base(rho, sigma, t)
+    cut = m.support_cutoff()
     on = m.eigenvalues > cut
     lam = m.eigenvalues[on]
     if lam.size == 0:
         raise ValueError("derivative undefined: sandwiched base vanishes")
     log_q = logsumexp(t * np.log(lam))
     term1 = float((np.exp(t * np.log(lam) - log_q) * np.log(lam)).sum())
-    a = power_on_support(sigma, (1.0 - t) / t, support_tol)
-    ls = log_on_support(sigma, support_tol)
-    sq = power_on_support(rho, 0.5, support_tol)
+    a = power_on_support(sigma, (1.0 - t) / t)
+    ls = log_on_support(sigma)
+    sq = power_on_support(rho, 0.5)
     b = sq.entries @ (a.entries @ ls.entries) @ sq.entries
-    mpow = power_on_support(m, t - 1.0, support_tol)
+    mpow = power_on_support(m, t - 1.0)
     term2 = float(np.trace(mpow.entries @ b).real) / t
     return term1 - term2 * math.exp(-log_q)
 

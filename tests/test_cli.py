@@ -21,8 +21,8 @@ from sconv.cli import (
 )
 from sconv.operators import operator_to_json, rand_density
 
-LDP_CASE = (Path(__file__).resolve().parents[1]
-            / "perfbench" / "catalog" / "pinched-and-short-jobs" / "s00")
+CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "catalog"
+SHORT_JOBS_CASE = CATALOG / "pinched-and-short-jobs" / "s00"
 FLOAT_CELL = re.compile(r"^(-?\d\.\d{11}e[+-]\d{2,3}|inf|-inf|nan|)$")
 
 
@@ -100,21 +100,27 @@ class TestLoadScenario:
         obj = {"task": "renyi", "family": {"kind": "iid", "payload": {}}}
         expect_error(tmp_path, obj, "$.family")
 
-    def test_bad_n_list(self, tmp_path):
+    @pytest.mark.parametrize("n_list", [[64, 32], [True, 2]], ids=["decreasing", "bool"])
+    def test_bad_n_list(self, tmp_path, n_list):
         obj = {
             "task": "np-sweep",
             "family": binary_family(),
-            "params": {"n_list": [64, 32]},
+            "params": {"n_list": n_list},
         }
         expect_error(tmp_path, obj, "$.params.n_list")
 
-    def test_bad_grid_entry(self, tmp_path):
+    @pytest.mark.parametrize("task, grid, entries", [
+        ("renyi", "alpha_grid", [0.5, "two"]),
+        ("renyi", "alpha_grid", [math.nan]),
+        ("sc-report", "r_grid", [0.1, math.inf]),
+    ], ids=["string", "nan", "infinity"])
+    def test_bad_grid_entry(self, tmp_path, task, grid, entries):
         obj = {
-            "task": "renyi",
+            "task": task,
             "family": binary_family(),
-            "params": {"alpha_grid": [0.5, "two"]},
+            "params": {grid: entries},
         }
-        expect_error(tmp_path, obj, "$.params.alpha_grid")
+        expect_error(tmp_path, obj, f"$.params.{grid}")
 
     def test_bad_mode(self, tmp_path):
         obj = {
@@ -147,6 +153,10 @@ class TestLoadScenario:
         obj = {"task": "ldp", "params": {"t_range": [4.0, -1.0]}}
         err = expect_error(tmp_path, obj, "$.params.t_range")
         assert "lo < hi" in err.message
+
+    def test_non_finite_t_range(self, tmp_path):
+        obj = {"task": "ldp", "params": {"t_range": [-1.0, math.inf]}}
+        expect_error(tmp_path, obj, "$.params.t_range")
 
     def test_ldp_needs_no_family(self, tmp_path):
         obj = {"task": "ldp", "params": {"n_list": [256, 512, 1024]}}
@@ -315,6 +325,16 @@ class TestMain:
         assert set(err) == {"error", "field"}
         assert err["field"] == "$.params.mode"
 
+    def test_non_string_out_exits_two(self, tmp_path, capsys):
+        scenario = write_scenario(
+            tmp_path,
+            {"task": "renyi", "family": binary_family(), "params": {"out": 5}},
+        )
+        rc = main(["renyi", "--scenario", scenario, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "$.params.out"
+
     def test_bad_t_range_exits_two(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path, {"task": "ldp", "params": {"t_range": ["a", 4.0]}}
@@ -423,8 +443,18 @@ class TestMain:
         margins = [float(r[5]) for r in rows]
         assert margins[-1] > margins[0]
 
-    def test_ldp_bytes_match_benchmark_reference(self, tmp_path):
-        # the benchmark's draw-0 ldp scenario and the CSV its reference commit wrote
-        rc = main(["ldp", "--scenario", str(LDP_CASE / "ldp.json"), "--out", str(tmp_path)])
+    @pytest.mark.parametrize("task, case, extra", [
+        ("ldp", SHORT_JOBS_CASE, []),
+        ("np-sweep", SHORT_JOBS_CASE, []),
+        ("sc-report", CATALOG / "markov-sc-report" / "s00", ["--threads", "2"]),
+    ], ids=["ldp", "np-sweep", "markov-sc-report"])
+    def test_ldp_bytes_match_benchmark_reference(self, tmp_path, task, case, extra):
+        # a benchmark draw-0 scenario and the CSVs its reference commit wrote
+        stem = task.replace("-", "_")
+        rc = main([task, "--scenario", str(case / f"{stem}.json"), "--out", str(tmp_path)]
+                  + extra)
         assert rc == 0
-        assert (tmp_path / "ldp.csv").read_bytes() == (LDP_CASE / "ref" / "ldp.csv").read_bytes()
+        refs = sorted(p.name for p in (case / "ref").glob(f"{stem}*.csv"))
+        assert refs and sorted(p.name for p in tmp_path.glob("*.csv")) == refs
+        for name in refs:
+            assert (tmp_path / name).read_bytes() == (case / "ref" / name).read_bytes()
