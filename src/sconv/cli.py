@@ -89,16 +89,20 @@ def _check_n_list(ns, path):
     return ns
 
 
+def _finite_numbers(vals):
+    """Whether every entry is a finite JSON number: no bool, no string, no NaN."""
+    try:
+        return all(type(v) in (int, float) and math.isfinite(v) for v in vals)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def _check_grid(g, path):
     if not isinstance(g, list) or not g:
         raise ScenarioError(path, "grid must be a nonempty list of numbers")
-    try:
-        vals = [float(v) for v in g]
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(path, "grid entries must be numbers") from None
-    if not all(map(math.isfinite, vals)):  # JSON NaN and Infinity parse as floats
+    if not _finite_numbers(g):
         raise ScenarioError(path, "grid entries must be finite numbers")
-    return vals
+    return [float(v) for v in g]
 
 
 def load_scenario(path):
@@ -135,13 +139,8 @@ def load_scenario(path):
             _check_grid(params[grid_name], f"$.params.{grid_name}")
     if "t_range" in params:
         tr = params["t_range"]
-        try:
-            ok = (isinstance(tr, list) and len(tr) == 2
-                  and all(type(v) in (int, float) and math.isfinite(v) for v in tr)
-                  and tr[0] < tr[1])
-        except OverflowError:  # an integer beyond the double range
-            ok = False
-        if not ok:
+        if not (isinstance(tr, list) and len(tr) == 2 and _finite_numbers(tr)
+                and tr[0] < tr[1]):
             raise ScenarioError("$.params.t_range",
                                 "t_range must be finite [lo, hi] with lo < hi")
     if "out" in params and not isinstance(params["out"], str):

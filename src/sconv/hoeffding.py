@@ -108,14 +108,24 @@ class ConvexRate:
         slope_at_infinity=math.inf,
         t_hi=DEFAULT_T_HI,
     ):
+        """Rate ``t -> fn(t) - fn(1)``, memoised per ``t``: ``fn`` runs once per
+        distinct ``t`` (two threads asking at once may both run it, for the
+        same value)."""
         f1 = fn(1.0)
         if abs(f1) > 1e-9:
             raise ValueError(f"rate function must vanish at 1, got f(1) = {f1!r}")
+        memo = {}
+
+        def shifted(t):
+            if t not in memo:
+                memo[t] = fn(t) - f1
+            return memo[t]
+
         if right_derivative_at_1 is None:
             h = 1e-6
-            right_derivative_at_1 = (fn(1.0 + h) - f1) / h
+            right_derivative_at_1 = shifted(1.0 + h) / h
         return cls(
-            fn=lambda t: fn(t) - f1,
+            fn=shifted,
             right_derivative_at_1=float(right_derivative_at_1),
             slope_at_infinity=float(slope_at_infinity),
             t_hi=float(t_hi),

@@ -18,13 +18,17 @@ Engines, most specific first:
 
 The exact engines share one log-space reducer, ``_log_terms_to_pair``.  The
 dense engine diagonalises the (pinched) threshold operator once per
-``(n, c)`` and reads both traces and the positive-part floor off it.
+``(n, c)`` and reads both traces and the positive-part floor off it.  The
+sector engine computes each Hamming-sector spectrum once per ``(pair, n)``:
+the spectra do not depend on the threshold, so every later sweep reads them
+from a bounded memo.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,6 +50,10 @@ COMMUTING_TOL = 1e-12  # off-diagonal size in sigma's eigenbasis that still coun
 MAX_TYPE_CLASSES = 2_000_000
 RUN_CLASS_CHUNK = 16_384  # Markov run classes per chunk: bounds the engine's working set
 R_SQUARED_GATE = 0.98
+SECTOR_CACHE_ENTRIES = 32  # (pair, n) sector spectra kept; a block-12 spectrum is 4096 floats
+
+_SECTOR_CACHE = {}
+_SECTOR_LOCK = threading.Lock()  # one thread computes a missing entry, the others wait
 
 __all__ = [
     "ErrorPair",
@@ -385,13 +393,27 @@ def _hamming_block(rho_ref, n, k):
 
 
 def _pinched_sectors(rho1, sigma1, n):
-    """Yield ``(lam, log mu_k)`` per Hamming sector ``k = 0..n`` of block ``n``.
+    """``(lam, log mu_k)`` per Hamming sector ``k = 0..n`` of block ``n``.
 
     The reference state's eigenbasis splits block ``n`` into Hamming sectors;
     pinching keeps exactly the sector-diagonal blocks, so the pinched spectrum
     is the union of the sector spectra ``lam`` (with dust ``<= 0`` from
     rank-deficient blocks), and on sector ``k`` the reference is ``mu_k``.
+    The tuple is memoised by the pair's entries and ``n``; its ``lam`` arrays
+    are read-only.
     """
+    key = (rho1.entries.tobytes(), sigma1.entries.tobytes(), n)
+    with _SECTOR_LOCK:
+        sectors = _SECTOR_CACHE.get(key)
+        if sectors is None:
+            sectors = tuple(_sector_spectra(rho1, sigma1, n))
+            if len(_SECTOR_CACHE) >= SECTOR_CACHE_ENTRIES:
+                del _SECTOR_CACHE[next(iter(_SECTOR_CACHE))]  # oldest first
+            _SECTOR_CACHE[key] = sectors
+    return sectors
+
+
+def _sector_spectra(rho1, sigma1, n):
     mu = sigma1.eigenvalues
     if mu.size != 2 or mu.min() <= 0 or mu[1] - mu[0] <= 1e-12:
         raise ValueError("Hamming sectors need a positive nondegenerate qubit reference")
@@ -400,6 +422,7 @@ def _pinched_sectors(rho1, sigma1, n):
     log_mu = np.log(mu)
     for k in range(n + 1):
         lam = np.linalg.eigvalsh(_hamming_block(rho_ref, n, k))
+        lam.flags.writeable = False
         yield lam, (n - k) * log_mu[0] + k * log_mu[1]
 
 

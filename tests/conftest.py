@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from sconv import hyptest
 from sconv.operators import HermitianOperator, rand_density
 
 
@@ -26,3 +29,25 @@ def classical_pair(p, q):
         HermitianOperator(np.diag(np.asarray(p, dtype=float))),
         HermitianOperator(np.diag(np.asarray(q, dtype=float))),
     )
+
+
+@pytest.fixture(autouse=True)
+def cold_sector_cache():
+    """Start every test without memoised Hamming-sector spectra, so a count
+    test never depends on which tests ran before it."""
+    hyptest._SECTOR_CACHE.clear()
+
+
+@pytest.fixture
+def sector_calls(monkeypatch):
+    """Shapes of the ``eigvalsh`` calls made from ``hyptest`` (the sector spectra)."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "sconv.hyptest":
+            calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls

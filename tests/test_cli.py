@@ -113,7 +113,9 @@ class TestLoadScenario:
         ("renyi", "alpha_grid", [0.5, "two"]),
         ("renyi", "alpha_grid", [math.nan]),
         ("sc-report", "r_grid", [0.1, math.inf]),
-    ], ids=["string", "nan", "infinity"])
+        ("renyi", "alpha_grid", [True, 2.0]),
+        ("sc-report", "r_grid", [0.1, "0.2"]),
+    ], ids=["string", "nan", "infinity", "bool", "numeric-string"])
     def test_bad_grid_entry(self, tmp_path, task, grid, entries):
         obj = {
             "task": task,
@@ -447,7 +449,8 @@ class TestMain:
         ("ldp", SHORT_JOBS_CASE, []),
         ("np-sweep", SHORT_JOBS_CASE, []),
         ("sc-report", CATALOG / "markov-sc-report" / "s00", ["--threads", "2"]),
-    ], ids=["ldp", "np-sweep", "markov-sc-report"])
+        ("sc-report", SHORT_JOBS_CASE, ["--threads", "2"]),
+    ], ids=["ldp", "np-sweep", "markov-sc-report", "pinched-sc-report"])
     def test_ldp_bytes_match_benchmark_reference(self, tmp_path, task, case, extra):
         # a benchmark draw-0 scenario and the CSVs its reference commit wrote
         stem = task.replace("-", "_")

@@ -76,6 +76,32 @@ class TestConvexRateConstruction:
         assert hoeffding_anti(f1, 1e-12).regime == "zero"
 
 
+    def test_from_callable_calls_fn_once_per_t(self):
+        # classical psi of p = (0.7, 0.3) against q = (0.4, 0.6)
+        calls = []
+
+        def psi(t):
+            calls.append(float(t))
+            return math.log(0.7**t * 0.4 ** (1 - t) + 0.3**t * 0.6 ** (1 - t))
+
+        slope = math.log(0.7 / 0.4)
+        f = ConvexRate.from_callable(psi, slope_at_infinity=slope)
+        for _ in range(3):
+            values = [f(t) for t in (1.5, 2.0, 7.25, 64.0)]
+        h = hoeffding_anti(f, 0.3)
+        assert [f(t) for t in (1.5, 2.0, 7.25, 64.0)] == values
+        assert len(calls) == len(set(calls)) > 10
+        plain = ConvexRate(
+            fn=lambda t: psi(t) - psi(1.0),
+            right_derivative_at_1=(psi(1.0 + 1e-6) - psi(1.0)) / 1e-6,
+            slope_at_infinity=slope,
+        )
+        assert plain.right_derivative_at_1 == f.right_derivative_at_1
+        unmemoised = hoeffding_anti(plain, 0.3)
+        assert h.regime == unmemoised.regime == "interior"
+        assert h.value == unmemoised.value and h.a_r == unmemoised.a_r
+
+
 class TestPolar:
     def test_quadratic_closed_form(self):
         f = quadratic()

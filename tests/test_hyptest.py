@@ -1,17 +1,24 @@
 """Unit tests for the Neyman-Pearson engines and exponent reports."""
 
+import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from sconv.cli import main
 from sconv.families import IIDPayload, MarkovPayload, StateFamilySpec, markov_psi_n
 from sconv.hyptest import (
+    _SECTOR_CACHE,
     RUN_CLASS_CHUNK,
+    SECTOR_CACHE_ENTRIES,
     ErrorPair,
     _hamming_block,
     _markov_run_classes,
+    _pinched_sectors,
     _resolve_engine,
     default_a_grid,
     error_pair,
@@ -31,6 +38,7 @@ from sconv.operators import (
     DEFAULT_DIM_CAP,
     HermitianOperator,
     StatePair,
+    operator_to_json,
     pinch,
     positive_part_trace,
     rand_density,
@@ -297,6 +305,66 @@ class TestSectorEngine:
         sigma1 = HermitianOperator(0.5 * np.eye(2))
         with pytest.raises(ValueError, match="nondegenerate"):
             qubit_sector_error_pair(rho1, sigma1, 3, 0.0)
+
+
+class TestSectorCache:
+    def test_threaded_sc_report_computes_each_spectrum_once(self, tmp_path, sector_calls):
+        rho1, sigma1 = noncommuting_qubits()
+        ns = [4, 5, 6, 7]
+        scenario = {
+            "task": "sc-report",
+            "family": {
+                "kind": "iid",
+                "scaling_exponent": 1,
+                "payload": {"rho": operator_to_json(rho1), "sigma": operator_to_json(sigma1)},
+            },
+            "params": {"mode": "pinched", "n_list": ns, "r_grid": [0.05, 0.1, 0.15, 0.2]},
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        rc = main(["sc-report", "--scenario", str(path), "--out", str(tmp_path),
+                   "--threads", "2"])
+        assert rc == 0
+        assert len(list(tmp_path.glob("sc_report_*.csv"))) == 4
+        assert len(sector_calls) == sum(n + 1 for n in ns)
+
+    def test_cached_spectra_are_shared_and_read_only(self, sector_calls):
+        rho1, sigma1 = noncommuting_qubits()
+        sectors = _pinched_sectors(rho1, sigma1, 5)
+        assert _pinched_sectors(rho1, sigma1, 5) is sectors
+        assert len(sector_calls) == 6
+        lam = sectors[2][0]
+        with pytest.raises(ValueError):
+            lam[0] = 1.0
+        v = sigma1.eigenvectors
+        fresh = np.linalg.eigvalsh(_hamming_block(v.conj().T @ rho1.entries @ v, 5, 2))
+        assert lam.tolist() == fresh.tolist()
+
+    def test_concurrent_callers_share_one_computation(self, sector_calls):
+        rho1, sigma1 = noncommuting_qubits()
+        ns = [3, 4, 5, 6]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_pinched_sectors, rho1, sigma1, n)
+                           for _ in range(8) for n in ns]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(sector_calls) == sum(n + 1 for n in ns)
+        for i in range(len(ns)):
+            assert all(r is results[i] for r in results[i::len(ns)])
+
+    def test_cache_is_bounded(self, rng):
+        pairs = [(rand_density(2, rng), rand_density(2, rng))
+                 for _ in range(SECTOR_CACHE_ENTRIES + 3)]
+        for rho1, sigma1 in pairs:
+            _pinched_sectors(rho1, sigma1, 2)
+        assert len(_SECTOR_CACHE) == SECTOR_CACHE_ENTRIES
+        newest = (pairs[-1][0].entries.tobytes(), pairs[-1][1].entries.tobytes(), 2)
+        oldest = (pairs[0][0].entries.tobytes(), pairs[0][1].entries.tobytes(), 2)
+        assert newest in _SECTOR_CACHE and oldest not in _SECTOR_CACHE
 
 
 class TestFitting:

@@ -248,6 +248,15 @@ class TestGartnerEllisLower:
             gartner_ellis_lower_check(seq, 0.6, (0.6, 1.0), (0.0, 2.0))
 
 
+    def test_pinched_sectors_computed_once_per_size(self, sector_calls):
+        rho1 = HermitianOperator(np.diag([0.4, 0.6]))
+        sigma1 = HermitianOperator(np.array([[0.7, 0.02], [0.02, 0.3]]))
+        seq = pinched_pair_sequence(rho1, sigma1, (6, 8, 10))
+        verdict = gartner_ellis_lower_check(seq, 0.3, (0.3, 1.0), (-1.0, 2.0))
+        assert verdict.converged
+        assert len(sector_calls) == sum(n + 1 for n in seq.n_list)
+
+
 class TestPinchedPairSequence:
     def test_sigma_weights_reproduce_psi(self, rng):
         rho1, sigma1 = rand_density(2, rng), rand_density(2, rng)
