@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -58,9 +59,13 @@ def _parse_cell(s):
     return None if s == "" else float(s)
 
 
-def _open_csv(path):
-    f = open(path, "w", encoding="utf-8", newline="")
-    return f, csv.writer(f, lineterminator="\n")
+def _write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` as RFC-4180 CSV (UTF-8, LF endings)."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path
 
 
 # -- scenario loading ------------------------------------------------------
@@ -79,10 +84,14 @@ def _require(d, field, typ, path):
     return v
 
 
+def _positive_int(v):
+    return type(v) is int and v >= 1  # JSON true parses as int
+
+
 def _check_n_list(ns, path):
     if not isinstance(ns, list) or not ns:
         raise ScenarioError(path, "n_list must be a nonempty list")
-    if any(type(n) is not int or n < 1 for n in ns):  # JSON true parses as int
+    if not all(map(_positive_int, ns)):
         raise ScenarioError(path, "n_list entries must be positive integers")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ScenarioError(path, "n_list must be strictly increasing")
@@ -126,6 +135,9 @@ def load_scenario(path):
     needs_family = task in ("renyi", "hoeffding", "family", "np-sweep", "sc-report")
     if needs_family:
         fdict = _require(raw, "family", dict, "$")
+        if not _positive_int(fdict.get("scaling_exponent", 1)):
+            raise ScenarioError("$.family.scaling_exponent",
+                                "scaling_exponent must be a positive integer")
         try:
             scenario["family"] = fam.family_from_json(fdict)
         except (KeyError, TypeError) as exc:
@@ -134,6 +146,11 @@ def load_scenario(path):
             raise ScenarioError("$.family", str(exc)) from exc
     if "n_list" in params:
         _check_n_list(params["n_list"], "$.params.n_list")
+    if "n" in params and not _positive_int(params["n"]):
+        raise ScenarioError("$.params.n", "n must be a positive integer")
+    for name in ("prob", "window_hi"):
+        if name in params and not _finite_numbers([params[name]]):
+            raise ScenarioError(f"$.params.{name}", f"{name} must be a finite number")
     for grid_name in ("alpha_grid", "a_grid", "r_grid", "x_grid"):
         if grid_name in params:
             _check_grid(params[grid_name], f"$.params.{grid_name}")
@@ -175,39 +192,28 @@ def emit_convergence_table(report, path):
     fitted type-II decay rate, ``success`` the fitted success decay rate, and
     ``log_success_over_n`` the beta-fit R^2.  Predictions repeat verbatim.
     """
-    key = report.r if report.r is not None else report.a
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(CONVERGENCE_COLUMNS)
-        s = float(report.family.scaling_exponent)
-        for ep in report.per_n:
-            w.writerow(
-                [
-                    str(ep.n),
-                    _fmt(key),
-                    _fmt(ep.alpha_err),
-                    _fmt(ep.beta_err),
-                    _fmt(ep.success),
-                    _fmt(ep.log_success / float(ep.n) ** s),
-                    _fmt(report.predicted_success_rate),
-                    _fmt(report.predicted_H),
-                    report.provenance,
-                ]
-            )
-        w.writerow(
-            [
-                "fit",
-                _fmt(key),
-                _fmt(report.success_fit.r_squared),
-                _fmt(report.beta_fit.rate),
-                _fmt(report.success_fit.rate),
-                _fmt(report.beta_fit.r_squared),
-                _fmt(report.predicted_success_rate),
-                _fmt(report.predicted_H),
-                report.provenance,
-            ]
-        )
-    return path
+    key = _fmt(report.r if report.r is not None else report.a)
+    s = float(report.family.scaling_exponent)
+    predictions = [_fmt(report.predicted_success_rate), _fmt(report.predicted_H),
+                   report.provenance]
+    rows = [
+        [str(ep.n), key, _fmt(ep.alpha_err), _fmt(ep.beta_err), _fmt(ep.success),
+         _fmt(ep.log_success / float(ep.n) ** s), *predictions]
+        for ep in report.per_n
+    ]
+    rows.append(["fit", key, _fmt(report.success_fit.r_squared), _fmt(report.beta_fit.rate),
+                 _fmt(report.success_fit.rate), _fmt(report.beta_fit.r_squared),
+                 *predictions])
+    return _write_csv(path, CONVERGENCE_COLUMNS, rows)
+
+
+# the footer's keys for the columns that carry fit results there
+FOOTER_KEYS = {
+    "alpha_err": "success_r_squared",
+    "beta_err": "fitted_beta_rate",
+    "success": "fitted_success_rate",
+    "log_success_over_n": "beta_r_squared",
+}
 
 
 def parse_convergence_table(path):
@@ -218,32 +224,12 @@ def parse_convergence_table(path):
         raise ValueError(f"{path} is not a convergence table")
     per_n, footer = [], None
     for row in rows[1:]:
-        rec = dict(zip(CONVERGENCE_COLUMNS, row))
+        rec = {col: cell if col in ("n", "provenance") else _parse_cell(cell)
+               for col, cell in zip(CONVERGENCE_COLUMNS, row)}
         if rec["n"] == "fit":
-            footer = {
-                "a_or_r": _parse_cell(rec["a_or_r"]),
-                "success_r_squared": _parse_cell(rec["alpha_err"]),
-                "fitted_beta_rate": _parse_cell(rec["beta_err"]),
-                "fitted_success_rate": _parse_cell(rec["success"]),
-                "beta_r_squared": _parse_cell(rec["log_success_over_n"]),
-                "predicted_phi": _parse_cell(rec["predicted_phi"]),
-                "predicted_H": _parse_cell(rec["predicted_H"]),
-                "provenance": rec["provenance"],
-            }
+            footer = {FOOTER_KEYS.get(col, col): v for col, v in rec.items() if col != "n"}
         else:
-            per_n.append(
-                {
-                    "n": int(rec["n"]),
-                    "a_or_r": _parse_cell(rec["a_or_r"]),
-                    "alpha_err": _parse_cell(rec["alpha_err"]),
-                    "beta_err": _parse_cell(rec["beta_err"]),
-                    "success": _parse_cell(rec["success"]),
-                    "log_success_over_n": _parse_cell(rec["log_success_over_n"]),
-                    "predicted_phi": _parse_cell(rec["predicted_phi"]),
-                    "predicted_H": _parse_cell(rec["predicted_H"]),
-                    "provenance": rec["provenance"],
-                }
-            )
+            per_n.append({**rec, "n": int(rec["n"])})
     return {"per_n": per_n, "footer": footer}
 
 
@@ -251,17 +237,13 @@ def parse_convergence_table(path):
 
 
 def _report_invariant_failures(report):
-    """Runtime invariants every report must satisfy; failures end the run."""
-    problems = []
-    for ep in report.per_n:
-        if ep.log_pos_part is not None and ep.log_success < ep.log_pos_part - 1e-12:
-            problems.append(
-                f"n={ep.n}: success {ep.log_success} below its positive-part "
-                f"floor {ep.log_pos_part}"
-            )
-        if abs(ep.alpha_err + ep.success - 1.0) > 1e-10:
-            problems.append(f"n={ep.n}: alpha_err + success != 1")
-    return problems
+    """Per-n pairs whose success falls below its positive-part floor; failures
+    end the run.  (``ErrorPair`` itself enforces ``alpha_err + success = 1``.)"""
+    return [
+        f"n={ep.n}: success {ep.log_success} below its positive-part floor {ep.log_pos_part}"
+        for ep in report.per_n
+        if ep.log_pos_part is not None and ep.log_success < ep.log_pos_part - 1e-12
+    ]
 
 
 # -- task runners ----------------------------------------------------------
@@ -269,24 +251,19 @@ def _report_invariant_failures(report):
 
 def _run_renyi(scenario, out_dir, dim_cap, threads):
     params = scenario["params"]
-    spec = scenario["family"]
     alphas = _check_grid(
         params.get("alpha_grid", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0]), "$.params.alpha_grid"
     )
-    n = int(params.get("n", 1))
-    pair = fam.family_states(spec, n, dim_cap=dim_cap)
+    pair = fam.family_states(scenario["family"], params.get("n", 1), dim_cap=dim_cap)
+    rows = [
+        [_fmt(alpha), variant, _fmt(renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)),
+         _fmt(renyi.renyi_divergence(pair.rho, pair.sigma, alpha, variant=variant)),
+         "eigen-overlap"]
+        for alpha in alphas
+        for variant in renyi.VARIANTS
+    ]
     path = os.path.join(out_dir, params.get("out", "renyi.csv"))
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(["alpha", "variant", "psi", "divergence", "provenance"])
-        for alpha in alphas:
-            for variant in renyi.VARIANTS:
-                psi = renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
-                div = renyi.renyi_divergence(pair.rho, pair.sigma, alpha, variant=variant)
-                w.writerow(
-                    [_fmt(alpha), variant, _fmt(psi), _fmt(div), "eigen-overlap"]
-                )
-    return [path], 0
+    return [_write_csv(path, ["alpha", "variant", "psi", "divergence", "provenance"], rows)], 0
 
 
 def _run_hoeffding(scenario, out_dir, dim_cap, threads):
@@ -295,26 +272,15 @@ def _run_hoeffding(scenario, out_dir, dim_cap, threads):
     variant = params.get("variant", "sandwiched")
     rate = fam.asymptotic_rate(spec, variant=variant, dim_cap=dim_cap)
     rs = _check_grid(params.get("r_grid", [0.05, 0.1, 0.2, 0.4]), "$.params.r_grid")
+    rows = []
+    for r in rs:
+        h = hoeffding_anti(rate, r)
+        rows.append([_fmt(r), _fmt(h.value), h.regime, _fmt(h.a_r), _fmt(h.attaining_t),
+                     str(bool(h.tail_dominated)).lower(),
+                     f"anti-divergence[{spec.kind}/{variant}]"])
     path = os.path.join(out_dir, params.get("out", "hoeffding.csv"))
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(
-            ["r", "value", "regime", "a_r", "attaining_t", "tail_dominated", "provenance"]
-        )
-        for r in rs:
-            h = hoeffding_anti(rate, r)
-            w.writerow(
-                [
-                    _fmt(r),
-                    _fmt(h.value),
-                    h.regime,
-                    _fmt(h.a_r),
-                    _fmt(h.attaining_t),
-                    str(bool(h.tail_dominated)).lower(),
-                    f"anti-divergence[{spec.kind}/{variant}]",
-                ]
-            )
-    return [path], 0
+    header = ["r", "value", "regime", "a_r", "attaining_t", "tail_dominated", "provenance"]
+    return [_write_csv(path, header, rows)], 0
 
 
 def _run_family(scenario, out_dir, dim_cap, threads):
@@ -324,79 +290,69 @@ def _run_family(scenario, out_dir, dim_cap, threads):
     ns = _check_n_list(params.get("n_list", [2, 3, 4]), "$.params.n_list")
     alphas = _check_grid(params.get("alpha_grid", [1.5, 2.0]), "$.params.alpha_grid")
     rate = fam.asymptotic_rate(spec, variant=variant, dim_cap=dim_cap)
+    rows = []
+    for n in ns:
+        pair = fam.family_states(spec, n, dim_cap=dim_cap)
+        scale = float(n) ** float(spec.scaling_exponent)
+        for alpha in alphas:
+            psi_n = renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
+            lim = rate(alpha) if 1.0 <= alpha <= rate.t_hi else None
+            resid = None if lim is None else psi_n / scale - lim
+            rows.append([str(n), _fmt(alpha), variant, _fmt(psi_n), _fmt(psi_n / scale),
+                         _fmt(lim), _fmt(resid), f"family[{spec.kind}]"])
     path = os.path.join(out_dir, params.get("out", "family.csv"))
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(
-            ["n", "alpha", "variant", "psi_n", "psi_over_scale", "limit", "residual",
-             "provenance"]
-        )
-        for n in ns:
-            pair = fam.family_states(spec, n, dim_cap=dim_cap)
-            scale = float(n) ** float(spec.scaling_exponent)
-            for alpha in alphas:
-                psi_n = renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
-                lim = rate(alpha) if 1.0 <= alpha <= rate.t_hi else None
-                resid = None if lim is None else psi_n / scale - lim
-                w.writerow(
-                    [
-                        str(n),
-                        _fmt(alpha),
-                        variant,
-                        _fmt(psi_n),
-                        _fmt(psi_n / scale),
-                        _fmt(lim),
-                        _fmt(resid),
-                        f"family[{spec.kind}]",
-                    ]
-                )
-    return [path], 0
+    header = ["n", "alpha", "variant", "psi_n", "psi_over_scale", "limit", "residual",
+              "provenance"]
+    return [_write_csv(path, header, rows)], 0
 
 
-def _sweep_common(scenario, out_dir, dim_cap, threads, task):
+def _sweep_kwargs(scenario, dim_cap):
+    """The keyword arguments ``np-sweep`` and ``sc-report`` both pass to ``hyptest``."""
     params = scenario["params"]
-    spec = scenario["family"]
-    mode = params.get("mode", "np")
-    variant = params.get("variant", "sandwiched")
     ns = _check_n_list(
         params.get("n_list", [64, 128, 256, 512, 1024]), "$.params.n_list"
     )
-    rate = fam.asymptotic_rate(spec, variant=variant, dim_cap=dim_cap)
-    if task == "np-sweep":
-        if "a_grid" in params:
-            grid = _check_grid(params["a_grid"], "$.params.a_grid")
-        else:
-            grid = [float(v) for v in ht.default_a_grid(rate)]
+    variant = params.get("variant", "sandwiched")
+    rate = fam.asymptotic_rate(scenario["family"], variant=variant, dim_cap=dim_cap)
+    return dict(n_list=ns, mode=params.get("mode", "np"), rate=rate, dim_cap=dim_cap,
+                variant=variant)
 
-        def job(value):
-            return ht.exponent_sweep(spec, value, ns, mode=mode, rate=rate,
-                                     dim_cap=dim_cap, variant=variant)
 
-        stem = "np_sweep"
-    else:
-        grid = _check_grid(params.get("r_grid", [0.1]), "$.params.r_grid")
-
-        def job(value):
-            return ht.sc_report(spec, value, ns, mode=mode, rate=rate,
-                                dim_cap=dim_cap, variant=variant)
-
-        stem = "sc_report"
+def _emit_reports(job, grid, params, stem, out_dir, threads):
+    """Run ``job`` over ``grid`` on a thread pool, write one convergence table
+    per value (suffixed ``_00``, ``_01``, ... when there are several), and
+    check every report's invariants."""
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         reports = list(pool.map(job, grid))
+    base, ext = os.path.splitext(params.get("out", f"{stem}.csv"))
     paths, failures = [], []
     for idx, report in enumerate(reports):
-        name = params.get("out", f"{stem}.csv")
-        if len(grid) > 1:
-            base, ext = os.path.splitext(name)
-            name = f"{base}_{idx:02d}{ext}"
-        path = os.path.join(out_dir, name)
-        emit_convergence_table(report, path)
-        paths.append(path)
+        name = f"{base}_{idx:02d}{ext}" if len(grid) > 1 else base + ext
+        paths.append(emit_convergence_table(report, os.path.join(out_dir, name)))
         failures.extend(_report_invariant_failures(report))
     if failures:
         _emit_error_json("$.run", "; ".join(failures))
         return paths, 1
     return paths, 0
+
+
+def _run_np_sweep(scenario, out_dir, dim_cap, threads):
+    params = scenario["params"]
+    kwargs = _sweep_kwargs(scenario, dim_cap)
+    if "a_grid" in params:
+        grid = _check_grid(params["a_grid"], "$.params.a_grid")
+    else:
+        grid = [float(v) for v in ht.default_a_grid(kwargs["rate"])]
+    job = partial(ht.exponent_sweep, scenario["family"], **kwargs)
+    return _emit_reports(job, grid, params, "np_sweep", out_dir, threads)
+
+
+def _run_sc_report(scenario, out_dir, dim_cap, threads):
+    params = scenario["params"]
+    kwargs = _sweep_kwargs(scenario, dim_cap)
+    grid = _check_grid(params.get("r_grid", [0.1]), "$.params.r_grid")
+    job = partial(ht.sc_report, scenario["family"], **kwargs)
+    return _emit_reports(job, grid, params, "sc_report", out_dir, threads)
 
 
 def _run_ldp(scenario, out_dir, dim_cap, threads):
@@ -409,32 +365,20 @@ def _run_ldp(scenario, out_dir, dim_cap, threads):
     window_hi = float(params.get("window_hi", 1.0))
     t_range = params.get("t_range", [-1.0, 4.0])
     seq = ldp_mod.binomial_sequence(ns, prob)
-    path = os.path.join(out_dir, params.get("out", "ldp.csv"))
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(
-            ["n", "x", "exact_tail_rate", "chernoff_bound", "ge_lower", "margin",
-             "provenance"]
+    rows = []
+    for x in xs:
+        bound = ldp_mod.chernoff_upper(seq, x, np.linspace(0, t_range[1], 513))
+        verdict = ldp_mod.gartner_ellis_lower_check(seq, x, (x, window_hi), tuple(t_range))
+        margins = dict(verdict.margins)
+        rows.extend(
+            [str(n), _fmt(x), _fmt(ldp_mod.exact_tail_rate(seq, n, x)), _fmt(bound),
+             _fmt(-verdict.legendre_value), _fmt(margins[n]), f"binomial[p={prob:g}]"]
+            for n in ns
         )
-        for x in xs:
-            bound = ldp_mod.chernoff_upper(seq, x, np.linspace(0, t_range[1], 513))
-            verdict = ldp_mod.gartner_ellis_lower_check(
-                seq, x, (x, window_hi), tuple(t_range)
-            )
-            margins = dict(verdict.margins)
-            for n in ns:
-                w.writerow(
-                    [
-                        str(n),
-                        _fmt(x),
-                        _fmt(ldp_mod.exact_tail_rate(seq, n, x)),
-                        _fmt(bound),
-                        _fmt(-verdict.legendre_value),
-                        _fmt(margins[n]),
-                        f"binomial[p={prob:g}]",
-                    ]
-                )
-    return [path], 0
+    path = os.path.join(out_dir, params.get("out", "ldp.csv"))
+    header = ["n", "x", "exact_tail_rate", "chernoff_bound", "ge_lower", "margin",
+              "provenance"]
+    return [_write_csv(path, header, rows)], 0
 
 
 def _run_verify(scenario, out_dir, dim_cap, threads):
@@ -465,8 +409,8 @@ RUNNERS = {
     "renyi": _run_renyi,
     "hoeffding": _run_hoeffding,
     "family": _run_family,
-    "np-sweep": lambda s, o, d, t: _sweep_common(s, o, d, t, "np-sweep"),
-    "sc-report": lambda s, o, d, t: _sweep_common(s, o, d, t, "sc-report"),
+    "np-sweep": _run_np_sweep,
+    "sc-report": _run_sc_report,
     "ldp": _run_ldp,
     "verify": _run_verify,
 }

@@ -111,6 +111,22 @@ class ErrorPair:
         if self.log_beta is None:
             self.log_beta = math.log(self.beta_err) if self.beta_err > 0 else -math.inf
 
+    @classmethod
+    def from_logs(cls, n, a, log_success, log_alpha, log_beta, log_pos_part):
+        """Pair from log-domain traces, a log of ``-inf`` being mass 0; with
+        ``log_alpha = None`` the type-I error is ``1 - success``."""
+        success = math.exp(log_success)
+        return cls(
+            n=n,
+            a=a,
+            alpha_err=1.0 - success if log_alpha is None else math.exp(log_alpha),
+            beta_err=math.exp(log_beta),
+            success=success,
+            log_success=log_success,
+            log_beta=log_beta,
+            log_pos_part=log_pos_part,
+        )
+
 
 @dataclass
 class RateFit:
@@ -251,16 +267,7 @@ def _log_terms_to_pair(n, a, chunks, c):
     total = np.logaddexp(log_success, log_alpha)
     if abs(total) > 1e-9:
         raise AssertionError(f"class masses sum to e^{total}, not 1")
-    return ErrorPair(
-        n=n,
-        a=a,
-        alpha_err=math.exp(log_alpha) if log_alpha > -math.inf else 0.0,
-        beta_err=math.exp(log_beta) if log_beta > -math.inf else 0.0,
-        success=math.exp(log_success) if log_success > -math.inf else 0.0,
-        log_success=log_success,
-        log_beta=log_beta,
-        log_pos_part=log_pos,
-    )
+    return ErrorPair.from_logs(n, a, log_success, log_alpha, log_beta, log_pos)
 
 
 def _safe_log(x):
@@ -413,10 +420,17 @@ def _pinched_sectors(rho1, sigma1, n):
     return sectors
 
 
-def _sector_spectra(rho1, sigma1, n):
+def _splits_into_sectors(sigma1):
+    """Whether ``sigma1`` is a positive nondegenerate qubit state, whose
+    eigenbasis splits every block into Hamming sectors."""
     mu = sigma1.eigenvalues
-    if mu.size != 2 or mu.min() <= 0 or mu[1] - mu[0] <= 1e-12:
+    return mu.size == 2 and mu.min() > 0 and mu[1] - mu[0] > 1e-12
+
+
+def _sector_spectra(rho1, sigma1, n):
+    if not _splits_into_sectors(sigma1):
         raise ValueError("Hamming sectors need a positive nondegenerate qubit reference")
+    mu = sigma1.eigenvalues
     v = sigma1.eigenvectors
     rho_ref = v.conj().T @ rho1.entries @ v
     log_mu = np.log(mu)
@@ -468,7 +482,7 @@ def _resolve_engine(spec, mode, dim_cap):
 
             label = "exact-binomial" if p.size == 2 else "exact-type-classes"
             return classical, label
-        if mode == "pinched" and spec.payload.rho1.dim == 2:
+        if mode == "pinched" and _splits_into_sectors(spec.payload.sigma1):
             r1, s1 = spec.payload.rho1, spec.payload.sigma1
 
             def sector(n, c, a):
@@ -543,26 +557,34 @@ def default_a_grid(rate):
     return np.linspace(lo + 0.02 * gap, hi - 0.02 * gap, 9)
 
 
-def exponent_sweep(spec, a, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
-                   variant="sandwiched"):
-    """Error pairs over ``n_list`` at fixed threshold rate ``a``, with fitted
-    decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``."""
+def _build_report(spec, a, n_list, mode, rate, dim_cap, h, notes):
+    """Run the engine at threshold rate ``a`` over ``n_list``, fit once, report.
+
+    ``h`` is the anti-divergence at the report's ``r`` (``None`` for a plain
+    threshold sweep).  In its linear tail each pair becomes that of the scaled
+    test (see ``scaled_test``) and the predictions are ``(r - a_max, r)``;
+    otherwise they are the polar pair ``(phi(a), phi(a) + a)``.  ``notes``
+    follow the builder's own.
+    """
     if mode not in ("np", "pinched"):
         raise ValueError(f"unknown mode {mode!r}")
-    if rate is None:
-        rate = fam.asymptotic_rate(spec, variant=variant)
     engine, provenance = _resolve_engine(spec, mode, dim_cap)
     s = float(spec.scaling_exponent)
     pairs = [engine(n, a * float(n) ** s, a) for n in sorted(n_list)]
+    pd = polar_detail(rate, a)
+    success_rate, beta_rate = pd.value, pd.value + float(a)
+    if h is not None and h.regime == "linear_tail":
+        gap = h.r - a - pd.value
+        pairs = [_shifted_pair(ep, gap * float(ep.n) ** s) for ep in pairs]
+        success_rate, beta_rate = h.r - rate.slope_at_infinity, h.r
     ns = [ep.n for ep in pairs]
     success_fit = fit_rate(ns, [ep.log_success for ep in pairs], scaling=s)
     beta_fit = fit_rate(ns, [ep.log_beta for ep in pairs], scaling=s)
-    pd = polar_detail(rate, a)
-    notes = []
+    own = []
     if pd.tail_dominated:
-        notes.append("polar sup still climbing at the grid edge; phi(a) is a floor")
+        own.append("polar sup still climbing at the grid edge; phi(a) is a floor")
     if not (success_fit.asymptotic and beta_fit.asymptotic):
-        notes.append("not yet asymptotic: fit R^2 below 0.98")
+        own.append("not yet asymptotic: fit R^2 below 0.98")
     return ExponentReport(
         family=spec,
         mode=mode,
@@ -570,28 +592,29 @@ def exponent_sweep(spec, a, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CA
         per_n=pairs,
         success_fit=success_fit,
         beta_fit=beta_fit,
-        predicted_success_rate=pd.value,
-        predicted_beta_rate=pd.value + float(a),
+        predicted_success_rate=success_rate,
+        predicted_beta_rate=beta_rate,
+        r=None if h is None else float(h.r),
+        predicted_H=None if h is None else h.value,
+        regime=None if h is None else h.regime,
         provenance=provenance,
-        notes=tuple(notes),
+        notes=tuple(own + notes),
     )
+
+
+def exponent_sweep(spec, a, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
+                   variant="sandwiched"):
+    """Error pairs over ``n_list`` at fixed threshold rate ``a``, with fitted
+    decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``."""
+    if rate is None:
+        rate = fam.asymptotic_rate(spec, variant=variant)
+    return _build_report(spec, a, n_list, mode, rate, dim_cap, None, [])
 
 
 def _shifted_pair(ep, shift):
     """Error pair of the scaled test: both traces shrink by ``e^{-shift}``."""
-    log_success = ep.log_success - shift
-    log_beta = ep.log_beta - shift
-    success = math.exp(log_success) if log_success > -math.inf else 0.0
-    return ErrorPair(
-        n=ep.n,
-        a=ep.a,
-        alpha_err=1.0 - success,
-        beta_err=math.exp(log_beta) if log_beta > -math.inf else 0.0,
-        success=success,
-        log_success=log_success,
-        log_beta=log_beta,
-        log_pos_part=None,
-    )
+    return ErrorPair.from_logs(ep.n, ep.a, ep.log_success - shift, None,
+                               ep.log_beta - shift, None)
 
 
 def sc_report(spec, r, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
@@ -610,33 +633,16 @@ def sc_report(spec, r, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
     h = hoeffding_anti(rate, r)
     notes = []
     if h.regime == "zero":
-        report = exponent_sweep(spec, r, n_list, mode=mode, rate=rate,
-                                dim_cap=dim_cap, variant=variant)
+        a = r
         notes.append("zero regime: success probability stays bounded away from 0")
     elif h.regime == "interior":
-        report = exponent_sweep(spec, h.a_r, n_list, mode=mode, rate=rate,
-                                dim_cap=dim_cap, variant=variant)
+        a = h.a_r
     else:  # linear tail: threshold just inside the boundary slope, then rescale
         a_max = rate.slope_at_infinity
         # exactly at a_max the strict threshold set can be empty (lattice
         # families put their extreme class right on the boundary ratio), so
         # back off by 1% of the slope gap; the rescale absorbs the rest
-        inset = 0.01 * max(a_max - rate.right_derivative_at_1, 1e-6)
-        a_lt = a_max - inset
-        phi_a = polar_detail(rate, a_lt).value
-        report = exponent_sweep(spec, a_lt, n_list, mode=mode, rate=rate,
-                                dim_cap=dim_cap, variant=variant)
-        s = float(spec.scaling_exponent)
-        shifts = [(r - a_lt - phi_a) * float(ep.n) ** s for ep in report.per_n]
-        report.per_n = [
-            _shifted_pair(ep, sh) for ep, sh in zip(report.per_n, shifts)
-        ]
-        ns = [ep.n for ep in report.per_n]
-        report.success_fit = fit_rate(ns, [ep.log_success for ep in report.per_n],
-                                      scaling=s)
-        report.beta_fit = fit_rate(ns, [ep.log_beta for ep in report.per_n], scaling=s)
-        report.predicted_success_rate = r - a_max
-        report.predicted_beta_rate = r
+        a = a_max - 0.01 * max(a_max - rate.right_derivative_at_1, 1e-6)
         notes.append("linear-tail regime: rescaled sub-tests in effect")
         if not rate.slope_is_exact:
             notes.append("boundary slope estimated from the grid tail")
@@ -645,11 +651,7 @@ def sc_report(spec, r, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
             "reference symbol is not the scalar 1/2: prediction is a lower bound "
             "in a two-sided bracket, not claimed as an equality"
         )
-    report.r = float(r)
-    report.predicted_H = h.value
-    report.regime = h.regime
-    report.notes = report.notes + tuple(notes)
-    return report
+    return _build_report(spec, a, n_list, mode, rate, dim_cap, h, notes)
 
 
 def _scalar_reference(payload):

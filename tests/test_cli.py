@@ -124,6 +124,19 @@ class TestLoadScenario:
         }
         expect_error(tmp_path, obj, f"$.params.{grid}")
 
+    @pytest.mark.parametrize("task, field, value", [
+        ("ldp", "params.prob", "0.5"),
+        ("ldp", "params.window_hi", True),
+        ("renyi", "params.n", 2.9),
+        ("renyi", "family.scaling_exponent", 1.5),
+        ("renyi", "family.scaling_exponent", True),
+    ], ids=["prob-string", "window-bool", "n-float", "scaling-float", "scaling-bool"])
+    def test_bad_scalar(self, tmp_path, task, field, value):
+        obj = {"task": task, "family": binary_family(), "params": {}}
+        section, key = field.split(".")
+        obj[section][key] = value
+        expect_error(tmp_path, obj, f"$.{field}")
+
     def test_bad_mode(self, tmp_path):
         obj = {
             "task": "np-sweep",
@@ -312,6 +325,29 @@ class TestMain:
             parsed = parse_convergence_table(str(tmp_path / name))
             assert parsed["footer"]["provenance"] == "dense"
 
+    def test_pinched_degenerate_qubit_reference_takes_dense_route(self, tmp_path, capsys):
+        # sigma = I/2 has no Hamming sectors; pinching by a scalar is the identity
+        family = {
+            "kind": "iid",
+            "scaling_exponent": 1,
+            "payload": {
+                "rho": {"dim": 2, "re": [0.7, 0.2, 0.2, 0.3], "im": None},
+                "sigma": {"dim": 2, "re": [0.5, 0.0, 0.0, 0.5], "im": None},
+            },
+        }
+        params = {"mode": "pinched", "n_list": [3, 4, 5, 6], "r_grid": [0.3]}
+        scenario = write_scenario(tmp_path, {"task": "sc-report", "family": family,
+                                             "params": params})
+        rc = main(["sc-report", "--scenario", scenario, "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        parsed = parse_convergence_table(str(tmp_path / "sc_report.csv"))
+        assert parsed["footer"]["provenance"] == "dense"
+        spec = fam.family_from_json(family)
+        pinched = ht.sc_report(spec, 0.3, params["n_list"], mode="pinched")
+        plain = ht.sc_report(spec, 0.3, params["n_list"], mode="np")
+        for a, b in zip(pinched.per_n, plain.per_n, strict=True):
+            assert a.log_success == pytest.approx(b.log_success, abs=1e-12)
+
     def test_malformed_scenario_exits_two(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path,
@@ -450,7 +486,9 @@ class TestMain:
         ("np-sweep", SHORT_JOBS_CASE, []),
         ("sc-report", CATALOG / "markov-sc-report" / "s00", ["--threads", "2"]),
         ("sc-report", SHORT_JOBS_CASE, ["--threads", "2"]),
-    ], ids=["ldp", "np-sweep", "markov-sc-report", "pinched-sc-report"])
+        ("sc-report", CATALOG / "quasifree-sc-report" / "s00", []),
+    ], ids=["ldp", "np-sweep", "markov-sc-report", "pinched-sc-report",
+            "quasifree-sc-report"])
     def test_ldp_bytes_match_benchmark_reference(self, tmp_path, task, case, extra):
         # a benchmark draw-0 scenario and the CSVs its reference commit wrote
         stem = task.replace("-", "_")

@@ -85,6 +85,15 @@ class TestErrorPair:
         assert ep.log_success == pytest.approx(math.log(0.25))
         assert ep.log_beta == -math.inf
 
+    def test_from_logs(self):
+        empty = ErrorPair.from_logs(3, 0.1, -math.inf, 0.0, -math.inf, None)
+        assert (empty.success, empty.alpha_err, empty.beta_err) == (0.0, 1.0, 0.0)
+        assert empty.log_success == -math.inf and empty.log_beta == -math.inf
+        # no log_alpha: the type-I error is the complement of success
+        scaled = ErrorPair.from_logs(3, 0.1, math.log(0.25), None, math.log(0.5), -2.0)
+        assert scaled.alpha_err == 1.0 - scaled.success
+        assert scaled.beta_err == pytest.approx(0.5) and scaled.log_pos_part == -2.0
+
 
 class TestThresholdTests:
     def test_commuting_strict_threshold(self):
