@@ -75,12 +75,8 @@ def _require(d, field, typ, path):
     if field not in d:
         raise ScenarioError(f"{path}.{field}", "missing required field")
     v = d[field]
-    if typ is float and isinstance(v, int):
-        v = float(v)
     if not isinstance(v, typ):
-        raise ScenarioError(
-            f"{path}.{field}", f"expected {getattr(typ, '__name__', typ)}"
-        )
+        raise ScenarioError(f"{path}.{field}", f"expected {typ.__name__}")
     return v
 
 

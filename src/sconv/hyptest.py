@@ -18,10 +18,14 @@ Engines, most specific first:
 
 The exact engines share one log-space reducer, ``_log_terms_to_pair``.  The
 dense engine diagonalises the (pinched) threshold operator once per
-``(n, c)`` and reads both traces and the positive-part floor off it.  The
-sector engine computes each Hamming-sector spectrum once per ``(pair, n)``:
-the spectra do not depend on the threshold, so every later sweep reads them
-from a bounded memo.
+``(n, c)`` and reads both traces and the positive-part floor off it.  It
+works one sector at a time: when both states of a pair are block-diagonal
+with the same ``sectors`` (the particle-number sectors of quasi-free Fock
+densities), each block of the threshold operator gets its own ``eigh`` and
+the three traces are summed over the blocks, so no quasi-free ``eigh`` is
+larger than ``C(m, m/2)``.  The sector engine computes each Hamming-sector
+spectrum once per ``(pair, n)``: the spectra do not depend on the threshold,
+so every later sweep reads them from a bounded memo.
 """
 
 from __future__ import annotations
@@ -497,14 +501,20 @@ def _resolve_engine(spec, mode, dim_cap):
         return markov, "exact-run-classes"
 
     def dense(n, c, a):
-        # one eigh of the threshold operator per (n, c): both traces are sums
-        # of <v|X|v> over the test's range V, and the floor is its positive part
+        # one eigh of the threshold operator per (n, c) and sector: both traces
+        # are sums of <v|X|v> over the test's range V, and the floor is its
+        # positive part; a pair whose states share their diagonal blocks (Fock
+        # densities, by particle number) splits into independent sector slices
         pair = fam.family_states(spec, n, dim_cap=dim_cap)
         rho = _pinch_matrix(pair.rho, pair.sigma) if mode == "pinched" else pair.rho.entries
-        diff, v = _threshold_split(rho, pair.sigma.entries, c)
-        success, beta = (
-            float(np.vdot(v, x.entries @ v).real) for x in (pair.rho, pair.sigma))
-        lp = positive_part_trace(diff)
+        sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
+        success = beta = lp = 0.0
+        for lo, hi in itertools.pairwise(itertools.accumulate(sectors, initial=0)):
+            blk = slice(lo, hi)
+            diff, v = _threshold_split(rho[blk, blk], pair.sigma.entries[blk, blk], c)
+            success += float(np.vdot(v, pair.rho.entries[blk, blk] @ v).real)
+            beta += float(np.vdot(v, pair.sigma.entries[blk, blk] @ v).real)
+            lp += positive_part_trace(diff)
         return ErrorPair(
             n=n,
             a=a,

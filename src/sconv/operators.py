@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 HERMITICITY_TOL = 1e-12  # relative asymmetry that rounding leaves; more means bad input
 SUPPORT_TOL = 1e-12  # eigenvalues under this fraction of the largest are noise: off-support
@@ -66,28 +67,46 @@ class HermitianOperator:
         Optional hashable label per eigenvalue.  Tensor powers attach the
         multiset of base-spectrum indices so that exact degeneracies are
         recognized symbolically instead of by floating-point coincidence.
+    sectors : tuple of int
+        Sizes of the diagonal blocks that ``entries`` and the eigenvectors
+        are confined to, in order; ``(dim,)`` unless built by
+        :meth:`block_diagonal`.
     """
 
-    __slots__ = ("entries", "dim", "eigenvalues", "eigenvectors", "eig_labels")
+    __slots__ = ("entries", "dim", "eigenvalues", "eigenvectors", "eig_labels", "sectors")
 
     def __init__(self, entries, hermiticity_tol=HERMITICITY_TOL):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale = max(np.abs(a).max(), 1e-300)
-        dev = np.abs(a - a.conj().T).max()
-        if dev > hermiticity_tol * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: relative deviation {dev / scale:.3e} "
-                f"exceeds {hermiticity_tol:.1e}"
-            )
-        a = 0.5 * (a + a.conj().T)
+        (a,) = _hermitian_parts([entries], hermiticity_tol)
         w, v = np.linalg.eigh(a)
         self.entries = a
         self.dim = a.shape[0]
         self.eigenvalues = w
         self.eigenvectors = v
         self.eig_labels = None
+        self.sectors = (self.dim,)
+
+    @classmethod
+    def block_diagonal(cls, blocks, hermiticity_tol=HERMITICITY_TOL):
+        """Direct sum of square blocks, diagonalised one block at a time.
+
+        The blocks must be Hermitian up to ``hermiticity_tol`` relative to the
+        largest entry over all of them.  The joined spectrum is stable-sorted
+        into ascending order and every eigenvector stays supported on its own
+        block, so ``sectors`` (the block sizes) splits any operator that
+        shares them into independent slices.
+        """
+        blocks = _hermitian_parts(blocks, hermiticity_tol)
+        w, v = zip(*map(np.linalg.eigh, blocks))
+        w = np.concatenate(w)
+        order = np.argsort(w, kind="stable")
+        obj = cls.__new__(cls)
+        obj.entries = block_diag(*blocks)
+        obj.dim = w.size
+        obj.eigenvalues = w[order]
+        obj.eigenvectors = block_diag(*v)[:, order]
+        obj.eig_labels = None
+        obj.sectors = tuple(b.shape[0] for b in blocks)
+        return obj
 
     @classmethod
     def from_spectral(cls, eigenvalues, eigenvectors, eig_labels=None):
@@ -109,6 +128,7 @@ class HermitianOperator:
         obj.eigenvalues = w
         obj.eigenvectors = v
         obj.eig_labels = eig_labels
+        obj.sectors = (obj.dim,)
         return obj
 
     # -- cheap scalar summaries -------------------------------------------
@@ -153,6 +173,23 @@ class HermitianOperator:
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, trace={self.trace:.6g})"
+
+
+def _hermitian_parts(blocks, hermiticity_tol):
+    """``(A + A^\\dagger)/2`` of each square block, once the blocks are checked
+    Hermitian to ``hermiticity_tol`` relative to their largest entry."""
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    for b in blocks:
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {b.shape}")
+    scale = max(max(np.abs(b).max() for b in blocks), 1e-300)
+    dev = max(np.abs(b - b.conj().T).max() for b in blocks)
+    if dev > hermiticity_tol * scale:
+        raise ValueError(
+            f"matrix is not Hermitian: relative deviation {dev / scale:.3e} "
+            f"exceeds {hermiticity_tol:.1e}"
+        )
+    return [0.5 * (b + b.conj().T) for b in blocks]
 
 
 def spectral(op):

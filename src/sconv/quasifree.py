@@ -7,8 +7,10 @@ the hypercube for ``nu = 2``).  Renyi quantities reduce to ``n^nu``-dimensional
 single-particle formulas; small blocks can additionally be materialized as
 explicit ``2^m``-dimensional Fock-space densities through the determinant
 construction ``w_Q = det(I-Q) (+)_k wedge^k (Q (I-Q)^{-1})``, which serves as
-an independent oracle.  Per-mode limits are Szego-type integrals of the
-symbols.
+an independent oracle.  That density is block-diagonal in particle number:
+sector ``k`` (``C(m, k)`` occupation strings) is ``det(I-Q) wedge^k(...)``,
+and nothing couples two sectors, so each block is diagonalised on its own.
+Per-mode limits are Szego-type integrals of the symbols.
 """
 
 from __future__ import annotations
@@ -227,7 +229,9 @@ def fock_density(symbol):
     Built as ``det(I-Q)`` times the direct sum over particle sectors of
     ``wedge^k(Q (I-Q)^{-1})``, whose entries are the ``k x k`` minors
     ``det A[S, T]`` (subsets in lexicographic order).  Determinants are
-    evaluated in batched chunks.
+    evaluated in batched chunks.  The density is block-diagonal in particle
+    number: it is assembled by :meth:`HermitianOperator.block_diagonal`, one
+    ``eigh`` per sector, and its ``sectors`` are ``(C(m, k))_{k=0..m}``.
     """
     m = symbol.dim
     if m > FOCK_MODE_CAP:
@@ -237,26 +241,18 @@ def fock_density(symbol):
     c0 = math.exp(log_det)
     a = (symbol.eigenvectors * (lam / (1.0 - lam))) @ symbol.eigenvectors.conj().T
     a = 0.5 * (a + a.conj().T)
-    dim = 2**m
-    out = np.zeros((dim, dim), dtype=complex)
-    offset = 0
-    for k in range(m + 1):
+    blocks = [np.full((1, 1), c0, dtype=complex)]
+    for k in range(1, m + 1):
         subs = np.array(list(itertools.combinations(range(m), k)), dtype=int)
         count = subs.shape[0]
-        if k == 0:
-            out[offset, offset] = c0
-            offset += 1
-            continue
-        chunk = max(1, int(2_000_000 // max(count * k * k, 1)))
+        block = np.empty((count, count), dtype=complex)
+        chunk = max(1, int(2_000_000 // (count * k * k)))
         for s0 in range(0, count, chunk):
             rows = subs[s0 : s0 + chunk]
             batch = a[rows[:, None, :, None], subs[None, :, None, :]]
-            dets = np.linalg.det(batch)
-            out[offset + s0 : offset + s0 + rows.shape[0], offset : offset + count] = (
-                c0 * dets
-            )
-        offset += count
-    op = HermitianOperator(out, hermiticity_tol=1e-9)
+            block[s0 : s0 + rows.shape[0]] = c0 * np.linalg.det(batch)
+        blocks.append(block)
+    op = HermitianOperator.block_diagonal(blocks, hermiticity_tol=1e-9)
     if abs(op.trace - 1.0) > 1e-10:
         raise ValueError(f"Fock density trace {op.trace!r} deviates from 1")
     return op
@@ -265,13 +261,43 @@ def fock_density(symbol):
 # -- per-mode limits -------------------------------------------------------
 
 
+@dataclass
+class _LogSamples:
+    """Symbol values on a grid with the four logarithms the integrands use."""
+
+    q: np.ndarray
+    r: np.ndarray
+    log_q: np.ndarray
+    log_r: np.ndarray
+    log1m_q: np.ndarray  # log(1 - q)
+    log1m_r: np.ndarray
+
+    @classmethod
+    def of(cls, q, r):
+        return cls(q, r, np.log(q), np.log(r), np.log1p(-q), np.log1p(-r))
+
+    @classmethod
+    def on_circle(cls, payload, grid):
+        """Samples of a ``nu = 1`` payload on the periodic grid of ``grid`` points."""
+        x = 2.0 * np.pi * np.arange(grid) / grid
+        return cls.of(
+            np.asarray(payload.q_symbol(x), dtype=float),
+            np.asarray(payload.r_symbol(x), dtype=float),
+        )
+
+
 def _symbol_mean(payload, integrand, grid=QUAD_GRID):
-    """Torus average of ``integrand(q_values, r_values)`` on a periodic grid."""
-    x = 2.0 * np.pi * np.arange(grid) / grid
+    """Torus average of ``integrand(samples)`` on a periodic grid.
+
+    ``payload`` may also be the ``_LogSamples`` of a ``nu = 1`` payload on
+    ``grid``, which :func:`quasifree_rate` takes once for all its quadratures;
+    ``nu = 2`` grids are sampled 256 rows at a time.
+    """
+    if isinstance(payload, _LogSamples):
+        return float(np.mean(integrand(payload)))
     if payload.nu == 1:
-        qv = np.asarray(payload.q_symbol(x), dtype=float)
-        rv = np.asarray(payload.r_symbol(x), dtype=float)
-        return float(np.mean(integrand(qv, rv)))
+        return float(np.mean(integrand(_LogSamples.on_circle(payload, grid))))
+    x = 2.0 * np.pi * np.arange(grid) / grid
     total = 0.0
     rows = 256
     for i0 in range(0, grid, rows):
@@ -279,7 +305,7 @@ def _symbol_mean(payload, integrand, grid=QUAD_GRID):
         shape = (xi.shape[0], grid)
         qv = np.broadcast_to(np.asarray(payload.q_symbol(xi, x[None, :]), dtype=float), shape)
         rv = np.broadcast_to(np.asarray(payload.r_symbol(xi, x[None, :]), dtype=float), shape)
-        total += float(integrand(qv, rv).sum())
+        total += float(integrand(_LogSamples.of(qv, rv)).sum())
     return total / grid**2
 
 
@@ -290,10 +316,10 @@ def szego_limit(payload, alpha, grid=QUAD_GRID):
     if alpha <= 0:
         raise ValueError("order must be positive")
 
-    def integrand(q, r):
+    def integrand(s):
         return np.logaddexp(
-            alpha * np.log(q) + (1.0 - alpha) * np.log(r),
-            alpha * np.log1p(-q) + (1.0 - alpha) * np.log1p(-r),
+            alpha * s.log_q + (1.0 - alpha) * s.log_r,
+            alpha * s.log1m_q + (1.0 - alpha) * s.log1m_r,
         )
 
     return _symbol_mean(payload, integrand, grid)
@@ -302,8 +328,8 @@ def szego_limit(payload, alpha, grid=QUAD_GRID):
 def quasifree_relent_limit(payload, grid=QUAD_GRID):
     """Per-mode relative entropy: torus average of the binary divergence."""
 
-    def integrand(q, r):
-        return q * (np.log(q) - np.log(r)) + (1.0 - q) * (np.log1p(-q) - np.log1p(-r))
+    def integrand(s):
+        return s.q * (s.log_q - s.log_r) + (1.0 - s.q) * (s.log1m_q - s.log1m_r)
 
     return _symbol_mean(payload, integrand, grid)
 
@@ -311,14 +337,16 @@ def quasifree_relent_limit(payload, grid=QUAD_GRID):
 def quasifree_slope_at_infinity(payload, grid=QUAD_GRID):
     """``lim psi_bar(alpha)/(alpha-1)``: average of the larger log-ratio."""
 
-    def integrand(q, r):
-        return np.maximum(np.log(q) - np.log(r), np.log1p(-q) - np.log1p(-r))
+    def integrand(s):
+        return np.maximum(s.log_q - s.log_r, s.log1m_q - s.log1m_r)
 
     return _symbol_mean(payload, integrand, grid)
 
 
 def quasifree_rate(payload, grid=QUAD_GRID):
     """Asymptotic rate curve of the family from the Szego limits."""
+    if payload.nu == 1:  # sample the symbols and their logs once for every order
+        payload = _LogSamples.on_circle(payload, grid)
     return ConvexRate.from_callable(
         lambda t: szego_limit(payload, t, grid),
         right_derivative_at_1=quasifree_relent_limit(payload, grid),

@@ -51,3 +51,17 @@ def sector_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of every ``eigh`` call, from any module."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes

@@ -1,7 +1,4 @@
-"""Smoke test: the quicker demo scripts run to completion.
-
-Demos 04 and 07 are left out; each takes over 100 s.
-"""
+"""Smoke test: every demo script runs to completion (each takes a few seconds)."""
 
 import os
 import subprocess
@@ -12,10 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
+    "01_renyi_divergence_curves.py",
     "02_hoeffding_regimes.py",
     "03_binary_strong_converse.py",
+    "04_pinched_quantum_route.py",
     "05_markov_transfer.py",
     "06_gibbs_factorization.py",
+    "07_quasifree_szego.py",
     "08_ldp_binomial.py",
 ]
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from sconv import families as fam
 from sconv.cli import main
 from sconv.families import IIDPayload, MarkovPayload, StateFamilySpec, markov_psi_n
 from sconv.hyptest import (
@@ -43,6 +44,7 @@ from sconv.operators import (
     positive_part_trace,
     rand_density,
 )
+from sconv.quasifree import QuasiFreePayload, TrigPolySymbol
 
 from conftest import classical_pair
 
@@ -374,6 +376,51 @@ class TestSectorCache:
         newest = (pairs[-1][0].entries.tobytes(), pairs[-1][1].entries.tobytes(), 2)
         oldest = (pairs[0][0].entries.tobytes(), pairs[0][1].entries.tobytes(), 2)
         assert newest in _SECTOR_CACHE and oldest not in _SECTOR_CACHE
+
+
+def quasifree_spec():
+    return StateFamilySpec(
+        "quasifree",
+        QuasiFreePayload(
+            nu=1,
+            q_symbol=TrigPolySymbol(0.5, cos_coeffs=(0.2,)),
+            r_symbol=TrigPolySymbol(0.45, cos_coeffs=(-0.1,), sin_coeffs=(0.05,)),
+            c_bound=0.2,
+        ),
+    )
+
+
+class TestDenseSectors:
+    @pytest.mark.parametrize("mode", ["np", "pinched"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_sector_split_matches_one_sector(self, n, mode, monkeypatch):
+        spec = quasifree_spec()
+        engine, provenance = _resolve_engine(spec, mode, DEFAULT_DIM_CAP)
+        assert provenance == "dense"
+        states = fam.family_states
+        assert states(spec, n).rho.sectors == tuple(math.comb(n, k) for k in range(n + 1))
+        thresholds = (0.02, 0.1, 0.3)
+        split = [engine(n, a * n, a) for a in thresholds]
+
+        def one_sector(spec, n, dim_cap):
+            pair = states(spec, n, dim_cap=dim_cap)
+            return StatePair(HermitianOperator(pair.rho.entries),
+                             HermitianOperator(pair.sigma.entries))
+
+        monkeypatch.setattr(fam, "family_states", one_sector)
+        whole = [engine(n, a * n, a) for a in thresholds]
+        for got, want in zip(split, whole):
+            assert 0.0 < want.success < 1.0
+            assert got.success == pytest.approx(want.success, abs=1e-12)
+            assert got.beta_err == pytest.approx(want.beta_err, abs=1e-12)
+            assert math.exp(got.log_pos_part) == pytest.approx(
+                math.exp(want.log_pos_part), abs=1e-12)
+
+    def test_sc_report_eigh_fits_largest_sector(self, eigh_shapes):
+        report = sc_report(quasifree_spec(), 0.2, [5, 6, 7, 8])
+        assert report.provenance == "dense"
+        assert max(max(shape) for shape in eigh_shapes) <= math.comb(8, 4)
+        assert (70, 70) in eigh_shapes  # the n = 8 middle sector
 
 
 class TestFitting:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from sconv.operators import (
     HermitianOperator,
@@ -64,6 +65,47 @@ class TestHermitianOperator:
         op = rand_density(4, rng)
         sq = op.map_eigenvalues(lambda x: x**2)
         assert np.allclose(sq.entries, op.entries @ op.entries, atol=1e-12)
+
+
+class TestBlockDiagonal:
+    def _blocks(self, rng):
+        return [rand_hermitian(d, rng).entries for d in (1, 4, 6, 4, 1)]
+
+    def test_matches_dense_assembly(self, rng):
+        blocks = self._blocks(rng)
+        op = HermitianOperator.block_diagonal(blocks)
+        dense = HermitianOperator(block_diag(*blocks))
+        assert np.array_equal(op.entries, dense.entries)
+        assert op.sectors == (1, 4, 6, 4, 1)
+        assert dense.sectors == (16,)
+        assert np.all(np.diff(op.eigenvalues) >= 0)
+        assert np.abs(op.eigenvalues - dense.eigenvalues).max() <= 1e-13
+        v, w = op.eigenvectors, op.eigenvalues
+        assert np.abs(op.entries @ v - v * w).max() <= 1e-13
+        assert np.allclose(v.conj().T @ v, np.eye(16), atol=1e-13)
+
+    def test_eigenvectors_stay_in_their_block(self, rng):
+        op = HermitianOperator.block_diagonal(self._blocks(rng))
+        edges = np.cumsum((0,) + op.sectors)
+        for col in op.eigenvectors.T:
+            nonzero = np.nonzero(col)[0]
+            k = np.searchsorted(edges, nonzero[0], side="right") - 1
+            assert edges[k] <= nonzero.min() and nonzero.max() < edges[k + 1]
+
+    def test_rejects_non_hermitian_block_with_dense_message(self, rng):
+        blocks = self._blocks(rng)
+        blocks[2] = blocks[2] + np.triu(np.ones((6, 6)), 1)
+        with pytest.raises(ValueError, match="not Hermitian") as dense:
+            HermitianOperator(block_diag(*blocks))
+        with pytest.raises(ValueError) as split:
+            HermitianOperator.block_diagonal(blocks)
+        assert str(split.value) == str(dense.value)
+
+    def test_other_constructors_have_one_sector(self, rng):
+        op = rand_hermitian(3, rng)
+        assert op.sectors == (3,)
+        assert HermitianOperator.from_spectral(op.eigenvalues, op.eigenvectors).sectors == (3,)
+        assert tensor_power(rand_density(2, rng), 3).sectors == (8,)
 
 
 class TestMatrixFunctions:

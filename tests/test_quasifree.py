@@ -135,6 +135,15 @@ class TestFockOracle:
         with pytest.raises(ValueError, match="cap"):
             fock_density(HermitianOperator(0.5 * np.eye(13)))
 
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_sectors_are_particle_numbers(self, m):
+        qn, _ = quasifree_block_symbol(payload_1d(), m)
+        w = fock_density(qn)
+        assert w.sectors == tuple(math.comb(m, k) for k in range(m + 1))
+        # the basis order of fock_basis walks the same sectors
+        counts = [k for k, _ in fock_basis(m)]
+        assert tuple(counts.count(k) for k in range(m + 1)) == w.sectors
+
 
 class TestSingleParticleFormulas:
     @pytest.mark.parametrize("variant", ["plain", "sandwiched"])
@@ -219,6 +228,19 @@ class TestLimits:
             quasifree_relent_limit(p, grid=1024), abs=1e-12
         )
         assert f.slope_is_exact
+
+    def test_rate_samples_symbols_once(self):
+        p = payload_1d()
+        q_symbol, calls = p.q_symbol, []
+        p.q_symbol = lambda x: calls.append(x.size) or q_symbol(x)
+        f = quasifree_rate(p, grid=1024)
+        values = [f.fn(t) for t in (0.5, 2.0, 7.0)]
+        assert calls == [1024]
+        # the shared samples give every quadrature's floats unchanged
+        f1 = szego_limit(p, 1.0, grid=1024)
+        assert values == [szego_limit(p, t, grid=1024) - f1 for t in (0.5, 2.0, 7.0)]
+        assert f.right_derivative_at_1 == quasifree_relent_limit(p, grid=1024)
+        assert f.slope_at_infinity == quasifree_slope_at_infinity(p, grid=1024)
 
     def test_2d_limits_consistent(self):
         p = payload_2d()
