@@ -25,7 +25,7 @@ from . import hyptest as ht
 from . import ldp as ldp_mod
 from . import renyi
 from .hoeffding import hoeffding_anti
-from .operators import DEFAULT_DIM_CAP
+from .operators import DEFAULT_DIM_CAP, finite_json_numbers
 from .verify import run_all_checks
 
 FLOAT_FMT = "%.11e"
@@ -94,18 +94,10 @@ def _check_n_list(ns, path):
     return ns
 
 
-def _finite_numbers(vals):
-    """Whether every entry is a finite JSON number: no bool, no string, no NaN."""
-    try:
-        return all(type(v) in (int, float) and math.isfinite(v) for v in vals)
-    except OverflowError:  # an integer beyond the double range
-        return False
-
-
 def _check_grid(g, path):
     if not isinstance(g, list) or not g:
         raise ScenarioError(path, "grid must be a nonempty list of numbers")
-    if not _finite_numbers(g):
+    if not finite_json_numbers(g):
         raise ScenarioError(path, "grid entries must be finite numbers")
     return [float(v) for v in g]
 
@@ -145,14 +137,14 @@ def load_scenario(path):
     if "n" in params and not _positive_int(params["n"]):
         raise ScenarioError("$.params.n", "n must be a positive integer")
     for name in ("prob", "window_hi"):
-        if name in params and not _finite_numbers([params[name]]):
+        if name in params and not finite_json_numbers([params[name]]):
             raise ScenarioError(f"$.params.{name}", f"{name} must be a finite number")
     for grid_name in ("alpha_grid", "a_grid", "r_grid", "x_grid"):
         if grid_name in params:
             _check_grid(params[grid_name], f"$.params.{grid_name}")
     if "t_range" in params:
         tr = params["t_range"]
-        if not (isinstance(tr, list) and len(tr) == 2 and _finite_numbers(tr)
+        if not (isinstance(tr, list) and len(tr) == 2 and finite_json_numbers(tr)
                 and tr[0] < tr[1]):
             raise ScenarioError("$.params.t_range",
                                 "t_range must be finite [lo, hi] with lo < hi")

@@ -439,10 +439,7 @@ def markov_rate(payload):
 def _plain_slope_at_infinity(rho, sigma):
     """``lim psi(t)/t`` for the plain variant: max log-ratio over overlapping
     eigenpairs."""
-    overlap = _overlap(rho, sigma)
-    if overlap is None:
-        return math.inf
-    logp, logq, ov = overlap
+    logp, logq, ov = _overlap(rho, sigma)
     mask = ov > 1e-12
     if not mask.any():
         return math.inf
@@ -475,7 +472,7 @@ def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), variant="sandwiched",
     mat = np.array(
         [[psi(rho, sig, a, variant) for a in _GIBBS_GRID] for rho, sig in pairs]
     )
-    return rate_from_samples(list(n_list), _GIBBS_GRID, mat, scaling=1.0)
+    return rate_from_samples(list(n_list), _GIBBS_GRID, mat)
 
 
 def asymptotic_rate(spec, variant="sandwiched", dim_cap=DEFAULT_DIM_CAP):

@@ -322,17 +322,17 @@ def richardson(c, s):
     return fine, np.abs(fine - coarse)
 
 
-def rate_from_samples(n_list, alphas, psi_matrix, scaling=1.0):
+def rate_from_samples(n_list, alphas, psi_matrix):
     """Extrapolated rate curve from finite-size cumulant samples.
 
     Parameters
     ----------
     n_list : increasing sample sizes (at least three).
     alphas : order grid starting at 1.
-    psi_matrix : array (len(n_list), len(alphas)) of raw ``psi_n(alpha)``.
-    scaling : exponent ``s`` with ``psi_n ~ n^s``; extrapolation is first-order
-        Richardson in ``1/n^s`` using the two largest sizes, and the reported
-        per-alpha residual is the shift relative to the next-coarser pair.
+    psi_matrix : array (len(n_list), len(alphas)) of raw ``psi_n(alpha)``,
+        which grow like ``n``; extrapolation is first-order Richardson in
+        ``1/n`` using the two largest sizes, and the reported per-alpha
+        residual is the shift relative to the next-coarser pair.
     """
     n = np.asarray(n_list, dtype=float)
     a = np.asarray(alphas, dtype=float)
@@ -343,6 +343,5 @@ def rate_from_samples(n_list, alphas, psi_matrix, scaling=1.0):
         raise ValueError("sample sizes must be strictly increasing")
     if m.shape != (n.size, a.size):
         raise ValueError(f"psi matrix shape {m.shape} does not match grids")
-    c = n**scaling
-    c_fine, residuals = richardson(c, m / c[:, None])
+    c_fine, residuals = richardson(n, m / n[:, None])
     return ConvexRate.from_samples(a, c_fine, residuals=residuals)

@@ -7,17 +7,21 @@ log-domain fields alongside the plain traces: at block sizes in the thousands
 the classical engines below work entirely with exact log-space tail algebra,
 where the float error probabilities underflow long before the rates converge.
 
-Engines, most specific first:
+Engines, most specific first, each a module function that
+``_resolve_engine`` binds to the family's data:
 
-* commuting i.i.d. pairs — exact type-class sums over the compositions of
-  ``n``;
-* two-state Markov chains — exact run-length combinatorics, O(n^2) classes;
-* non-commuting qubit i.i.d. in pinched mode — per-sector spectral sums over
-  the Hamming blocks of the reference basis;
-* everything else — dense matrices up to the dimension cap.
+* commuting i.i.d. pairs — ``iid_type_class_error_pair``, exact type-class
+  sums over the compositions of ``n``;
+* two-state Markov chains — ``markov_error_pair``, exact run-length
+  combinatorics, O(n^2) classes;
+* non-commuting qubit i.i.d. in pinched mode — ``qubit_sector_error_pair``,
+  per-sector spectral sums over the Hamming blocks of the reference basis;
+* everything else — ``_dense_error_pair``, dense matrices up to the
+  dimension cap.
 
-The exact engines share one log-space reducer, ``_log_terms_to_pair``.  The
-dense engine diagonalises the (pinched) threshold operator once per
+The exact engines share one log-space reducer, ``_log_terms_to_pair``, whose
+every sum is ``operators.logsumexp`` (an empty class set sums to ``-inf``).
+The dense engine diagonalises the (pinched) threshold operator once per
 ``(n, c)`` and reads both traces and the positive-part floor off it.  It
 works one sector at a time: when both states of a pair are block-diagonal
 with the same ``sectors`` (the particle-number sectors of quasi-free Fock
@@ -34,10 +38,11 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import families as fam
 from .hoeffding import hoeffding_anti, polar_detail
@@ -46,6 +51,7 @@ from .operators import (
     HermitianOperator,
     Test,
     _pinch_matrix,
+    logsumexp,
     positive_part_trace,
 )
 
@@ -243,9 +249,6 @@ def _log_terms_to_pair(n, a, chunks, c):
     as one array would.
     """
 
-    def _lse(mask, arr):
-        return float(logsumexp(arr[mask])) if mask.any() else -math.inf
-
     def _chunk_sums(chunk):
         log_mult, lp, lq = chunk
         alive = lp > -math.inf
@@ -255,19 +258,16 @@ def _log_terms_to_pair(n, a, chunks, c):
         exc = alive & ~inc
         lsp = log_mult + lp
         d = ratio[inc] - c  # > 0 strictly
-        pos = lsp[inc] + np.log1p(-np.exp(-d))
         return (
-            _lse(inc, lsp),
-            _lse(exc, lsp),
-            _lse(inc, log_mult + lq),
-            float(logsumexp(pos)) if pos.size else -math.inf,
+            logsumexp(lsp[inc]),
+            logsumexp(lsp[exc]),
+            logsumexp((log_mult + lq)[inc]),
+            logsumexp(lsp[inc] + np.log1p(-np.exp(-d))),
         )
 
     # map() lets go of each chunk before the next one is built
     sums = np.array(list(map(_chunk_sums, chunks)))
-    log_success, log_alpha, log_beta, log_pos = (
-        float(logsumexp(col)) for col in sums.T
-    )
+    log_success, log_alpha, log_beta, log_pos = map(logsumexp, sums.T)
     total = np.logaddexp(log_success, log_alpha)
     if abs(total) > 1e-9:
         raise AssertionError(f"class masses sum to e^{total}, not 1")
@@ -474,57 +474,51 @@ def _commuting_iid_probs(payload):
     return p, sigma.eigenvalues.copy()
 
 
+def _dense_error_pair(spec, mode, dim_cap, n, c, a):
+    """Error pair of the (pinched) threshold test from dense matrices.
+
+    One eigh of the threshold operator per ``(n, c)`` and sector: both traces
+    are sums of ``<v|X|v>`` over the test's range ``V``, and the floor is its
+    positive part.  A pair whose states share their diagonal blocks (Fock
+    densities, by particle number) splits into independent sector slices.
+    """
+    pair = fam.family_states(spec, n, dim_cap=dim_cap)
+    rho = _pinch_matrix(pair.rho, pair.sigma) if mode == "pinched" else pair.rho.entries
+    sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
+    success = beta = lp = 0.0
+    for lo, hi in itertools.pairwise(itertools.accumulate(sectors, initial=0)):
+        blk = slice(lo, hi)
+        diff, v = _threshold_split(rho[blk, blk], pair.sigma.entries[blk, blk], c)
+        success += float(np.vdot(v, pair.rho.entries[blk, blk] @ v).real)
+        beta += float(np.vdot(v, pair.sigma.entries[blk, blk] @ v).real)
+        lp += positive_part_trace(diff)
+    return ErrorPair(
+        n=n,
+        a=a,
+        alpha_err=1.0 - success,
+        beta_err=beta,
+        success=success,
+        log_pos_part=math.log(lp) if lp > 0 else -math.inf,
+    )
+
+
 def _resolve_engine(spec, mode, dim_cap):
-    """Pick the cheapest exact engine; fall back to dense matrices."""
+    """Pick the cheapest exact engine; fall back to dense matrices.
+
+    Returns ``(engine, provenance)``: ``engine(n, c, a)`` is one of the four
+    engine functions with the family's data bound.
+    """
     if spec.kind == "iid":
         tables = _commuting_iid_probs(spec.payload)
         if tables is not None:
-            p, q = tables
-
-            def classical(n, c, a):
-                return iid_type_class_error_pair(p, q, n, c, a=a)
-
-            label = "exact-binomial" if p.size == 2 else "exact-type-classes"
-            return classical, label
+            label = "exact-binomial" if tables[0].size == 2 else "exact-type-classes"
+            return partial(iid_type_class_error_pair, *tables), label
         if mode == "pinched" and _splits_into_sectors(spec.payload.sigma1):
-            r1, s1 = spec.payload.rho1, spec.payload.sigma1
-
-            def sector(n, c, a):
-                return qubit_sector_error_pair(r1, s1, n, c, a=a)
-
-            return sector, "pinched-sectors"
+            return (partial(qubit_sector_error_pair, spec.payload.rho1, spec.payload.sigma1),
+                    "pinched-sectors")
     if spec.kind == "markov" and spec.payload.d == 2:
-
-        def markov(n, c, a):
-            return markov_error_pair(spec.payload, n, c, a=a)
-
-        return markov, "exact-run-classes"
-
-    def dense(n, c, a):
-        # one eigh of the threshold operator per (n, c) and sector: both traces
-        # are sums of <v|X|v> over the test's range V, and the floor is its
-        # positive part; a pair whose states share their diagonal blocks (Fock
-        # densities, by particle number) splits into independent sector slices
-        pair = fam.family_states(spec, n, dim_cap=dim_cap)
-        rho = _pinch_matrix(pair.rho, pair.sigma) if mode == "pinched" else pair.rho.entries
-        sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
-        success = beta = lp = 0.0
-        for lo, hi in itertools.pairwise(itertools.accumulate(sectors, initial=0)):
-            blk = slice(lo, hi)
-            diff, v = _threshold_split(rho[blk, blk], pair.sigma.entries[blk, blk], c)
-            success += float(np.vdot(v, pair.rho.entries[blk, blk] @ v).real)
-            beta += float(np.vdot(v, pair.sigma.entries[blk, blk] @ v).real)
-            lp += positive_part_trace(diff)
-        return ErrorPair(
-            n=n,
-            a=a,
-            alpha_err=1.0 - success,
-            beta_err=beta,
-            success=success,
-            log_pos_part=math.log(lp) if lp > 0 else -math.inf,
-        )
-
-    return dense, "dense"
+        return partial(markov_error_pair, spec.payload), "exact-run-classes"
+    return partial(_dense_error_pair, spec, mode, dim_cap), "dense"
 
 
 # -- fitting and reports ---------------------------------------------------

@@ -25,10 +25,11 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .hoeffding import richardson
 from .hyptest import _pinched_sectors
+from .operators import logsumexp
 
 CAUCHY_TOL = 1e-3  # normalized log-MGF gap between the largest sizes that counts as converged
 TILT_WINDOW_FRACTION = 0.05
@@ -90,7 +91,7 @@ def log_mgf(seq, n, t):
     if y.size == 0:
         raise ValueError("empty support")
     if np.ndim(t) == 0:
-        return float(logsumexp(lw + t * y))
+        return logsumexp(lw + t * y)
     return np.array([logsumexp(lw + ti * y) for ti in t])
 
 
@@ -203,18 +204,14 @@ def exact_tail_rate(seq, n, x, side="ge"):
         raise ValueError(f"unknown side {side!r}")
     y, lw = _support(seq, n)
     mask = y >= x if side == "ge" else y <= x
-    if not mask.any():
-        return -math.inf
-    return float(logsumexp(lw[mask])) / float(seq.c(n))
+    return logsumexp(lw[mask]) / float(seq.c(n))
 
 
 def windowed_rate(seq, n, x0, x1):
     """``(1/c_n) log mu_n((x0, x1))`` over the open window."""
     y, lw = _support(seq, n)
     mask = (y > x0) & (y < x1)
-    if not mask.any():
-        return -math.inf
-    return float(logsumexp(lw[mask])) / float(seq.c(n))
+    return logsumexp(lw[mask]) / float(seq.c(n))
 
 
 @dataclass
@@ -277,7 +274,7 @@ def gartner_ellis_lower_check(seq, x, window, t_range, grid_points=201,
     log_tilt = lw + cn * t_y * y
     log_tilt -= logsumexp(log_tilt)
     sel = (y > x) & (y < x + delta)
-    mass = float(np.exp(logsumexp(log_tilt[sel]))) if sel.any() else 0.0
+    mass = math.exp(logsumexp(log_tilt[sel]))
     notes = []
     if mass < 0.99:
         notes.append(

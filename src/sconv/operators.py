@@ -10,10 +10,12 @@ the spectrum only, and ``A^0`` is the support projection.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.special import logsumexp as _scipy_logsumexp
 
 HERMITICITY_TOL = 1e-12  # relative asymmetry that rounding leaves; more means bad input
 SUPPORT_TOL = 1e-12  # eigenvalues under this fraction of the largest are noise: off-support
@@ -26,6 +28,7 @@ __all__ = [
     "StatePair",
     "Test",
     "spectral",
+    "logsumexp",
     "power_on_support",
     "log_on_support",
     "positive_part_trace",
@@ -36,6 +39,7 @@ __all__ = [
     "tensor_power",
     "tensor_product",
     "supports_nested",
+    "finite_json_numbers",
     "operator_to_json",
     "operator_from_json",
     "rand_hermitian",
@@ -195,6 +199,12 @@ def _hermitian_parts(blocks, hermiticity_tol):
 def spectral(op):
     """Return ``(eigenvalues, eigenvectors)`` copies of the cached decomposition."""
     return op.eigenvalues.copy(), op.eigenvectors.copy()
+
+
+def logsumexp(a):
+    """``log sum exp(a)`` over every entry of ``a`` as a float; an empty sum is
+    ``-inf``.  Every log-domain sum of the package goes through here."""
+    return float(_scipy_logsumexp(a)) if np.size(a) else -math.inf
 
 
 def _require_psd(op):
@@ -443,6 +453,14 @@ class Test:
 
 
 # -- serialization ---------------------------------------------------------
+
+
+def finite_json_numbers(vals):
+    """Whether every entry is a finite JSON number: no bool, no string, no NaN."""
+    try:
+        return all(type(v) in (int, float) and math.isfinite(v) for v in vals)
+    except OverflowError:  # an integer beyond the double range
+        return False
 
 
 def operator_to_json(op):

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .hoeffding import ConvexRate
-from .operators import HermitianOperator
+from .operators import DEFAULT_DIM_CAP, HermitianOperator, finite_json_numbers
 
 FOURIER_GRID_1D = 2**14
 FOURIER_GRID_2D = 2**11  # 2^14 per axis is beyond desk scale in two dimensions
@@ -108,7 +108,7 @@ def _sample_symbol(sym, nu, grid):
     return np.broadcast_to(vals, (grid, grid))
 
 
-def quasifree_block_symbol(payload, n, dim_cap=4096):
+def quasifree_block_symbol(payload, n):
     """Toeplitz compressions ``(Q_n, R_n)`` of the two symbols.
 
     Entries are Fourier coefficients evaluated by dense FFT sums; the result
@@ -118,7 +118,7 @@ def quasifree_block_symbol(payload, n, dim_cap=4096):
     """
     if n < 1:
         raise ValueError("block size must be positive")
-    if n**payload.nu > dim_cap:
+    if n**payload.nu > DEFAULT_DIM_CAP:
         raise ValueError(f"single-particle dimension {n}^{payload.nu} exceeds cap")
     out = []
     for sym in (payload.q_symbol, payload.r_symbol):
@@ -367,12 +367,13 @@ def _symbol_to_json(sym):
     }
 
 
-def _symbol_from_json(d):
-    return TrigPolySymbol(
-        constant=float(d["constant"]),
-        cos_coeffs=tuple(d.get("cos_coeffs", ())),
-        sin_coeffs=tuple(d.get("sin_coeffs", ())),
-    )
+def _symbol_from_json(d, name):
+    cos, sin = d.get("cos_coeffs", []), d.get("sin_coeffs", [])
+    for key, vals in (("constant", [d["constant"]]), ("cos_coeffs", cos), ("sin_coeffs", sin)):
+        if not (isinstance(vals, list) and finite_json_numbers(vals)):
+            what = "a finite JSON number" if key == "constant" else "a list of finite JSON numbers"
+            raise ValueError(f"quasi-free {name}.{key} must be {what}, got {d[key]!r}")
+    return TrigPolySymbol(float(d["constant"]), tuple(cos), tuple(sin))
 
 
 def payload_to_json(payload):
@@ -385,9 +386,11 @@ def payload_to_json(payload):
 
 
 def payload_from_json(d):
-    return QuasiFreePayload(
-        nu=int(d["nu"]),
-        q_symbol=_symbol_from_json(d["q_symbol"]),
-        r_symbol=_symbol_from_json(d["r_symbol"]),
-        c_bound=float(d["c_bound"]),
-    )
+    """Payload from its JSON object; every number must be a finite JSON number."""
+    if type(d["nu"]) is not int or d["nu"] != 1:  # not isinstance: true is an int too
+        raise ValueError(f"quasi-free nu must be the JSON integer 1, got {d['nu']!r}: "
+                         "JSON symbols are one-dimensional trig polynomials")
+    if not finite_json_numbers([d["c_bound"]]):
+        raise ValueError(f"quasi-free c_bound must be a finite JSON number, got {d['c_bound']!r}")
+    return QuasiFreePayload(1, _symbol_from_json(d["q_symbol"], "q_symbol"),
+                            _symbol_from_json(d["r_symbol"], "r_symbol"), float(d["c_bound"]))

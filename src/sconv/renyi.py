@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .operators import (
     HermitianOperator,
     log_on_support,
+    logsumexp,
     power_on_support,
     supports_nested,
 )
@@ -50,15 +50,13 @@ def _check_variant(variant):
 
 
 def _overlap(rho, sigma):
-    """``(logp, logq, ov)`` over the two supports, ``None`` if either is empty.
+    """``(logp, logq, ov)`` over the two supports (empty arrays on an empty one).
 
     ``logp``/``logq`` are the log-eigenvalues of ``rho``/``sigma`` on their
     supports and ``ov[i, j]`` is the squared overlap of their eigenvectors.
     """
     ir = rho.support_indices()
     js = sigma.support_indices()
-    if ir.size == 0 or js.size == 0:
-        return None
     logp = np.log(rho.eigenvalues[ir])
     logq = np.log(sigma.eigenvalues[js])
     ov = np.abs(rho.eigenvectors[:, ir].conj().T @ sigma.eigenvectors[:, js]) ** 2
@@ -87,16 +85,10 @@ def psi(rho, sigma, t, variant="plain"):
     """Cumulant-type functional ``log Q_t``; ``-inf`` when ``Q_t`` vanishes."""
     _check_variant(variant)
     if variant == "plain":
-        overlap = _overlap(rho, sigma)
-        if overlap is None:
-            return -math.inf
-        return float(logsumexp(_log_terms(overlap, t).ravel()))
+        return logsumexp(_log_terms(_overlap(rho, sigma), t))
     m = _sandwiched_base(rho, sigma, t)
     cut = m.support_cutoff()
-    lam = m.eigenvalues[m.eigenvalues > cut]
-    if lam.size == 0:
-        return -math.inf
-    return float(logsumexp(t * np.log(lam)))
+    return logsumexp(t * np.log(m.eigenvalues[m.eigenvalues > cut]))
 
 
 def q_value(rho, sigma, t, variant="plain"):
@@ -168,8 +160,6 @@ def psi_derivative(rho, sigma, t, variant="plain"):
     _check_variant(variant)
     if variant == "plain":
         overlap = _overlap(rho, sigma)
-        if overlap is None:
-            raise ValueError("derivative undefined: rho * sigma vanishes")
         logp, logq, _ = overlap
         terms = _log_terms(overlap, t)
         total = logsumexp(terms)
@@ -180,11 +170,10 @@ def psi_derivative(rho, sigma, t, variant="plain"):
 
     m = _sandwiched_base(rho, sigma, t)
     cut = m.support_cutoff()
-    on = m.eigenvalues > cut
-    lam = m.eigenvalues[on]
-    if lam.size == 0:
-        raise ValueError("derivative undefined: sandwiched base vanishes")
+    lam = m.eigenvalues[m.eigenvalues > cut]
     log_q = logsumexp(t * np.log(lam))
+    if log_q == -math.inf:
+        raise ValueError("derivative undefined: sandwiched base vanishes")
     term1 = float((np.exp(t * np.log(lam) - log_q) * np.log(lam)).sum())
     a = power_on_support(sigma, (1.0 - t) / t)
     ls = log_on_support(sigma)
@@ -229,9 +218,7 @@ def classical_psi(p, q, t):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     on = (p > 0) & (q > 0)
-    if not on.any():
-        return -math.inf
-    return float(logsumexp(t * np.log(p[on]) + (1.0 - t) * np.log(q[on])))
+    return logsumexp(t * np.log(p[on]) + (1.0 - t) * np.log(q[on]))
 
 
 def classical_renyi_divergence(p, q, alpha):

@@ -49,6 +49,20 @@ def markov_family():
     }
 
 
+def quasifree_family():
+    """The quasi-free symbol pair of the benchmark's draw 0."""
+    return {
+        "kind": "quasifree",
+        "scaling_exponent": 1,
+        "payload": {
+            "nu": 1,
+            "q_symbol": {"constant": 0.5, "cos_coeffs": [0.2], "sin_coeffs": []},
+            "r_symbol": {"constant": 0.45, "cos_coeffs": [-0.1], "sin_coeffs": [0.05]},
+            "c_bound": 0.2,
+        },
+    }
+
+
 def write_scenario(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -136,6 +150,33 @@ class TestLoadScenario:
         section, key = field.split(".")
         obj[section][key] = value
         expect_error(tmp_path, obj, f"$.{field}")
+
+    @pytest.mark.parametrize("nu", [1.9, True, "1", 2], ids=["float", "bool", "string", "two"])
+    def test_quasifree_nu_must_be_one(self, tmp_path, nu):
+        family = quasifree_family()
+        family["payload"]["nu"] = nu
+        err = expect_error(tmp_path, {"task": "hoeffding", "family": family}, "$.family")
+        assert "nu" in err.message and "one-dimensional trig polynomials" in err.message
+
+    @pytest.mark.parametrize("path, value", [
+        (("c_bound",), "0.2"),
+        (("c_bound",), True),
+        (("q_symbol", "constant"), "0.45"),
+        (("r_symbol", "constant"), False),
+        (("q_symbol", "cos_coeffs"), ["0.2"]),
+        (("r_symbol", "sin_coeffs"), [True]),
+        (("r_symbol", "cos_coeffs"), -0.1),
+    ], ids=["c_bound-string", "c_bound-bool", "constant-string", "constant-bool",
+            "cos-string", "sin-bool", "cos-not-a-list"])
+    def test_quasifree_numbers_must_be_json_numbers(self, tmp_path, path, value):
+        family = quasifree_family()
+        *parents, key = path
+        target = family["payload"]
+        for p in parents:
+            target = target[p]
+        target[key] = value
+        err = expect_error(tmp_path, {"task": "hoeffding", "family": family}, "$.family")
+        assert ".".join(path) in err.message and "finite JSON number" in err.message
 
     def test_bad_mode(self, tmp_path):
         obj = {

@@ -17,6 +17,7 @@ from sconv.hyptest import (
     RUN_CLASS_CHUNK,
     SECTOR_CACHE_ENTRIES,
     ErrorPair,
+    _dense_error_pair,
     _hamming_block,
     _markov_run_classes,
     _pinched_sectors,
@@ -415,6 +416,15 @@ class TestDenseSectors:
             assert got.beta_err == pytest.approx(want.beta_err, abs=1e-12)
             assert math.exp(got.log_pos_part) == pytest.approx(
                 math.exp(want.log_pos_part), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["np", "pinched"])
+    def test_resolved_engine_is_the_dense_function(self, mode):
+        spec = quasifree_spec()
+        engine, provenance = _resolve_engine(spec, mode, DEFAULT_DIM_CAP)
+        assert provenance == "dense"
+        for n, a in ((5, 0.05), (6, 0.2)):
+            assert engine(n, a * n, a) == _dense_error_pair(spec, mode, DEFAULT_DIM_CAP,
+                                                            n, a * n, a)
 
     def test_sc_report_eigh_fits_largest_sector(self, eigh_shapes):
         report = sc_report(quasifree_spec(), 0.2, [5, 6, 7, 8])

@@ -1,7 +1,10 @@
 """Unit tests for the dense Hermitian primitives."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 from scipy.linalg import block_diag
 
 from sconv.operators import (
@@ -10,6 +13,7 @@ from sconv.operators import (
     distinct_eigenvalue_count,
     eigenvalue_clusters,
     log_on_support,
+    logsumexp,
     operator_from_json,
     operator_to_json,
     pinch,
@@ -211,6 +215,31 @@ class TestClustersAndTensors:
         op = rand_hermitian(7, rng)
         clusters = eigenvalue_clusters(op)
         assert sum(len(c) for c in clusters) == 7
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("a", [np.array([]), np.zeros((0, 3)),
+                                   np.full(4, -np.inf), np.full((2, 3), -np.inf)],
+                             ids=["empty", "empty-2d", "all-minus-inf", "all-minus-inf-2d"])
+    def test_vanishing_sum_is_float_minus_inf(self, a):
+        out = logsumexp(a)
+        assert type(out) is float and out == -math.inf
+
+    @pytest.mark.parametrize("shape", [(7,), (40,), (3, 5), (16, 9)])
+    def test_matches_scipy(self, shape):
+        rng = np.random.default_rng(20140713)
+        for _ in range(50):
+            a = rng.normal(0.0, 30.0, shape)
+            flat = a.reshape(-1)
+            flat[rng.integers(flat.size)] = flat.max()  # a tie at the maximum
+            flat[rng.random(flat.size) < 0.2] = -np.inf
+            out = logsumexp(a)
+            assert type(out) is float
+            assert out == float(scipy.special.logsumexp(a))
+        for special in (np.inf, -np.inf):
+            a = rng.normal(0.0, 1.0, shape)
+            a.reshape(-1)[0] = special
+            assert logsumexp(a) == float(scipy.special.logsumexp(a))
 
 
 class TestOrderAndSupports:

@@ -131,6 +131,16 @@ class TestSupportHandling:
         assert math.isinf(renyi_divergence(rho, sigma, 0.5))
         assert psi(rho, sigma, 0.5) == -math.inf
 
+    def test_empty_support_sums_to_minus_inf(self):
+        zero = HermitianOperator(np.zeros((2, 2)))
+        sigma = HermitianOperator(np.diag([0.3, 0.7]))
+        for variant in ("plain", "sandwiched"):
+            assert psi(zero, sigma, 2.0, variant) == -math.inf
+            with pytest.raises(ValueError, match="vanishes"):
+                psi_derivative(zero, sigma, 0.5, variant)
+        assert psi(sigma, zero, 0.5) == -math.inf
+        assert classical_psi([0.0, 1.0], [1.0, 0.0], 0.5) == -math.inf
+
     def test_rank_deficient_rho_is_finite(self, rng):
         rho = rand_density(3, rng, rank=1)
         sigma = rand_density(3, rng)
