@@ -91,8 +91,6 @@ class ConvexRate:
     slope_at_infinity: float = math.inf
     t_hi: float = DEFAULT_T_HI
     slope_is_exact: bool = True
-    grid: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
     residuals: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __call__(self, t):
@@ -171,8 +169,6 @@ class ConvexRate:
             slope_at_infinity=float(chord_last),
             t_hi=float(a[-1]),
             slope_is_exact=False,
-            grid=a,
-            values=v,
             residuals=None if residuals is None else np.asarray(residuals, float),
         )
 

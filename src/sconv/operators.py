@@ -68,9 +68,12 @@ class HermitianOperator:
     eigenvectors : ndarray
         Orthonormal eigenvectors as columns, aligned with ``eigenvalues``.
     eig_labels : tuple or None
-        Optional hashable label per eigenvalue.  Tensor powers attach the
-        multiset of base-spectrum indices so that exact degeneracies are
+        Hashable label per eigenvalue, set only by :func:`tensor_power`: the
+        multiset of base-spectrum clusters, so that exact degeneracies are
         recognized symbolically instead of by floating-point coincidence.
+        Every spectral map (:meth:`map_eigenvalues`, :func:`power_on_support`,
+        :func:`log_on_support`, :meth:`support_projection`) drops them, since
+        a map can merge levels that the labels keep apart.
     sectors : tuple of int
         Sizes of the diagonal blocks that ``entries`` and the eigenvectors
         are confined to, in order; ``(dim,)`` unless built by
@@ -82,12 +85,17 @@ class HermitianOperator:
     def __init__(self, entries, hermiticity_tol=HERMITICITY_TOL):
         (a,) = _hermitian_parts([entries], hermiticity_tol)
         w, v = np.linalg.eigh(a)
-        self.entries = a
-        self.dim = a.shape[0]
-        self.eigenvalues = w
-        self.eigenvectors = v
-        self.eig_labels = None
-        self.sectors = (self.dim,)
+        self._fill(a, w, v, None, (a.shape[0],))
+
+    def _fill(self, entries, eigenvalues, eigenvectors, eig_labels, sectors):
+        """Set every slot (the one place they are assigned) and return self."""
+        self.entries = entries
+        self.dim = entries.shape[0]
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = eigenvectors
+        self.eig_labels = eig_labels
+        self.sectors = sectors
+        return self
 
     @classmethod
     def block_diagonal(cls, blocks, hermiticity_tol=HERMITICITY_TOL):
@@ -103,14 +111,10 @@ class HermitianOperator:
         w, v = zip(*map(np.linalg.eigh, blocks))
         w = np.concatenate(w)
         order = np.argsort(w, kind="stable")
-        obj = cls.__new__(cls)
-        obj.entries = block_diag(*blocks)
-        obj.dim = w.size
-        obj.eigenvalues = w[order]
-        obj.eigenvectors = block_diag(*v)[:, order]
-        obj.eig_labels = None
-        obj.sectors = tuple(b.shape[0] for b in blocks)
-        return obj
+        return cls.__new__(cls)._fill(
+            block_diag(*blocks), w[order], block_diag(*v)[:, order], None,
+            tuple(b.shape[0] for b in blocks),
+        )
 
     @classmethod
     def from_spectral(cls, eigenvalues, eigenvectors, eig_labels=None):
@@ -126,14 +130,7 @@ class HermitianOperator:
             eig_labels = tuple(eig_labels[i] for i in order)
         a = (v * w) @ v.conj().T
         a = 0.5 * (a + a.conj().T)
-        obj = cls.__new__(cls)
-        obj.entries = a
-        obj.dim = a.shape[0]
-        obj.eigenvalues = w
-        obj.eigenvectors = v
-        obj.eig_labels = eig_labels
-        obj.sectors = (obj.dim,)
-        return obj
+        return cls.__new__(cls)._fill(a, w, v, eig_labels, (a.shape[0],))
 
     # -- cheap scalar summaries -------------------------------------------
 
@@ -162,10 +159,8 @@ class HermitianOperator:
         return np.nonzero(self.eigenvalues > self.support_cutoff())[0]
 
     def support_projection(self):
-        idx = self.support_indices()
-        v = self.eigenvectors[:, idx]
-        p = v @ v.conj().T
-        return HermitianOperator(0.5 * (p + p.conj().T))
+        """Projection onto the support, from the cached eigenbasis."""
+        return _on_support(self, np.ones_like)
 
     def rank(self):
         return int(self.support_indices().size)
@@ -173,7 +168,7 @@ class HermitianOperator:
     def map_eigenvalues(self, fn):
         """New operator with the same eigenvectors and mapped eigenvalues."""
         w = np.array([fn(x) for x in self.eigenvalues], dtype=float)
-        return HermitianOperator.from_spectral(w, self.eigenvectors, self.eig_labels)
+        return HermitianOperator.from_spectral(w, self.eigenvectors)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, trace={self.trace:.6g})"
@@ -216,6 +211,16 @@ def _require_psd(op):
         )
 
 
+def _on_support(op, fn):
+    """``fn`` of the eigenvalues above the support cutoff, 0 on the rest, in
+    ``op``'s eigenbasis; the result carries no eigen-labels."""
+    w = op.eigenvalues
+    out = np.zeros_like(w)
+    on = w > op.support_cutoff()
+    out[on] = fn(w[on])
+    return HermitianOperator.from_spectral(out, op.eigenvectors)
+
+
 def power_on_support(op, t):
     """``op**t`` on the support; eigenvalues at or below the cutoff map to 0.
 
@@ -224,23 +229,13 @@ def power_on_support(op, t):
     tolerance; tiny negative eigenvalues are clipped.
     """
     _require_psd(op)
-    cut = op.support_cutoff()
-    w = op.eigenvalues
-    out = np.zeros_like(w)
-    on = w > cut
-    out[on] = w[on] ** t if t != 0 else 1.0
-    return HermitianOperator.from_spectral(out, op.eigenvectors, op.eig_labels)
+    return _on_support(op, np.ones_like if t == 0 else lambda w: w ** t)
 
 
 def log_on_support(op):
     """Eigenvalue-wise natural log on the support, zero elsewhere."""
     _require_psd(op)
-    cut = op.support_cutoff()
-    w = op.eigenvalues
-    out = np.zeros_like(w)
-    on = w > cut
-    out[on] = np.log(w[on])
-    return HermitianOperator.from_spectral(out, op.eigenvectors, op.eig_labels)
+    return _on_support(op, np.log)
 
 
 def positive_part_trace(op):
@@ -323,21 +318,14 @@ def tensor_power(op, n, dim_cap=DEFAULT_DIM_CAP):
         raise ValueError("tensor power requires n >= 1")
     if op.dim ** n > dim_cap:
         raise ValueError(f"dim {op.dim}^{n} exceeds cap {dim_cap}")
-    base_clusters = eigenvalue_clusters(op)
     cluster_of = np.empty(op.dim, dtype=int)
-    for ci, ix in enumerate(base_clusters):
+    for ci, ix in enumerate(eigenvalue_clusters(op)):
         cluster_of[ix] = ci
-    w = op.eigenvalues.copy()
-    v = op.eigenvectors.copy()
-    wn, vn = w, v
-    for _ in range(n - 1):
-        wn = np.kron(wn, w)
-        vn = np.kron(vn, v)
     labels = [
         tuple(sorted(cluster_of[i] for i in digits))
         for digits in itertools.product(range(op.dim), repeat=n)
     ]
-    return HermitianOperator.from_spectral(wn, vn, labels)
+    return HermitianOperator.from_spectral(*_kron_spectra([op] * n), labels)
 
 
 def tensor_product(*ops, dim_cap=DEFAULT_DIM_CAP):
@@ -348,11 +336,16 @@ def tensor_product(*ops, dim_cap=DEFAULT_DIM_CAP):
         total *= op.dim
     if total > dim_cap:
         raise ValueError(f"product dimension {total} exceeds cap {dim_cap}")
+    return HermitianOperator.from_spectral(*_kron_spectra(ops))
+
+
+def _kron_spectra(ops):
+    """Kronecker products of the factors' eigenvalues and eigenvectors."""
     w, v = np.ones(1), np.ones((1, 1), dtype=complex)
     for op in ops:
         w = np.kron(w, op.eigenvalues)
         v = np.kron(v, op.eigenvectors)
-    return HermitianOperator.from_spectral(w, v)
+    return w, v
 
 
 def supports_nested(rho, sigma):
@@ -381,8 +374,8 @@ class StatePair:
     ``rho`` and ``sigma`` must be PSD with unit trace (tolerance 1e-10) and
     satisfy the support condition ``supp rho \\subseteq supp sigma`` with
     per-eigenvector leakage at most 1e-8.  ``support_margin`` is the smallest
-    retained relative eigenvalue of sigma; downstream reports flag pairs whose
-    margin falls below 1e-6 as numerically delicate.
+    retained relative eigenvalue of sigma, and ``support_marginal`` says
+    whether it falls below 1e-6.
     """
 
     rho: HermitianOperator

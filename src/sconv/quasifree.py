@@ -192,18 +192,15 @@ def singleparticle_psi(qn, rn, alpha, variant="sandwiched"):
     term_r = (1.0 - alpha) * float(np.log1p(-lam_r).sum())
     qhat = lam_q / (1.0 - lam_q)
     rhat = lam_r / (1.0 - lam_r)
+    sandwiched = variant == "sandwiched"
+    eq, er = (0.5, (1.0 - alpha) / alpha) if sandwiched else (alpha / 2.0, 1.0 - alpha)
     vq, vr = qn.eigenvectors, rn.eigenvectors
-    if variant == "sandwiched":
-        x = (vq * np.sqrt(qhat)) @ vq.conj().T
-        y = (vr * rhat ** ((1.0 - alpha) / alpha)) @ vr.conj().T
-        w = x @ y @ x
-        mu = np.clip(np.linalg.eigvalsh(0.5 * (w + w.conj().T)), 0.0, None)
-        return term_q + term_r + float(_log1p_pow(mu, alpha).sum())
-    z = (vq * qhat ** (alpha / 2.0)) @ vq.conj().T
-    y = (vr * rhat ** (1.0 - alpha)) @ vr.conj().T
-    w = z @ y @ z
+    x = (vq * qhat ** eq) @ vq.conj().T
+    y = (vr * rhat ** er) @ vr.conj().T
+    w = x @ y @ x
     mu = np.clip(np.linalg.eigvalsh(0.5 * (w + w.conj().T)), 0.0, None)
-    return term_q + term_r + float(np.log1p(mu).sum())
+    tail = _log1p_pow(mu, alpha) if sandwiched else np.log1p(mu)
+    return term_q + term_r + float(tail.sum())
 
 
 def quasifree_psi_singleparticle(payload, n, alpha, variant="sandwiched"):

@@ -72,13 +72,14 @@ def _log_terms(overlap, t):
 
 
 def _sandwiched_base(rho, sigma, t):
-    """The operator M = rho^(1/2) sigma^((1-t)/t) rho^(1/2)."""
+    """``(M, A, S)`` with ``M = S A S``, ``A = sigma^((1-t)/t)`` and
+    ``S = rho^(1/2)``."""
     if t <= 0:
         raise ValueError(f"sandwiched quantities need t > 0, got {t!r}")
     a = power_on_support(sigma, (1.0 - t) / t)
     sq = power_on_support(rho, 0.5)
     m = sq.entries @ a.entries @ sq.entries
-    return HermitianOperator(0.5 * (m + m.conj().T))
+    return HermitianOperator(0.5 * (m + m.conj().T)), a, sq
 
 
 def psi(rho, sigma, t, variant="plain"):
@@ -86,7 +87,7 @@ def psi(rho, sigma, t, variant="plain"):
     _check_variant(variant)
     if variant == "plain":
         return logsumexp(_log_terms(_overlap(rho, sigma), t))
-    m = _sandwiched_base(rho, sigma, t)
+    m, _, _ = _sandwiched_base(rho, sigma, t)
     cut = m.support_cutoff()
     return logsumexp(t * np.log(m.eigenvalues[m.eigenvalues > cut]))
 
@@ -168,16 +169,14 @@ def psi_derivative(rho, sigma, t, variant="plain"):
         weights = np.exp(terms - total)
         return float((weights * (logp[:, None] - logq[None, :])).sum())
 
-    m = _sandwiched_base(rho, sigma, t)
+    m, a, sq = _sandwiched_base(rho, sigma, t)
     cut = m.support_cutoff()
     lam = m.eigenvalues[m.eigenvalues > cut]
     log_q = logsumexp(t * np.log(lam))
     if log_q == -math.inf:
         raise ValueError("derivative undefined: sandwiched base vanishes")
     term1 = float((np.exp(t * np.log(lam) - log_q) * np.log(lam)).sum())
-    a = power_on_support(sigma, (1.0 - t) / t)
     ls = log_on_support(sigma)
-    sq = power_on_support(rho, 0.5)
     b = sq.entries @ (a.entries @ ls.entries) @ sq.entries
     mpow = power_on_support(m, t - 1.0)
     term2 = float(np.trace(mpow.entries @ b).real) / t

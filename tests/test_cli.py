@@ -522,6 +522,42 @@ class TestMain:
         margins = [float(r[5]) for r in rows]
         assert margins[-1] > margins[0]
 
+    def test_runner_value_error_exits_two(self, tmp_path, capsys):
+        # x = 1 sits on the default upper window edge, so the tilt window is empty
+        scenario = write_scenario(
+            tmp_path, {"task": "ldp", "params": {"x_grid": [1.0]}}
+        )
+        rc = main(["ldp", "--scenario", scenario, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "x must lie at the left edge of the open window",
+                       "field": "$.params"}
+
+    def test_report_invariant_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sconv.cli._report_invariant_failures",
+                            lambda report: ["n=6: forced failure"])
+        scenario = write_scenario(
+            tmp_path,
+            {
+                "task": "sc-report",
+                "family": binary_family(),
+                "params": {"n_list": [16, 32, 64], "r_grid": [0.2]},
+            },
+        )
+        rc = main(["sc-report", "--scenario", scenario, "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "n=6: forced failure", "field": "$.run"}
+        assert (tmp_path / "sc_report.csv").exists()
+
+    def test_verify_summary_bytes_match_benchmark_reference(self, tmp_path, monkeypatch):
+        # the summary prints the residuals of the spectral identity checks, so
+        # equal bytes mean the spectral layer moved no bit on seed 42
+        monkeypatch.setenv("SCONV_SEED", "42")
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        ref = SHORT_JOBS_CASE / "ref" / "verify_summary.json"
+        assert (tmp_path / "verify_summary.json").read_bytes() == ref.read_bytes()
+
     @pytest.mark.parametrize("task, case, extra", [
         ("ldp", SHORT_JOBS_CASE, []),
         ("np-sweep", SHORT_JOBS_CASE, []),

@@ -195,6 +195,20 @@ class TestClustersAndTensors:
             sn = tensor_power(sigma, n)
             assert distinct_eigenvalue_count(sn) == n + 1
 
+    def test_spectral_maps_drop_tensor_labels(self):
+        # a map can merge levels the labels keep apart: the support projection
+        # of a qubit cube is the identity, one level, and pinching by it is a no-op
+        rng = np.random.default_rng(1)
+        s, x = rand_density(2, rng), rand_density(8, rng)
+        cube = tensor_power(s, 3)
+        assert distinct_eigenvalue_count(cube) == 4
+        proj = power_on_support(cube, 0.0)
+        assert distinct_eigenvalue_count(proj) == 1
+        assert np.abs(pinch(x, proj).entries - x.entries).max() < 1e-12
+        assert distinct_eigenvalue_count(cube.map_eigenvalues(lambda v: 1.0)) == 1
+        for op in (proj, log_on_support(cube), cube.support_projection()):
+            assert op.eig_labels is None
+
     def test_tensor_power_matches_kron(self, rng):
         op = rand_density(2, rng)
         p3 = tensor_power(op, 3)
