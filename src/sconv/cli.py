@@ -277,6 +277,7 @@ def _run_family(scenario, out_dir, dim_cap, threads):
     variant = params.get("variant", "sandwiched")
     ns = _check_n_list(params.get("n_list", [2, 3, 4]), "$.params.n_list")
     alphas = _check_grid(params.get("alpha_grid", [1.5, 2.0]), "$.params.alpha_grid")
+    fam.check_block_dim(spec, max(ns), dim_cap)  # before any block or rate is built
     rate = fam.asymptotic_rate(spec, variant=variant, dim_cap=dim_cap)
     rows = []
     for n in ns:

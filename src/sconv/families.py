@@ -1,9 +1,9 @@
 """Constructors for correlated state sequences.
 
-Four kinds of families are supported, each described declaratively by a
-:class:`StateFamilySpec` holding a kind tag, a payload, and the per-``n``
-scaling exponent (1 for chains, the lattice dimension for quasi-free
-families):
+Four kinds of families are supported, each a :class:`StateFamilySpec` of a
+kind tag and a payload whose class knows the kind's states, block dimension,
+rate curve, JSON form and per-``n`` scaling exponent (1 for chains, the
+lattice dimension for quasi-free families):
 
 * ``iid`` — tensor powers of a single-site pair;
 * ``markov`` — classical chains, materialized as diagonal path-probability
@@ -16,7 +16,6 @@ families):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +48,7 @@ __all__ = [
     "GibbsPayload",
     "GibbsPairPayload",
     "StateFamilySpec",
+    "check_block_dim",
     "family_states",
     "gibbs_local_hamiltonian",
     "gibbs_state",
@@ -78,6 +78,8 @@ def _as_operator(x):
 class IIDPayload:
     """Single-site null/alternative pair; block ``n`` takes tensor powers."""
 
+    kind, scaling_exponent = "iid", 1
+
     rho1: HermitianOperator
     sigma1: HermitianOperator
 
@@ -85,6 +87,25 @@ class IIDPayload:
         self.rho1 = _as_operator(self.rho1)
         self.sigma1 = _as_operator(self.sigma1)
         StatePair(self.rho1, self.sigma1)  # validates states + support
+
+    def block_dim(self, n):
+        return self.rho1.dim**n
+
+    def states(self, n, dim_cap):
+        return StatePair(
+            tensor_power(self.rho1, n, dim_cap=dim_cap),
+            tensor_power(self.sigma1, n, dim_cap=dim_cap),
+        )
+
+    def rate(self, variant, dim_cap):
+        return iid_rate(self.rho1, self.sigma1, variant=variant)
+
+    def to_json(self):
+        return {"rho": operator_to_json(self.rho1), "sigma": operator_to_json(self.sigma1)}
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(operator_from_json(d["rho"]), operator_from_json(d["sigma"]))
 
 
 @dataclass
@@ -95,6 +116,8 @@ class MarkovPayload:
     ``P0[i,j] > 0`` implies ``P1[i,j] > 0`` (likewise for the initial
     distributions) so that order-``alpha > 1`` quantities stay finite.
     """
+
+    kind, scaling_exponent = "markov", 1
 
     pi0: np.ndarray
     pi1: np.ndarray
@@ -127,6 +150,25 @@ class MarkovPayload:
         """Whether both transition matrices are entrywise positive."""
         return bool((self.P0 > 0).all() and (self.P1 > 0).all())
 
+    def block_dim(self, n):
+        return self.d**n
+
+    def states(self, n, dim_cap):
+        rho = np.diag(_markov_path_distribution(self.pi0, self.P0, n))
+        sig = np.diag(_markov_path_distribution(self.pi1, self.P1, n))
+        return StatePair(HermitianOperator(rho), HermitianOperator(sig))
+
+    def rate(self, variant, dim_cap):
+        return markov_rate(self)
+
+    def to_json(self):
+        return {"pi0": self.pi0.tolist(), "pi1": self.pi1.tolist(),
+                "P0": self.P0.tolist(), "P1": self.P1.tolist()}
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(d["pi0"], d["pi1"], d["P0"], d["P1"])
+
 
 @dataclass
 class GibbsPayload:
@@ -155,14 +197,21 @@ class GibbsPayload:
                     f"term {j} has dim {term.dim}, expected {self.site_dim**j}"
                 )
 
-    @property
-    def interaction_range(self):
-        return len(self.terms)
+    def to_json(self):
+        return {"site_dim": self.site_dim, "beta": self.beta,
+                "terms": [operator_to_json(t) for t in self.terms]}
+
+    @classmethod
+    def from_json(cls, d):
+        terms = [operator_from_json(t) for t in d["terms"]]
+        return cls(int(d["site_dim"]), terms, float(d["beta"]))
 
 
 @dataclass
 class GibbsPairPayload:
     """Null/alternative pair of Gibbs interactions on the same site space."""
+
+    kind, scaling_exponent = "gibbs", 1
 
     null: GibbsPayload
     alt: GibbsPayload
@@ -171,86 +220,80 @@ class GibbsPairPayload:
         if self.null.site_dim != self.alt.site_dim:
             raise ValueError("gibbs pair must share the site dimension")
 
+    def block_dim(self, n):
+        return self.null.site_dim**n
+
+    def states(self, n, dim_cap):
+        return StatePair(
+            gibbs_state(self.null, n, dim_cap=dim_cap),
+            gibbs_state(self.alt, n, dim_cap=dim_cap),
+        )
+
+    def rate(self, variant, dim_cap):
+        return gibbs_rate(self, variant=variant, dim_cap=dim_cap)
+
+    def to_json(self):
+        return {"null": self.null.to_json(), "alt": self.alt.to_json()}
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(GibbsPayload.from_json(d["null"]), GibbsPayload.from_json(d["alt"]))
+
+
+_PAYLOADS = {c.kind: c for c in (IIDPayload, MarkovPayload, GibbsPairPayload, qf.QuasiFreePayload)}
+
 
 @dataclass
 class StateFamilySpec:
-    """Declarative description of a correlated sequence of state pairs."""
+    """Declarative description of a correlated sequence of state pairs.
+
+    ``kind`` names the payload class, which holds every per-kind fact.  The
+    scaling exponent is the payload's lattice dimension (1, or ``nu`` for
+    quasi-free families): ``None`` takes it, and any other value must equal it.
+    """
 
     kind: str
     payload: object
-    scaling_exponent: int = 1
+    scaling_exponent: int | None = None
 
     def __post_init__(self):
-        kinds = ("iid", "markov", "gibbs", "quasifree")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown family kind {self.kind!r}; expected {kinds}")
-        expected = {
-            "iid": IIDPayload,
-            "markov": MarkovPayload,
-            "gibbs": GibbsPairPayload,
-            "quasifree": qf.QuasiFreePayload,
-        }[self.kind]
+        if self.kind not in _PAYLOADS:
+            raise ValueError(f"unknown family kind {self.kind!r}; expected {tuple(_PAYLOADS)}")
+        expected = _PAYLOADS[self.kind]
         if not isinstance(self.payload, expected):
             raise ValueError(f"{self.kind} family needs a {expected.__name__} payload")
-        if self.scaling_exponent < 1:
-            raise ValueError("scaling exponent must be a positive integer")
-        if self.kind == "quasifree" and self.scaling_exponent != self.payload.nu:
-            raise ValueError("quasifree scaling exponent must equal the lattice dimension")
+        lattice = self.payload.scaling_exponent
+        if self.scaling_exponent not in (None, lattice):
+            raise ValueError(f"scaling exponent {self.scaling_exponent!r} must equal the "
+                             f"lattice dimension {lattice} of a {self.kind} family")
+        self.scaling_exponent = lattice
 
 
 # -- explicit state construction ------------------------------------------
 
 
 def _markov_path_distribution(pi, P, n):
+    """Probabilities of the ``d^n`` paths in lexicographic order, each a product
+    taken left to right from its initial probability."""
     d = pi.size
-    probs = np.empty(d**n)
-    for idx, path in enumerate(itertools.product(range(d), repeat=n)):
-        p = pi[path[0]]
-        for a, b in zip(path, path[1:]):
-            p *= P[a, b]
-        probs[idx] = p
+    probs = pi
+    for _ in range(n - 1):
+        probs = (probs[:, None] * P[np.arange(probs.size) % d]).ravel()
     return probs
 
 
-def family_states(spec, n, dim_cap=DEFAULT_DIM_CAP):
-    """Materialize the explicit density-operator pair at block size ``n``.
+def check_block_dim(spec, n, dim_cap=DEFAULT_DIM_CAP):
+    """Refuse block ``n`` when its dense dimension exceeds ``dim_cap``; builds nothing."""
+    if spec.payload.block_dim(n) > dim_cap:
+        raise ValueError(f"the dimension of block {n} exceeds cap {dim_cap}")
 
-    Quasi-free families go through the Fock-space construction here, which is
-    only affordable under the cap; large-``n`` quasi-free work should use the
-    single-particle operations instead.
-    """
+
+def family_states(spec, n, dim_cap=DEFAULT_DIM_CAP):
+    """Explicit density-operator pair of block ``n``; the cap is checked before any work."""
     if n < 1:
         raise ValueError("block size must be positive")
-    if spec.kind == "iid":
-        p = spec.payload
-        if p.rho1.dim**n > dim_cap:
-            raise ValueError(f"dimension {p.rho1.dim}^{n} exceeds cap {dim_cap}")
-        return StatePair(
-            tensor_power(p.rho1, n, dim_cap=dim_cap),
-            tensor_power(p.sigma1, n, dim_cap=dim_cap),
-        )
-    if spec.kind == "markov":
-        p = spec.payload
-        if p.d**n > dim_cap:
-            raise ValueError(f"dimension {p.d}^{n} exceeds cap {dim_cap}")
-        rho = np.diag(_markov_path_distribution(p.pi0, p.P0, n))
-        sig = np.diag(_markov_path_distribution(p.pi1, p.P1, n))
-        return StatePair(HermitianOperator(rho), HermitianOperator(sig))
-    if spec.kind == "gibbs":
-        p = spec.payload
-        return StatePair(
-            gibbs_state(p.null, n, dim_cap=dim_cap),
-            gibbs_state(p.alt, n, dim_cap=dim_cap),
-        )
-    # quasifree: Fock oracle path
-    p = spec.payload
-    qn, rn = qf.quasifree_block_symbol(p, n)
-    if 2 ** qn.dim > dim_cap:
-        raise ValueError(
-            f"Fock dimension 2^{qn.dim} exceeds cap {dim_cap}; "
-            "use the single-particle operations for large n"
-        )
-    return StatePair(qf.fock_density(qn), qf.fock_density(rn))
+    check_block_dim(spec, n, dim_cap)
+    return spec.payload.states(n, dim_cap)
 
 
 def gibbs_local_hamiltonian(payload, n, dim_cap=DEFAULT_DIM_CAP):
@@ -289,11 +332,7 @@ def factorization_certificate(payload, m, k, r_rem, eta, dim_cap=DEFAULT_DIM_CAP
         raise ValueError("need m >= 1, k >= 1, r_rem >= 0")
     if eta < 1.0:
         raise ValueError("factorization constant must be >= 1")
-    n = k * m + r_rem
-    d = payload.site_dim
-    if d**n > dim_cap:
-        raise ValueError(f"dimension {d}^{n} exceeds cap {dim_cap}")
-    w_n = gibbs_state(payload, n, dim_cap=dim_cap)
+    w_n = gibbs_state(payload, k * m + r_rem, dim_cap=dim_cap)
     w_m = gibbs_state(payload, m, dim_cap=dim_cap)
     factors = [w_m] * k
     if r_rem:
@@ -465,86 +504,28 @@ _GIBBS_GRID = np.concatenate([np.linspace(1.0, 2.0, 21), np.linspace(2.1, 8.0, 6
 def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), variant="sandwiched",
                dim_cap=DEFAULT_DIM_CAP):
     """Extrapolated rate curve for a Gibbs pair from finite-volume samples."""
-    pairs = [
-        (gibbs_state(pair_payload.null, n, dim_cap), gibbs_state(pair_payload.alt, n, dim_cap))
-        for n in n_list
-    ]
+    pairs = [pair_payload.states(n, dim_cap) for n in n_list]
     mat = np.array(
-        [[psi(rho, sig, a, variant) for a in _GIBBS_GRID] for rho, sig in pairs]
+        [[psi(p.rho, p.sigma, a, variant) for a in _GIBBS_GRID] for p in pairs]
     )
     return rate_from_samples(list(n_list), _GIBBS_GRID, mat)
 
 
 def asymptotic_rate(spec, variant="sandwiched", dim_cap=DEFAULT_DIM_CAP):
-    """Dispatch to the family-appropriate rate-curve construction."""
-    if spec.kind == "iid":
-        return iid_rate(spec.payload.rho1, spec.payload.sigma1, variant=variant)
-    if spec.kind == "markov":
-        return markov_rate(spec.payload)
-    if spec.kind == "gibbs":
-        return gibbs_rate(spec.payload, variant=variant, dim_cap=dim_cap)
-    return qf.quasifree_rate(spec.payload)
+    """The family's asymptotic rate curve, as its payload builds it."""
+    return spec.payload.rate(variant, dim_cap)
 
 
 # -- JSON round trip -------------------------------------------------------
 
 
 def family_to_json(spec):
-    if spec.kind == "iid":
-        payload = {
-            "rho": operator_to_json(spec.payload.rho1),
-            "sigma": operator_to_json(spec.payload.sigma1),
-        }
-    elif spec.kind == "markov":
-        payload = {
-            "pi0": spec.payload.pi0.tolist(),
-            "pi1": spec.payload.pi1.tolist(),
-            "P0": spec.payload.P0.tolist(),
-            "P1": spec.payload.P1.tolist(),
-        }
-    elif spec.kind == "gibbs":
-        payload = {
-            "null": _gibbs_payload_to_json(spec.payload.null),
-            "alt": _gibbs_payload_to_json(spec.payload.alt),
-        }
-    else:
-        payload = qf.payload_to_json(spec.payload)
-    return {"kind": spec.kind, "scaling_exponent": spec.scaling_exponent, "payload": payload}
-
-
-def _gibbs_payload_to_json(p):
-    return {
-        "site_dim": p.site_dim,
-        "beta": p.beta,
-        "terms": [operator_to_json(t) for t in p.terms],
-    }
-
-
-def _gibbs_payload_from_json(d):
-    return GibbsPayload(
-        site_dim=int(d["site_dim"]),
-        terms=[operator_from_json(t) for t in d["terms"]],
-        beta=float(d["beta"]),
-    )
+    return {"kind": spec.kind, "scaling_exponent": spec.scaling_exponent,
+            "payload": spec.payload.to_json()}
 
 
 def family_from_json(data):
-    kind = data["kind"]
-    payload = data["payload"]
-    if kind == "iid":
-        p = IIDPayload(
-            operator_from_json(payload["rho"]), operator_from_json(payload["sigma"])
-        )
-    elif kind == "markov":
-        p = MarkovPayload(payload["pi0"], payload["pi1"], payload["P0"], payload["P1"])
-    elif kind == "gibbs":
-        p = GibbsPairPayload(
-            _gibbs_payload_from_json(payload["null"]),
-            _gibbs_payload_from_json(payload["alt"]),
-        )
-    elif kind == "quasifree":
-        p = qf.payload_from_json(payload)
-    else:
+    kind, payload = data["kind"], data["payload"]
+    if kind not in _PAYLOADS:
         raise ValueError(f"unknown family kind {kind!r}")
-    return StateFamilySpec(kind=kind, payload=p,
-                           scaling_exponent=int(data.get("scaling_exponent", 1)))
+    return StateFamilySpec(kind, _PAYLOADS[kind].from_json(payload), data.get("scaling_exponent"))

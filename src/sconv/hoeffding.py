@@ -264,20 +264,19 @@ def hoeffding_anti(f, r):
     if math.isfinite(a_max):
         hi = a_max
     else:
-        hi = r + 1.0  # h(hi) >= hi - r = 1 since the polar is nonnegative
-    # h is strictly increasing (polar slope >= 0 plus the +a term)
-    if h(hi) <= 0.0:
-        a_r = hi
-    else:
-        for _ in range(200):
-            if hi - lo <= 1e-10:
-                break
-            mid = 0.5 * (lo + hi)
-            if h(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        a_r = 0.5 * (lo + hi)
+        hi = r + 1.0
+    # h is strictly increasing (polar slope >= 0 plus the +a term), and h(hi) > 0:
+    # a finite tail gets here only with r < r_max - 1e-12, so h(a_max) = r_max - r;
+    # an infinite tail makes h(a_max) infinite; and h(r + 1) >= 1, the polar being >= 0
+    for _ in range(200):
+        if hi - lo <= 1e-10:
+            break
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    a_r = 0.5 * (lo + hi)
     detail = polar_detail(f, a_r)
     return HoeffdingResult(
         r=r,

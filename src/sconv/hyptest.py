@@ -573,6 +573,8 @@ def _build_report(spec, a, n_list, mode, rate, dim_cap, h, notes):
     if mode not in ("np", "pinched"):
         raise ValueError(f"unknown mode {mode!r}")
     engine, provenance = _resolve_engine(spec, mode, dim_cap)
+    if provenance == "dense":  # refuse an over-cap block before building any
+        fam.check_block_dim(spec, max(n_list), dim_cap)
     s = float(spec.scaling_exponent)
     pairs = [engine(n, a * float(n) ** s, a) for n in sorted(n_list)]
     pd = polar_detail(rate, a)
@@ -650,17 +652,7 @@ def sc_report(spec, r, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
         notes.append("linear-tail regime: rescaled sub-tests in effect")
         if not rate.slope_is_exact:
             notes.append("boundary slope estimated from the grid tail")
-    if spec.kind == "quasifree" and not _scalar_reference(spec.payload):
-        notes.append(
-            "reference symbol is not the scalar 1/2: prediction is a lower bound "
-            "in a two-sided bracket, not claimed as an equality"
-        )
+    if spec.kind == "quasifree" and not spec.payload.scalar_reference:
+        notes.append("reference symbol is not the scalar 1/2: prediction is a lower bound "
+                     "in a two-sided bracket, not claimed as an equality")
     return _build_report(spec, a, n_list, mode, rate, dim_cap, h, notes)
-
-
-def _scalar_reference(payload):
-    """Whether the reference symbol is identically 1/2 (maximally mixed blocks)."""
-    from . import quasifree as qf
-
-    vals = qf._sample_symbol(payload.r_symbol, payload.nu, 64 if payload.nu == 2 else 512)
-    return bool(np.abs(vals - 0.5).max() <= 1e-12)

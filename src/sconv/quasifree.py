@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .hoeffding import ConvexRate
-from .operators import DEFAULT_DIM_CAP, HermitianOperator, finite_json_numbers
+from .operators import DEFAULT_DIM_CAP, HermitianOperator, StatePair, finite_json_numbers
 
 FOURIER_GRID_1D = 2**14
 FOURIER_GRID_2D = 2**11  # 2^14 per axis is beyond desk scale in two dimensions
@@ -43,8 +43,6 @@ __all__ = [
     "quasifree_relent_limit",
     "quasifree_slope_at_infinity",
     "quasifree_rate",
-    "payload_to_json",
-    "payload_from_json",
 ]
 
 
@@ -78,6 +76,8 @@ class QuasiFreePayload:
     two broadcastable arguments).
     """
 
+    kind = "quasifree"
+
     nu: int
     q_symbol: SymbolLike
     r_symbol: SymbolLike
@@ -96,6 +96,42 @@ class QuasiFreePayload:
                     f"{name} symbol range [{lo:.6g}, {hi:.6g}] escapes "
                     f"[{self.c_bound}, {1 - self.c_bound}]"
                 )
+
+    @property
+    def scaling_exponent(self):
+        return self.nu
+
+    @property
+    def scalar_reference(self):
+        """Whether the reference symbol is identically 1/2 (maximally mixed blocks)."""
+        vals = _sample_symbol(self.r_symbol, self.nu, 64 if self.nu == 2 else 512)
+        return bool(np.abs(vals - 0.5).max() <= 1e-12)
+
+    def block_dim(self, n):
+        return 2 ** (n**self.nu)
+
+    def states(self, n, dim_cap):
+        qn, rn = quasifree_block_symbol(self, n)
+        return StatePair(fock_density(qn), fock_density(rn))
+
+    def rate(self, variant, dim_cap):
+        return quasifree_rate(self)
+
+    def to_json(self):
+        return {"nu": self.nu, "q_symbol": _symbol_to_json(self.q_symbol),
+                "r_symbol": _symbol_to_json(self.r_symbol), "c_bound": self.c_bound}
+
+    @classmethod
+    def from_json(cls, d):
+        """Payload from its JSON object; every number must be a finite JSON number."""
+        if type(d["nu"]) is not int or d["nu"] != 1:  # not isinstance: true is an int too
+            raise ValueError(f"quasi-free nu must be the JSON integer 1, got {d['nu']!r}: "
+                             "JSON symbols are one-dimensional trig polynomials")
+        if not finite_json_numbers([d["c_bound"]]):
+            raise ValueError(
+                f"quasi-free c_bound must be a finite JSON number, got {d['c_bound']!r}")
+        return cls(1, _symbol_from_json(d["q_symbol"], "q_symbol"),
+                   _symbol_from_json(d["r_symbol"], "r_symbol"), float(d["c_bound"]))
 
 
 def _sample_symbol(sym, nu, grid):
@@ -371,23 +407,3 @@ def _symbol_from_json(d, name):
             what = "a finite JSON number" if key == "constant" else "a list of finite JSON numbers"
             raise ValueError(f"quasi-free {name}.{key} must be {what}, got {d[key]!r}")
     return TrigPolySymbol(float(d["constant"]), tuple(cos), tuple(sin))
-
-
-def payload_to_json(payload):
-    return {
-        "nu": payload.nu,
-        "q_symbol": _symbol_to_json(payload.q_symbol),
-        "r_symbol": _symbol_to_json(payload.r_symbol),
-        "c_bound": payload.c_bound,
-    }
-
-
-def payload_from_json(d):
-    """Payload from its JSON object; every number must be a finite JSON number."""
-    if type(d["nu"]) is not int or d["nu"] != 1:  # not isinstance: true is an int too
-        raise ValueError(f"quasi-free nu must be the JSON integer 1, got {d['nu']!r}: "
-                         "JSON symbols are one-dimensional trig polynomials")
-    if not finite_json_numbers([d["c_bound"]]):
-        raise ValueError(f"quasi-free c_bound must be a finite JSON number, got {d['c_bound']!r}")
-    return QuasiFreePayload(1, _symbol_from_json(d["q_symbol"], "q_symbol"),
-                            _symbol_from_json(d["r_symbol"], "r_symbol"), float(d["c_bound"]))

@@ -19,7 +19,10 @@ from sconv.cli import (
     main,
     parse_convergence_table,
 )
-from sconv.operators import operator_to_json, rand_density
+from sconv.families import PAULI_X, PAULI_Z
+from sconv.operators import HermitianOperator, operator_to_json, rand_density
+from sconv.quasifree import quasifree_block_symbol, singleparticle_psi
+from sconv.renyi import psi
 
 CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "catalog"
 SHORT_JOBS_CASE = CATALOG / "pinched-and-short-jobs" / "s00"
@@ -61,6 +64,33 @@ def quasifree_family():
             "c_bound": 0.2,
         },
     }
+
+
+def qubit_family(seed=7):
+    """A non-commuting i.i.d. qubit pair."""
+    rng = np.random.default_rng(seed)
+    return {"kind": "iid", "payload": {"rho": operator_to_json(rand_density(2, rng)),
+                                       "sigma": operator_to_json(rand_density(2, rng))}}
+
+
+def onsite_gibbs_family():
+    """A Gibbs pair of two on-site interactions: every block is a tensor power."""
+    null = fam.GibbsPayload(2, [HermitianOperator(np.diag([0.0, 1.0]))], 0.7)
+    alt = fam.GibbsPayload(2, [HermitianOperator(0.6 * PAULI_X + 0.3 * PAULI_Z)], 0.5)
+    return fam.family_to_json(fam.StateFamilySpec("gibbs", fam.GibbsPairPayload(null, alt)))
+
+
+# psi_n of each family kind by a route that builds no dense block state
+FAMILY_PSI_REFERENCES = {
+    "iid": lambda p, n, alpha, variant: n * psi(p.rho1, p.sigma1, alpha, variant),
+    # classical states: both variants are the transfer-matrix path sum
+    "markov": lambda p, n, alpha, variant: fam.markov_psi_n(p, alpha, n),
+    "quasifree": lambda p, n, alpha, variant: singleparticle_psi(
+        *quasifree_block_symbol(p, n), alpha, variant),
+    # on-site interactions: block n is the n-th tensor power of block 1
+    "gibbs": lambda p, n, alpha, variant: n * psi(
+        fam.gibbs_state(p.null, 1), fam.gibbs_state(p.alt, 1), alpha, variant),
+}
 
 
 def write_scenario(tmp_path, obj, name="scenario.json"):
@@ -213,6 +243,12 @@ class TestLoadScenario:
     def test_non_finite_t_range(self, tmp_path):
         obj = {"task": "ldp", "params": {"t_range": [-1.0, math.inf]}}
         expect_error(tmp_path, obj, "$.params.t_range")
+
+    def test_scaling_exponent_must_match_the_family(self, tmp_path):
+        family = binary_family()
+        family["scaling_exponent"] = 2
+        err = expect_error(tmp_path, {"task": "sc-report", "family": family}, "$.family")
+        assert "lattice dimension" in err.message
 
     def test_ldp_needs_no_family(self, tmp_path):
         obj = {"task": "ldp", "params": {"n_list": [256, 512, 1024]}}
@@ -501,6 +537,44 @@ class TestMain:
         # iid family: psi_n / n equals the n-independent limit, residual ~ 0
         for row in rows:
             assert abs(float(row[6])) < 1e-10
+
+    @pytest.mark.parametrize("family, ns", [
+        (qubit_family(), [2, 3, 4]),
+        (markov_family(), [2, 4, 6]),
+        (quasifree_family(), [2, 3, 4]),
+        (onsite_gibbs_family(), [2, 3, 4]),
+    ], ids=["iid", "markov", "quasifree", "gibbs"])
+    @pytest.mark.parametrize("variant", ["plain", "sandwiched"])
+    def test_family_psi_matches_independent_route(self, tmp_path, family, ns, variant):
+        reference = FAMILY_PSI_REFERENCES[family["kind"]]
+        payload = fam.family_from_json(family).payload
+        alphas = [0.75, 1.5, 2.0]
+        scenario = write_scenario(tmp_path, {
+            "task": "family", "family": family,
+            "params": {"n_list": ns, "alpha_grid": alphas, "variant": variant},
+        })
+        assert main(["family", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "family.csv").read_text().strip().split("\n")[1:]
+        rows = [line.split(",") for line in lines]
+        assert [(int(r[0]), float(r[1])) for r in rows] == [(n, a) for n in ns for a in alphas]
+        for row in rows:
+            want = reference(payload, int(row[0]), float(row[1]), variant)
+            assert abs(float(row[3]) - want) <= 1e-9, row
+
+    @pytest.mark.parametrize("task, params", [
+        ("family", {"n_list": [2, 13]}),
+        ("np-sweep", {"n_list": [4, 13], "mode": "np", "a_grid": [0.1]}),
+    ], ids=["family", "dense-np-sweep"])
+    def test_over_cap_block_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    task, params):
+        calls = []
+        monkeypatch.setattr(fam, "family_states", lambda *args, **kw: calls.append(args))
+        scenario = write_scenario(tmp_path, {"task": task, "family": qubit_family(),
+                                             "params": params})
+        assert main([task, "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "block 13" in err["error"] and "cap" in err["error"]
+        assert calls == [] and not list(tmp_path.glob("*.csv"))
 
     def test_ldp_runner(self, tmp_path):
         scenario = write_scenario(

@@ -1,10 +1,12 @@
 """Unit tests for the correlated state-family constructors."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sconv import quasifree as qf
 from sconv.families import (
     PAULI_X,
     PAULI_Z,
@@ -13,6 +15,7 @@ from sconv.families import (
     IIDPayload,
     MarkovPayload,
     StateFamilySpec,
+    _markov_path_distribution,
     asymptotic_rate,
     factorization_certificate,
     family_from_json,
@@ -53,6 +56,18 @@ def zzx_gibbs(beta=0.5):
         terms=[HermitianOperator(0.6 * PAULI_X), HermitianOperator(np.kron(PAULI_Z, PAULI_Z))],
         beta=beta,
     )
+
+
+def loop_path_distribution(pi, P, n):
+    """Reference: each path's probability multiplied left to right in a loop."""
+    d = pi.size
+    probs = np.empty(d**n)
+    for idx, path in enumerate(itertools.product(range(d), repeat=n)):
+        p = pi[path[0]]
+        for a, b in zip(path, path[1:]):
+            p *= P[a, b]
+        probs[idx] = p
+    return probs
 
 
 class TestPayloadValidation:
@@ -101,6 +116,18 @@ class TestPayloadValidation:
         with pytest.raises(ValueError, match="lattice dimension"):
             StateFamilySpec("quasifree", payload, scaling_exponent=2)
 
+    def test_scaling_exponent_is_the_lattice_dimension(self, rng):
+        iid = IIDPayload(rand_density(2, rng), rand_density(2, rng))
+        assert StateFamilySpec("iid", iid).scaling_exponent == 1
+        assert StateFamilySpec("iid", iid, scaling_exponent=1).scaling_exponent == 1
+        two_d = QuasiFreePayload(2, lambda x, y: 0.45 + 0.1 * np.cos(x),
+                                 lambda x, y: 0.5 + 0.05 * np.sin(y), 0.2)
+        assert StateFamilySpec("quasifree", two_d).scaling_exponent == 2
+        for kind, payload in (("iid", iid), ("markov", two_state_markov()),
+                              ("gibbs", GibbsPairPayload(onsite_gibbs(), zzx_gibbs()))):
+            with pytest.raises(ValueError, match="lattice dimension"):
+                StateFamilySpec(kind, payload, scaling_exponent=2)
+
 
 class TestFamilyStates:
     def test_iid_states_are_tensor_powers(self, rng):
@@ -126,6 +153,22 @@ class TestFamilyStates:
         )
         assert np.allclose(np.diag(pair.rho.entries).real, expect, atol=1e-15)
         assert pair.rho.trace == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d, n_max", [(2, 7), (3, 7), (4, 5)])
+    def test_markov_paths_bit_equal_to_loop(self, rng, d, n_max):
+        for _ in range(3):
+            pi, P = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d), size=d)
+            for n in range(1, n_max + 1):
+                assert np.array_equal(_markov_path_distribution(pi, P, n),
+                                      loop_path_distribution(pi, P, n))
+
+    def test_quasifree_cap_refused_before_block_symbol(self, monkeypatch):
+        payload = QuasiFreePayload(1, TrigPolySymbol(0.45, (0.1,)), TrigPolySymbol(0.5), 0.2)
+        calls = []
+        monkeypatch.setattr(qf, "quasifree_block_symbol", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="block 13 exceeds cap 4096"):
+            family_states(StateFamilySpec("quasifree", payload), 13)
+        assert calls == []
 
     def test_gibbs_pair_states(self):
         spec = StateFamilySpec("gibbs", GibbsPairPayload(onsite_gibbs(0.5), onsite_gibbs(1.1)))

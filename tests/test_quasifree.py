@@ -53,6 +53,15 @@ class TestSymbolsAndPayload:
         with pytest.raises(ValueError, match="c_bound"):
             QuasiFreePayload(1, TrigPolySymbol(0.5), TrigPolySymbol(0.5), 0.7)
 
+    def test_scalar_reference(self):
+        assert not payload_1d().scalar_reference
+        assert not payload_2d().scalar_reference
+        flat = QuasiFreePayload(1, TrigPolySymbol(0.45, (0.1,)), TrigPolySymbol(0.5), 0.2)
+        assert flat.scalar_reference
+        flat_2d = QuasiFreePayload(2, lambda x, y: 0.45 + 0.1 * np.cos(x),
+                                   lambda x, y: 0.5 + 0.0 * x, 0.2)
+        assert flat_2d.scalar_reference
+
     def test_payload_rejects_bad_nu(self):
         with pytest.raises(ValueError, match="lattice"):
             QuasiFreePayload(3, TrigPolySymbol(0.5), TrigPolySymbol(0.5), 0.2)
