@@ -25,7 +25,7 @@ from . import hyptest as ht
 from . import ldp as ldp_mod
 from . import renyi
 from .hoeffding import hoeffding_anti
-from .operators import DEFAULT_DIM_CAP, finite_json_numbers
+from .operators import finite_json_numbers
 from .verify import run_all_checks
 
 FLOAT_FMT = "%.11e"
@@ -237,12 +237,12 @@ def _report_invariant_failures(report):
 # -- task runners ----------------------------------------------------------
 
 
-def _run_renyi(scenario, out_dir, dim_cap, threads):
+def _run_renyi(scenario, out_dir, threads):
     params = scenario["params"]
     alphas = _check_grid(
         params.get("alpha_grid", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0]), "$.params.alpha_grid"
     )
-    pair = fam.family_states(scenario["family"], params.get("n", 1), dim_cap=dim_cap)
+    pair = fam.family_states(scenario["family"], params.get("n", 1))
     rows = [
         [_fmt(alpha), variant, _fmt(renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)),
          _fmt(renyi.renyi_divergence(pair.rho, pair.sigma, alpha, variant=variant)),
@@ -254,11 +254,11 @@ def _run_renyi(scenario, out_dir, dim_cap, threads):
     return [_write_csv(path, ["alpha", "variant", "psi", "divergence", "provenance"], rows)], 0
 
 
-def _run_hoeffding(scenario, out_dir, dim_cap, threads):
+def _run_hoeffding(scenario, out_dir, threads):
     params = scenario["params"]
     spec = scenario["family"]
     variant = params.get("variant", "sandwiched")
-    rate = fam.asymptotic_rate(spec, variant=variant, dim_cap=dim_cap)
+    rate = fam.asymptotic_rate(spec, variant=variant)
     rs = _check_grid(params.get("r_grid", [0.05, 0.1, 0.2, 0.4]), "$.params.r_grid")
     rows = []
     for r in rs:
@@ -271,17 +271,17 @@ def _run_hoeffding(scenario, out_dir, dim_cap, threads):
     return [_write_csv(path, header, rows)], 0
 
 
-def _run_family(scenario, out_dir, dim_cap, threads):
+def _run_family(scenario, out_dir, threads):
     params = scenario["params"]
     spec = scenario["family"]
     variant = params.get("variant", "sandwiched")
     ns = _check_n_list(params.get("n_list", [2, 3, 4]), "$.params.n_list")
     alphas = _check_grid(params.get("alpha_grid", [1.5, 2.0]), "$.params.alpha_grid")
-    fam.check_block_dim(spec, max(ns), dim_cap)  # before any block or rate is built
-    rate = fam.asymptotic_rate(spec, variant=variant, dim_cap=dim_cap)
+    fam.check_block_dim(spec, max(ns))  # before any block or rate is built
+    rate = fam.asymptotic_rate(spec, variant=variant)
     rows = []
     for n in ns:
-        pair = fam.family_states(spec, n, dim_cap=dim_cap)
+        pair = fam.family_states(spec, n)
         scale = float(n) ** float(spec.scaling_exponent)
         for alpha in alphas:
             psi_n = renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
@@ -295,16 +295,15 @@ def _run_family(scenario, out_dir, dim_cap, threads):
     return [_write_csv(path, header, rows)], 0
 
 
-def _sweep_kwargs(scenario, dim_cap):
+def _sweep_kwargs(scenario):
     """The keyword arguments ``np-sweep`` and ``sc-report`` both pass to ``hyptest``."""
     params = scenario["params"]
     ns = _check_n_list(
         params.get("n_list", [64, 128, 256, 512, 1024]), "$.params.n_list"
     )
     variant = params.get("variant", "sandwiched")
-    rate = fam.asymptotic_rate(scenario["family"], variant=variant, dim_cap=dim_cap)
-    return dict(n_list=ns, mode=params.get("mode", "np"), rate=rate, dim_cap=dim_cap,
-                variant=variant)
+    rate = fam.asymptotic_rate(scenario["family"], variant=variant)
+    return dict(n_list=ns, mode=params.get("mode", "np"), rate=rate, variant=variant)
 
 
 def _emit_reports(job, grid, params, stem, out_dir, threads):
@@ -325,9 +324,9 @@ def _emit_reports(job, grid, params, stem, out_dir, threads):
     return paths, 0
 
 
-def _run_np_sweep(scenario, out_dir, dim_cap, threads):
+def _run_np_sweep(scenario, out_dir, threads):
     params = scenario["params"]
-    kwargs = _sweep_kwargs(scenario, dim_cap)
+    kwargs = _sweep_kwargs(scenario)
     if "a_grid" in params:
         grid = _check_grid(params["a_grid"], "$.params.a_grid")
     else:
@@ -336,15 +335,15 @@ def _run_np_sweep(scenario, out_dir, dim_cap, threads):
     return _emit_reports(job, grid, params, "np_sweep", out_dir, threads)
 
 
-def _run_sc_report(scenario, out_dir, dim_cap, threads):
+def _run_sc_report(scenario, out_dir, threads):
     params = scenario["params"]
-    kwargs = _sweep_kwargs(scenario, dim_cap)
+    kwargs = _sweep_kwargs(scenario)
     grid = _check_grid(params.get("r_grid", [0.1]), "$.params.r_grid")
     job = partial(ht.sc_report, scenario["family"], **kwargs)
     return _emit_reports(job, grid, params, "sc_report", out_dir, threads)
 
 
-def _run_ldp(scenario, out_dir, dim_cap, threads):
+def _run_ldp(scenario, out_dir, threads):
     params = scenario["params"]
     ns = _check_n_list(
         params.get("n_list", [256, 512, 1024, 2048, 4096]), "$.params.n_list"
@@ -370,7 +369,7 @@ def _run_ldp(scenario, out_dir, dim_cap, threads):
     return [_write_csv(path, header, rows)], 0
 
 
-def _run_verify(scenario, out_dir, dim_cap, threads):
+def _run_verify(scenario, out_dir, threads):
     seed = int(os.environ.get("SCONV_SEED", "42"))
     results = run_all_checks(seed=seed)
     passed = sum(1 for r in results if r.ok)
@@ -419,8 +418,6 @@ def _add_common(p, scenario_required):
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=1,
                    help="worker pool size for grid sweeps")
-    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP,
-                   help="largest dense matrix dimension to materialize")
 
 
 def main(argv=None):
@@ -448,9 +445,7 @@ def main(argv=None):
         else:
             scenario = {"task": args.task, "params": {}}
         os.makedirs(args.out, exist_ok=True)
-        paths, status = RUNNERS[args.task](
-            scenario, args.out, args.dim_cap, args.threads
-        )
+        paths, status = RUNNERS[args.task](scenario, args.out, args.threads)
     except ScenarioError as exc:
         _emit_error_json(exc.field, exc.message)
         return 2

@@ -24,9 +24,10 @@ import numpy as np
 from . import quasifree as qf
 from .hoeffding import DEFAULT_T_HI, ConvexRate, rate_from_samples
 from .operators import (
-    DEFAULT_DIM_CAP,
+    DIM_CAP,
     HermitianOperator,
     StatePair,
+    finite_json_numbers,
     operator_from_json,
     operator_to_json,
     psd_dominates,
@@ -91,13 +92,10 @@ class IIDPayload:
     def block_dim(self, n):
         return self.rho1.dim**n
 
-    def states(self, n, dim_cap):
-        return StatePair(
-            tensor_power(self.rho1, n, dim_cap=dim_cap),
-            tensor_power(self.sigma1, n, dim_cap=dim_cap),
-        )
+    def states(self, n):
+        return StatePair(tensor_power(self.rho1, n), tensor_power(self.sigma1, n))
 
-    def rate(self, variant, dim_cap):
+    def rate(self, variant):
         return iid_rate(self.rho1, self.sigma1, variant=variant)
 
     def to_json(self):
@@ -153,12 +151,12 @@ class MarkovPayload:
     def block_dim(self, n):
         return self.d**n
 
-    def states(self, n, dim_cap):
+    def states(self, n):
         rho = np.diag(_markov_path_distribution(self.pi0, self.P0, n))
         sig = np.diag(_markov_path_distribution(self.pi1, self.P1, n))
         return StatePair(HermitianOperator(rho), HermitianOperator(sig))
 
-    def rate(self, variant, dim_cap):
+    def rate(self, variant):
         return markov_rate(self)
 
     def to_json(self):
@@ -167,6 +165,15 @@ class MarkovPayload:
 
     @classmethod
     def from_json(cls, d):
+        """Payload from its JSON object: ``pi0``/``pi1`` are lists of finite JSON
+        numbers and ``P0``/``P1`` lists of such lists."""
+        for key in ("pi0", "pi1", "P0", "P1"):
+            vector = key.startswith("pi")
+            rows = [d[key]] if vector else d[key]
+            if not (isinstance(rows, list)
+                    and all(isinstance(row, list) and finite_json_numbers(row) for row in rows)):
+                what = "finite JSON numbers" if vector else "lists of finite JSON numbers"
+                raise ValueError(f"markov {key} must be a list of {what}")
         return cls(d["pi0"], d["pi1"], d["P0"], d["P1"])
 
 
@@ -203,8 +210,14 @@ class GibbsPayload:
 
     @classmethod
     def from_json(cls, d):
+        """Payload from its JSON object: ``site_dim`` is a JSON integer and
+        ``beta`` a finite JSON number."""
+        if type(d["site_dim"]) is not int:  # not isinstance: true is an int too
+            raise ValueError(f"gibbs site_dim must be a JSON integer, got {d['site_dim']!r}")
+        if not finite_json_numbers([d["beta"]]):
+            raise ValueError(f"gibbs beta must be a finite JSON number, got {d['beta']!r}")
         terms = [operator_from_json(t) for t in d["terms"]]
-        return cls(int(d["site_dim"]), terms, float(d["beta"]))
+        return cls(d["site_dim"], terms, float(d["beta"]))
 
 
 @dataclass
@@ -223,14 +236,11 @@ class GibbsPairPayload:
     def block_dim(self, n):
         return self.null.site_dim**n
 
-    def states(self, n, dim_cap):
-        return StatePair(
-            gibbs_state(self.null, n, dim_cap=dim_cap),
-            gibbs_state(self.alt, n, dim_cap=dim_cap),
-        )
+    def states(self, n):
+        return StatePair(gibbs_state(self.null, n), gibbs_state(self.alt, n))
 
-    def rate(self, variant, dim_cap):
-        return gibbs_rate(self, variant=variant, dim_cap=dim_cap)
+    def rate(self, variant):
+        return gibbs_rate(self, variant=variant)
 
     def to_json(self):
         return {"null": self.null.to_json(), "alt": self.alt.to_json()}
@@ -282,25 +292,25 @@ def _markov_path_distribution(pi, P, n):
     return probs
 
 
-def check_block_dim(spec, n, dim_cap=DEFAULT_DIM_CAP):
-    """Refuse block ``n`` when its dense dimension exceeds ``dim_cap``; builds nothing."""
-    if spec.payload.block_dim(n) > dim_cap:
-        raise ValueError(f"the dimension of block {n} exceeds cap {dim_cap}")
+def check_block_dim(spec, n):
+    """Refuse block ``n`` when its dense dimension exceeds ``DIM_CAP``; builds nothing."""
+    if spec.payload.block_dim(n) > DIM_CAP:
+        raise ValueError(f"the dimension of block {n} exceeds cap {DIM_CAP}")
 
 
-def family_states(spec, n, dim_cap=DEFAULT_DIM_CAP):
+def family_states(spec, n):
     """Explicit density-operator pair of block ``n``; the cap is checked before any work."""
     if n < 1:
         raise ValueError("block size must be positive")
-    check_block_dim(spec, n, dim_cap)
-    return spec.payload.states(n, dim_cap)
+    check_block_dim(spec, n)
+    return spec.payload.states(n)
 
 
-def gibbs_local_hamiltonian(payload, n, dim_cap=DEFAULT_DIM_CAP):
+def gibbs_local_hamiltonian(payload, n):
     """Open-boundary local Hamiltonian: every term at every position that fits."""
     d = payload.site_dim
-    if d**n > dim_cap:
-        raise ValueError(f"dimension {d}^{n} exceeds cap {dim_cap}")
+    if d**n > DIM_CAP:
+        raise ValueError(f"dimension {d}^{n} exceeds cap {DIM_CAP}")
     h = np.zeros((d**n, d**n), dtype=complex)
     for j, term in enumerate(payload.terms, start=1):
         if j > n:
@@ -312,16 +322,16 @@ def gibbs_local_hamiltonian(payload, n, dim_cap=DEFAULT_DIM_CAP):
     return HermitianOperator(h)
 
 
-def gibbs_state(payload, n, dim_cap=DEFAULT_DIM_CAP):
+def gibbs_state(payload, n):
     """``exp(-beta H_n) / Tr exp(-beta H_n)`` via eigendecomposition."""
-    h = gibbs_local_hamiltonian(payload, n, dim_cap=dim_cap)
+    h = gibbs_local_hamiltonian(payload, n)
     w = -payload.beta * h.eigenvalues
     w -= w.max()
     ew = np.exp(w)
     return HermitianOperator.from_spectral(ew / ew.sum(), h.eigenvectors)
 
 
-def factorization_certificate(payload, m, k, r_rem, eta, dim_cap=DEFAULT_DIM_CAP):
+def factorization_certificate(payload, m, k, r_rem, eta):
     """Two-sided PSD factorization check at the split ``n = k*m + r_rem``.
 
     Returns ``(upper_ok, lower_ok)`` for
@@ -332,12 +342,12 @@ def factorization_certificate(payload, m, k, r_rem, eta, dim_cap=DEFAULT_DIM_CAP
         raise ValueError("need m >= 1, k >= 1, r_rem >= 0")
     if eta < 1.0:
         raise ValueError("factorization constant must be >= 1")
-    w_n = gibbs_state(payload, k * m + r_rem, dim_cap=dim_cap)
-    w_m = gibbs_state(payload, m, dim_cap=dim_cap)
+    w_n = gibbs_state(payload, k * m + r_rem)
+    w_m = gibbs_state(payload, m)
     factors = [w_m] * k
     if r_rem:
-        factors.append(gibbs_state(payload, r_rem, dim_cap=dim_cap))
-    prod = tensor_product(*factors, dim_cap=dim_cap)
+        factors.append(gibbs_state(payload, r_rem))
+    prod = tensor_product(*factors)
     w, v, scale = prod.eigenvalues, prod.eigenvectors, eta**k
     upper = psd_dominates(HermitianOperator.from_spectral(scale * w, v), w_n)
     lower = psd_dominates(w_n, HermitianOperator.from_spectral(w / scale, v))
@@ -351,7 +361,7 @@ def _all_splits(max_total):
                 yield m, k, r_rem
 
 
-def smallest_factorization_eta(payload, max_total=8, dim_cap=DEFAULT_DIM_CAP):
+def smallest_factorization_eta(payload, max_total=8):
     """Smallest eta certifying every split with ``k*m + r <= max_total``, in closed form.
 
     With ``prod = w_m^(x k) (x) w_r``, both inequalities of
@@ -362,12 +372,12 @@ def smallest_factorization_eta(payload, max_total=8, dim_cap=DEFAULT_DIM_CAP):
     of :func:`psd_dominates`) contributes exactly 1, so on-site interactions
     give ``1.0``.  The result certifies the tested sizes only.
     """
-    w = {j: gibbs_state(payload, j, dim_cap=dim_cap) for j in range(1, max_total + 1)}
+    w = {j: gibbs_state(payload, j) for j in range(1, max_total + 1)}
     eta = 1.0
     for m, k, r_rem in _all_splits(max_total):
         w_n = w[k * m + r_rem]
         factors = [w[m]] * k + ([w[r_rem]] if r_rem else [])
-        prod = tensor_product(*factors, dim_cap=dim_cap)
+        prod = tensor_product(*factors)
         if psd_dominates(prod, w_n) and psd_dominates(w_n, prod):
             continue
         d_max = max(max_relative_entropy(w_n, prod), max_relative_entropy(prod, w_n))
@@ -501,19 +511,18 @@ def iid_rate(rho1, sigma1, variant="sandwiched"):
 _GIBBS_GRID = np.concatenate([np.linspace(1.0, 2.0, 21), np.linspace(2.1, 8.0, 60)])
 
 
-def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), variant="sandwiched",
-               dim_cap=DEFAULT_DIM_CAP):
+def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), variant="sandwiched"):
     """Extrapolated rate curve for a Gibbs pair from finite-volume samples."""
-    pairs = [pair_payload.states(n, dim_cap) for n in n_list]
+    pairs = [pair_payload.states(n) for n in n_list]
     mat = np.array(
         [[psi(p.rho, p.sigma, a, variant) for a in _GIBBS_GRID] for p in pairs]
     )
     return rate_from_samples(list(n_list), _GIBBS_GRID, mat)
 
 
-def asymptotic_rate(spec, variant="sandwiched", dim_cap=DEFAULT_DIM_CAP):
+def asymptotic_rate(spec, variant="sandwiched"):
     """The family's asymptotic rate curve, as its payload builds it."""
-    return spec.payload.rate(variant, dim_cap)
+    return spec.payload.rate(variant)
 
 
 # -- JSON round trip -------------------------------------------------------

@@ -15,9 +15,11 @@ Engines, most specific first, each a module function that
 * two-state Markov chains — ``markov_error_pair``, exact run-length
   combinatorics, O(n^2) classes;
 * non-commuting qubit i.i.d. in pinched mode — ``qubit_sector_error_pair``,
-  per-sector spectral sums over the Hamming blocks of the reference basis;
-* everything else — ``_dense_error_pair``, dense matrices up to the
-  dimension cap.
+  per-sector spectral sums over the Hamming blocks of the reference basis,
+  the largest of which, ``C(n, n/2)`` rows, must stay within
+  ``operators.DIM_CAP`` (so ``n <= 14``);
+* everything else — ``_dense_error_pair``, dense matrices of at most
+  ``operators.DIM_CAP`` rows.
 
 The exact engines share one log-space reducer, ``_log_terms_to_pair``, whose
 every sum is ``operators.logsumexp`` (an empty class set sums to ``-inf``).
@@ -47,7 +49,7 @@ from scipy.special import gammaln
 from . import families as fam
 from .hoeffding import hoeffding_anti, polar_detail
 from .operators import (
-    DEFAULT_DIM_CAP,
+    DIM_CAP,
     HermitianOperator,
     Test,
     _pinch_matrix,
@@ -431,9 +433,17 @@ def _splits_into_sectors(sigma1):
     return mu.size == 2 and mu.min() > 0 and mu[1] - mu[0] > 1e-12
 
 
+def _check_sector_dim(n):
+    """Refuse block ``n`` when its largest Hamming sector exceeds ``DIM_CAP``
+    rows; builds nothing."""
+    if math.comb(n, n // 2) > DIM_CAP:
+        raise ValueError(f"the largest Hamming sector of block {n} exceeds cap {DIM_CAP}")
+
+
 def _sector_spectra(rho1, sigma1, n):
     if not _splits_into_sectors(sigma1):
         raise ValueError("Hamming sectors need a positive nondegenerate qubit reference")
+    _check_sector_dim(n)
     mu = sigma1.eigenvalues
     v = sigma1.eigenvectors
     rho_ref = v.conj().T @ rho1.entries @ v
@@ -474,7 +484,7 @@ def _commuting_iid_probs(payload):
     return p, sigma.eigenvalues.copy()
 
 
-def _dense_error_pair(spec, mode, dim_cap, n, c, a):
+def _dense_error_pair(spec, mode, n, c, a):
     """Error pair of the (pinched) threshold test from dense matrices.
 
     One eigh of the threshold operator per ``(n, c)`` and sector: both traces
@@ -482,7 +492,7 @@ def _dense_error_pair(spec, mode, dim_cap, n, c, a):
     positive part.  A pair whose states share their diagonal blocks (Fock
     densities, by particle number) splits into independent sector slices.
     """
-    pair = fam.family_states(spec, n, dim_cap=dim_cap)
+    pair = fam.family_states(spec, n)
     rho = _pinch_matrix(pair.rho, pair.sigma) if mode == "pinched" else pair.rho.entries
     sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
     success = beta = lp = 0.0
@@ -502,7 +512,7 @@ def _dense_error_pair(spec, mode, dim_cap, n, c, a):
     )
 
 
-def _resolve_engine(spec, mode, dim_cap):
+def _resolve_engine(spec, mode):
     """Pick the cheapest exact engine; fall back to dense matrices.
 
     Returns ``(engine, provenance)``: ``engine(n, c, a)`` is one of the four
@@ -518,7 +528,7 @@ def _resolve_engine(spec, mode, dim_cap):
                     "pinched-sectors")
     if spec.kind == "markov" and spec.payload.d == 2:
         return partial(markov_error_pair, spec.payload), "exact-run-classes"
-    return partial(_dense_error_pair, spec, mode, dim_cap), "dense"
+    return partial(_dense_error_pair, spec, mode), "dense"
 
 
 # -- fitting and reports ---------------------------------------------------
@@ -561,7 +571,7 @@ def default_a_grid(rate):
     return np.linspace(lo + 0.02 * gap, hi - 0.02 * gap, 9)
 
 
-def _build_report(spec, a, n_list, mode, rate, dim_cap, h, notes):
+def _build_report(spec, a, n_list, mode, rate, h, notes):
     """Run the engine at threshold rate ``a`` over ``n_list``, fit once, report.
 
     ``h`` is the anti-divergence at the report's ``r`` (``None`` for a plain
@@ -572,9 +582,11 @@ def _build_report(spec, a, n_list, mode, rate, dim_cap, h, notes):
     """
     if mode not in ("np", "pinched"):
         raise ValueError(f"unknown mode {mode!r}")
-    engine, provenance = _resolve_engine(spec, mode, dim_cap)
+    engine, provenance = _resolve_engine(spec, mode)
     if provenance == "dense":  # refuse an over-cap block before building any
-        fam.check_block_dim(spec, max(n_list), dim_cap)
+        fam.check_block_dim(spec, max(n_list))
+    elif provenance == "pinched-sectors":
+        _check_sector_dim(max(n_list))
     s = float(spec.scaling_exponent)
     pairs = [engine(n, a * float(n) ** s, a) for n in sorted(n_list)]
     pd = polar_detail(rate, a)
@@ -608,13 +620,12 @@ def _build_report(spec, a, n_list, mode, rate, dim_cap, h, notes):
     )
 
 
-def exponent_sweep(spec, a, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
-                   variant="sandwiched"):
+def exponent_sweep(spec, a, n_list, mode="np", rate=None, variant="sandwiched"):
     """Error pairs over ``n_list`` at fixed threshold rate ``a``, with fitted
     decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``."""
     if rate is None:
         rate = fam.asymptotic_rate(spec, variant=variant)
-    return _build_report(spec, a, n_list, mode, rate, dim_cap, None, [])
+    return _build_report(spec, a, n_list, mode, rate, None, [])
 
 
 def _shifted_pair(ep, shift):
@@ -623,8 +634,7 @@ def _shifted_pair(ep, shift):
                                ep.log_beta - shift, None)
 
 
-def sc_report(spec, r, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
-              variant="sandwiched"):
+def sc_report(spec, r, n_list, mode="np", rate=None, variant="sandwiched"):
     """Full strong-converse report at success-vs-type-II tradeoff ``r``.
 
     Resolves the regime of the anti-divergence at ``r``, picks the matching
@@ -655,4 +665,4 @@ def sc_report(spec, r, n_list, mode="np", rate=None, dim_cap=DEFAULT_DIM_CAP,
     if spec.kind == "quasifree" and not spec.payload.scalar_reference:
         notes.append("reference symbol is not the scalar 1/2: prediction is a lower bound "
                      "in a two-sided bracket, not claimed as an equality")
-    return _build_report(spec, a, n_list, mode, rate, dim_cap, h, notes)
+    return _build_report(spec, a, n_list, mode, rate, h, notes)

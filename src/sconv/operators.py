@@ -21,7 +21,7 @@ HERMITICITY_TOL = 1e-12  # relative asymmetry that rounding leaves; more means b
 SUPPORT_TOL = 1e-12  # eigenvalues under this fraction of the largest are noise: off-support
 CLUSTER_TOL = 1e-10  # eigenvalue gaps under this fraction of the norm are rounding: one level
 PSD_ORDER_TOL = 1e-9  # relative slack of the PSD order, above eigvalsh noise on a difference
-DEFAULT_DIM_CAP = 4096
+DIM_CAP = 4096  # most rows of any matrix a route builds; a larger one is refused, not built
 
 __all__ = [
     "HermitianOperator",
@@ -305,7 +305,7 @@ def psd_dominates(a, b):
     return bool(w[0] >= -slack)
 
 
-def tensor_power(op, n, dim_cap=DEFAULT_DIM_CAP):
+def tensor_power(op, n):
     """``op^{\\otimes n}`` with a symbolically labelled spectrum.
 
     The eigenvectors are Kronecker products of the base eigenvectors and each
@@ -316,8 +316,8 @@ def tensor_power(op, n, dim_cap=DEFAULT_DIM_CAP):
     """
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
-    if op.dim ** n > dim_cap:
-        raise ValueError(f"dim {op.dim}^{n} exceeds cap {dim_cap}")
+    if op.dim ** n > DIM_CAP:
+        raise ValueError(f"dim {op.dim}^{n} exceeds cap {DIM_CAP}")
     cluster_of = np.empty(op.dim, dtype=int)
     for ci, ix in enumerate(eigenvalue_clusters(op)):
         cluster_of[ix] = ci
@@ -328,14 +328,14 @@ def tensor_power(op, n, dim_cap=DEFAULT_DIM_CAP):
     return HermitianOperator.from_spectral(*_kron_spectra([op] * n), labels)
 
 
-def tensor_product(*ops, dim_cap=DEFAULT_DIM_CAP):
+def tensor_product(*ops):
     """Plain Kronecker product of operators, its spectrum the Kronecker product
     of the factors' cached spectra (no fresh eigendecomposition)."""
     total = 1
     for op in ops:
         total *= op.dim
-    if total > dim_cap:
-        raise ValueError(f"product dimension {total} exceeds cap {dim_cap}")
+    if total > DIM_CAP:
+        raise ValueError(f"product dimension {total} exceeds cap {DIM_CAP}")
     return HermitianOperator.from_spectral(*_kron_spectra(ops))
 
 
@@ -465,10 +465,20 @@ def operator_to_json(op):
     }
 
 
+def _json_entries(vals, dim, key):
+    if not (isinstance(vals, list) and len(vals) == dim * dim and finite_json_numbers(vals)):
+        raise ValueError(f"operator {key} must be a list of {dim * dim} finite JSON numbers")
+    return np.asarray(vals, dtype=float).reshape(dim, dim)
+
+
 def operator_from_json(data):
-    dim = int(data["dim"])
-    re = np.asarray(data["re"], dtype=float).reshape(dim, dim)
-    im = np.asarray(data.get("im") or np.zeros(dim * dim), dtype=float).reshape(dim, dim)
+    """Operator from its JSON dict: ``dim`` a positive JSON integer, ``re`` and
+    ``im`` row-major lists of ``dim**2`` finite JSON numbers, ``im`` optional."""
+    dim = data["dim"]
+    if type(dim) is not int or dim < 1:  # not isinstance: true is an int too
+        raise ValueError(f"operator dim must be a positive JSON integer, got {dim!r}")
+    re = _json_entries(data["re"], dim, "re")
+    im = 0.0 if data.get("im") is None else _json_entries(data["im"], dim, "im")
     return HermitianOperator(re + 1j * im)
 
 

@@ -24,12 +24,11 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .hoeffding import ConvexRate
-from .operators import DEFAULT_DIM_CAP, HermitianOperator, StatePair, finite_json_numbers
+from .operators import DIM_CAP, HermitianOperator, StatePair, finite_json_numbers
 
 FOURIER_GRID_1D = 2**14
 FOURIER_GRID_2D = 2**11  # 2^14 per axis is beyond desk scale in two dimensions
 QUAD_GRID = 2**12
-FOCK_MODE_CAP = 12
 
 __all__ = [
     "TrigPolySymbol",
@@ -110,11 +109,11 @@ class QuasiFreePayload:
     def block_dim(self, n):
         return 2 ** (n**self.nu)
 
-    def states(self, n, dim_cap):
+    def states(self, n):
         qn, rn = quasifree_block_symbol(self, n)
         return StatePair(fock_density(qn), fock_density(rn))
 
-    def rate(self, variant, dim_cap):
+    def rate(self, variant):
         return quasifree_rate(self)
 
     def to_json(self):
@@ -154,7 +153,7 @@ def quasifree_block_symbol(payload, n):
     """
     if n < 1:
         raise ValueError("block size must be positive")
-    if n**payload.nu > DEFAULT_DIM_CAP:
+    if n**payload.nu > DIM_CAP:
         raise ValueError(f"single-particle dimension {n}^{payload.nu} exceeds cap")
     out = []
     for sym in (payload.q_symbol, payload.r_symbol):
@@ -267,8 +266,8 @@ def fock_density(symbol):
     ``eigh`` per sector, and its ``sectors`` are ``(C(m, k))_{k=0..m}``.
     """
     m = symbol.dim
-    if m > FOCK_MODE_CAP:
-        raise ValueError(f"{m} modes exceed the Fock cap {FOCK_MODE_CAP}")
+    if 2**m > DIM_CAP:
+        raise ValueError(f"Fock dimension 2^{m} exceeds cap {DIM_CAP}")
     lam = _strict_unit_interval(symbol, "symbol")
     log_det = float(np.log1p(-lam).sum())
     c0 = math.exp(log_det)

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -65,3 +66,20 @@ def eigh_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return shapes
+
+
+@pytest.fixture
+def hamming_blocks(monkeypatch):
+    """``(n, k)`` of every Hamming block ``hyptest`` is asked for; a block of
+    more than 4096 rows raises instead of being allocated."""
+    calls = []
+    build = hyptest._hamming_block
+
+    def guarded(rho_ref, n, k):
+        calls.append((n, k))
+        if math.comb(n, k) > 4096:
+            raise AssertionError(f"a {math.comb(n, k)}-row Hamming block was requested")
+        return build(rho_ref, n, k)
+
+    monkeypatch.setattr(hyptest, "_hamming_block", guarded)
+    return calls

@@ -13,6 +13,7 @@ from sconv import families as fam
 from sconv import hyptest as ht
 from sconv.cli import (
     CONVERGENCE_COLUMNS,
+    TASKS,
     ScenarioError,
     emit_convergence_table,
     load_scenario,
@@ -24,7 +25,8 @@ from sconv.operators import HermitianOperator, operator_to_json, rand_density
 from sconv.quasifree import quasifree_block_symbol, singleparticle_psi
 from sconv.renyi import psi
 
-CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "catalog"
+ROOT = Path(__file__).resolve().parents[1]
+CATALOG = ROOT / "perfbench" / "catalog"
 SHORT_JOBS_CASE = CATALOG / "pinched-and-short-jobs" / "s00"
 FLOAT_CELL = re.compile(r"^(-?\d\.\d{11}e[+-]\d{2,3}|inf|-inf|nan|)$")
 
@@ -207,6 +209,47 @@ class TestLoadScenario:
         target[key] = value
         err = expect_error(tmp_path, {"task": "hoeffding", "family": family}, "$.family")
         assert ".".join(path) in err.message and "finite JSON number" in err.message
+
+    @pytest.mark.parametrize("family, path, value", [
+        (binary_family, ("rho", "dim"), 2.9),
+        (binary_family, ("rho", "dim"), "2"),
+        (binary_family, ("sigma", "dim"), True),
+        (binary_family, ("rho", "re"), ["0.7", 0.0, 0.0, 0.3]),
+        (binary_family, ("rho", "re"), [True, 0.0, 0.0, 0.3]),
+        (binary_family, ("sigma", "re"), [0.5, 0.0, 0.5]),
+        (binary_family, ("sigma", "im"), [0.0, "0", 0.0, 0.0]),
+        (markov_family, ("pi0",), ["0.5", 0.5]),
+        (markov_family, ("P1",), [[0.5, 0.5], [0.55, True]]),
+        (markov_family, ("P0",), [0.7, 0.3]),
+        (onsite_gibbs_family, ("null", "site_dim"), "2"),
+        (onsite_gibbs_family, ("alt", "beta"), "0.6"),
+        (onsite_gibbs_family, ("null", "site_dim"), 2.7),
+        (onsite_gibbs_family, ("alt", "beta"), True),
+    ], ids=["dim-float", "dim-string", "dim-bool", "re-string", "re-bool", "re-short",
+            "im-string", "pi0-string", "P1-bool", "P0-not-nested", "site_dim-string",
+            "beta-string", "site_dim-float", "beta-bool"])
+    def test_payload_numbers_must_be_json_numbers(self, tmp_path, family, path, value):
+        family = family()
+        *parents, key = path
+        target = family["payload"]
+        for p in parents:
+            target = target[p]
+        target[key] = value
+        err = expect_error(tmp_path, {"task": "renyi", "family": family}, "$.family")
+        assert f"{key} must be" in err.message
+
+    @pytest.mark.parametrize("im", [None, "missing", [0, 0, 0, 0]],
+                             ids=["null", "missing", "integers"])
+    def test_operator_json_forms_load(self, tmp_path, im):
+        family = binary_family()
+        rho = family["payload"]["rho"]
+        rho["re"] = [1, 0, 0, 0]  # integers are JSON numbers too
+        if im == "missing":
+            del rho["im"]
+        else:
+            rho["im"] = im
+        scenario = load_scenario(write_scenario(tmp_path, {"task": "renyi", "family": family}))
+        assert np.array_equal(scenario["family"].payload.rho1.entries, np.diag([1.0, 0.0]))
 
     def test_bad_mode(self, tmp_path):
         obj = {
@@ -575,6 +618,29 @@ class TestMain:
         err = json.loads(capsys.readouterr().err.strip())
         assert "block 13" in err["error"] and "cap" in err["error"]
         assert calls == [] and not list(tmp_path.glob("*.csv"))
+
+    def test_over_cap_hamming_sector_refused_before_any_block(self, tmp_path, capsys,
+                                                              hamming_blocks):
+        scenario = write_scenario(tmp_path, {
+            "task": "sc-report", "family": qubit_family(),
+            "params": {"mode": "pinched", "n_list": [6, 15], "r_grid": [0.1]},
+        })
+        assert main(["sc-report", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "block 15" in err["error"] and "Hamming sector" in err["error"]
+        assert hamming_blocks == [] and not list(tmp_path.glob("*.csv"))
+
+    def test_readme_shared_flags_match_every_subcommand(self, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"shared flags (.*?)\.\s", readme, re.S).group(1)
+        documented = set(re.findall(r"`(--[\w-]+)`", sentence))
+        offered = set()
+        for task in TASKS:
+            with pytest.raises(SystemExit) as done:
+                main([task, "--help"])
+            assert done.value.code == 0
+            offered |= set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+        assert offered - {"--help"} == documented
 
     def test_ldp_runner(self, tmp_path):
         scenario = write_scenario(

@@ -37,7 +37,6 @@ from sconv.hyptest import (
 from sconv.families import asymptotic_rate, family_states
 from sconv.hoeffding import polar
 from sconv.operators import (
-    DEFAULT_DIM_CAP,
     HermitianOperator,
     StatePair,
     operator_to_json,
@@ -396,15 +395,15 @@ class TestDenseSectors:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_sector_split_matches_one_sector(self, n, mode, monkeypatch):
         spec = quasifree_spec()
-        engine, provenance = _resolve_engine(spec, mode, DEFAULT_DIM_CAP)
+        engine, provenance = _resolve_engine(spec, mode)
         assert provenance == "dense"
         states = fam.family_states
         assert states(spec, n).rho.sectors == tuple(math.comb(n, k) for k in range(n + 1))
         thresholds = (0.02, 0.1, 0.3)
         split = [engine(n, a * n, a) for a in thresholds]
 
-        def one_sector(spec, n, dim_cap):
-            pair = states(spec, n, dim_cap=dim_cap)
+        def one_sector(spec, n):
+            pair = states(spec, n)
             return StatePair(HermitianOperator(pair.rho.entries),
                              HermitianOperator(pair.sigma.entries))
 
@@ -420,10 +419,10 @@ class TestDenseSectors:
     @pytest.mark.parametrize("mode", ["np", "pinched"])
     def test_resolved_engine_is_the_dense_function(self, mode):
         spec = quasifree_spec()
-        engine, provenance = _resolve_engine(spec, mode, DEFAULT_DIM_CAP)
+        engine, provenance = _resolve_engine(spec, mode)
         assert provenance == "dense"
         for n, a in ((5, 0.05), (6, 0.2)):
-            assert engine(n, a * n, a) == _dense_error_pair(spec, mode, DEFAULT_DIM_CAP,
+            assert engine(n, a * n, a) == _dense_error_pair(spec, mode,
                                                             n, a * n, a)
 
     def test_sc_report_eigh_fits_largest_sector(self, eigh_shapes):
@@ -525,7 +524,7 @@ class TestSweepAndReport:
         # the pinched matrix needs no eigenbasis: only the threshold operator's eigh
         rho1, sigma1 = qutrit_pair
         spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
-        engine, provenance = _resolve_engine(spec, "pinched", DEFAULT_DIM_CAP)
+        engine, provenance = _resolve_engine(spec, "pinched")
         assert provenance == "dense"
         shapes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",

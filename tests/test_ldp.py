@@ -293,3 +293,10 @@ class TestPinchedPairSequence:
         degenerate = HermitianOperator(0.5 * np.eye(2))
         with pytest.raises(ValueError, match="nondegenerate"):
             pinched_pair_sequence(rho1, degenerate, [4])
+
+    def test_over_cap_sector_refused_before_any_block(self, rng, hamming_blocks):
+        # block 15's middle sector has C(15, 7) = 6435 rows, over the cap of 4096
+        rho1, sigma1 = rand_density(2, rng), rand_density(2, rng)
+        with pytest.raises(ValueError, match="cap"):
+            pinched_pair_sequence(rho1, sigma1, [15])
+        assert hamming_blocks == []

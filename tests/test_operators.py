@@ -217,7 +217,7 @@ class TestClustersAndTensors:
 
     def test_tensor_power_dim_cap(self, rng):
         with pytest.raises(ValueError, match="cap"):
-            tensor_power(rand_density(2, rng), 5, dim_cap=16)
+            tensor_power(rand_density(2, rng), 13)
 
     def test_tensor_product(self, rng):
         a, b = rand_density(2, rng), rand_density(3, rng)
