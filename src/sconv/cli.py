@@ -29,7 +29,23 @@ from .operators import finite_json_numbers
 from .verify import run_all_checks
 
 FLOAT_FMT = "%.11e"
-TASKS = ("renyi", "hoeffding", "family", "np-sweep", "sc-report", "ldp", "verify")
+# every parameter each task takes, with its default; a None default (np-sweep's
+# a_grid: the thresholds of ``hyptest.default_a_grid``) is left to the runner
+PARAMS = {
+    "renyi": {"n": 1, "alpha_grid": [0.5, 0.75, 1.0, 1.5, 2.0, 3.0], "out": "renyi.csv"},
+    "hoeffding": {"variant": "sandwiched", "r_grid": [0.05, 0.1, 0.2, 0.4],
+                  "out": "hoeffding.csv"},
+    "family": {"variant": "sandwiched", "n_list": [2, 3, 4], "alpha_grid": [1.5, 2.0],
+               "out": "family.csv"},
+    "np-sweep": {"n_list": [64, 128, 256, 512, 1024], "mode": "np", "variant": "sandwiched",
+                 "a_grid": None, "out": "np_sweep.csv"},
+    "sc-report": {"n_list": [64, 128, 256, 512, 1024], "mode": "np", "variant": "sandwiched",
+                  "r_grid": [0.1], "out": "sc_report.csv"},
+    "ldp": {"n_list": [256, 512, 1024, 2048, 4096], "prob": 0.5, "x_grid": [0.7],
+            "window_hi": 1.0, "t_range": [-1.0, 4.0], "out": "ldp.csv"},
+    "verify": {},
+}
+TASKS = tuple(PARAMS)
 
 __all__ = ["main", "load_scenario", "emit_convergence_table", "parse_convergence_table"]
 
@@ -102,6 +118,34 @@ def _check_grid(g, path):
     return [float(v) for v in g]
 
 
+def _check_param(name, v):
+    """Check one parameter, given or defaulted, and return it typed."""
+    path = f"$.params.{name}"
+    if name == "n_list":
+        return _check_n_list(v, path)
+    if name.endswith("_grid"):
+        return _check_grid(v, path)
+    if name == "n" and not _positive_int(v):
+        raise ScenarioError(path, "n must be a positive integer")
+    if name in ("prob", "window_hi"):
+        if not finite_json_numbers([v]):
+            raise ScenarioError(path, f"{name} must be a finite number")
+        return float(v)
+    if name == "t_range":
+        if not (isinstance(v, list) and len(v) == 2 and finite_json_numbers(v)
+                and v[0] < v[1]):
+            raise ScenarioError(path, "t_range must be finite [lo, hi] with lo < hi")
+        return tuple(map(float, v))
+    if name == "out" and not (isinstance(v, str) and v not in ("", ".", "..")
+                              and not os.path.dirname(v)):
+        raise ScenarioError(path, "out must be a bare file name, written inside --out")
+    if name == "mode" and v not in ("np", "pinched"):
+        raise ScenarioError(path, "mode must be 'np' or 'pinched'")
+    if name == "variant" and v not in renyi.VARIANTS:
+        raise ScenarioError(path, f"variant must be one of {renyi.VARIANTS}")
+    return v
+
+
 def load_scenario(path):
     """Parse and validate a scenario file into a plain dict."""
     try:
@@ -119,9 +163,8 @@ def load_scenario(path):
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError("$.params", "params must be an object")
-    scenario = {"task": task, "params": params}
-    needs_family = task in ("renyi", "hoeffding", "family", "np-sweep", "sc-report")
-    if needs_family:
+    scenario = {"task": task}
+    if task in ("renyi", "hoeffding", "family", "np-sweep", "sc-report"):
         fdict = _require(raw, "family", dict, "$")
         if not _positive_int(fdict.get("scaling_exponent", 1)):
             raise ScenarioError("$.family.scaling_exponent",
@@ -132,28 +175,12 @@ def load_scenario(path):
             raise ScenarioError("$.family", f"missing or malformed field: {exc}") from exc
         except ValueError as exc:
             raise ScenarioError("$.family", str(exc)) from exc
-    if "n_list" in params:
-        _check_n_list(params["n_list"], "$.params.n_list")
-    if "n" in params and not _positive_int(params["n"]):
-        raise ScenarioError("$.params.n", "n must be a positive integer")
-    for name in ("prob", "window_hi"):
-        if name in params and not finite_json_numbers([params[name]]):
-            raise ScenarioError(f"$.params.{name}", f"{name} must be a finite number")
-    for grid_name in ("alpha_grid", "a_grid", "r_grid", "x_grid"):
-        if grid_name in params:
-            _check_grid(params[grid_name], f"$.params.{grid_name}")
-    if "t_range" in params:
-        tr = params["t_range"]
-        if not (isinstance(tr, list) and len(tr) == 2 and finite_json_numbers(tr)
-                and tr[0] < tr[1]):
-            raise ScenarioError("$.params.t_range",
-                                "t_range must be finite [lo, hi] with lo < hi")
-    if "out" in params and not isinstance(params["out"], str):
-        raise ScenarioError("$.params.out", "out must be a file name string")
-    if "mode" in params and params["mode"] not in ("np", "pinched"):
-        raise ScenarioError("$.params.mode", "mode must be 'np' or 'pinched'")
-    if "variant" in params and params["variant"] not in renyi.VARIANTS:
-        raise ScenarioError("$.params.variant", f"variant must be one of {renyi.VARIANTS}")
+    unknown = sorted(set(params) - set(PARAMS[task]))
+    if unknown:
+        raise ScenarioError(f"$.params.{unknown[0]}",
+                            f"{task} takes no {unknown[0]!r}; it takes {tuple(PARAMS[task])}")
+    scenario["params"] = {name: _check_param(name, v) if name in params or v is not None else v
+                          for name, v in {**PARAMS[task], **params}.items()}
     return scenario
 
 
@@ -239,34 +266,30 @@ def _report_invariant_failures(report):
 
 def _run_renyi(scenario, out_dir, threads):
     params = scenario["params"]
-    alphas = _check_grid(
-        params.get("alpha_grid", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0]), "$.params.alpha_grid"
-    )
-    pair = fam.family_states(scenario["family"], params.get("n", 1))
+    pair = fam.family_states(scenario["family"], params["n"])
     rows = [
         [_fmt(alpha), variant, _fmt(renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)),
          _fmt(renyi.renyi_divergence(pair.rho, pair.sigma, alpha, variant=variant)),
          "eigen-overlap"]
-        for alpha in alphas
+        for alpha in params["alpha_grid"]
         for variant in renyi.VARIANTS
     ]
-    path = os.path.join(out_dir, params.get("out", "renyi.csv"))
+    path = os.path.join(out_dir, params["out"])
     return [_write_csv(path, ["alpha", "variant", "psi", "divergence", "provenance"], rows)], 0
 
 
 def _run_hoeffding(scenario, out_dir, threads):
     params = scenario["params"]
     spec = scenario["family"]
-    variant = params.get("variant", "sandwiched")
+    variant = params["variant"]
     rate = fam.asymptotic_rate(spec, variant=variant)
-    rs = _check_grid(params.get("r_grid", [0.05, 0.1, 0.2, 0.4]), "$.params.r_grid")
     rows = []
-    for r in rs:
+    for r in params["r_grid"]:
         h = hoeffding_anti(rate, r)
         rows.append([_fmt(r), _fmt(h.value), h.regime, _fmt(h.a_r), _fmt(h.attaining_t),
                      str(bool(h.tail_dominated)).lower(),
                      f"anti-divergence[{spec.kind}/{variant}]"])
-    path = os.path.join(out_dir, params.get("out", "hoeffding.csv"))
+    path = os.path.join(out_dir, params["out"])
     header = ["r", "value", "regime", "a_r", "attaining_t", "tail_dominated", "provenance"]
     return [_write_csv(path, header, rows)], 0
 
@@ -274,45 +297,40 @@ def _run_hoeffding(scenario, out_dir, threads):
 def _run_family(scenario, out_dir, threads):
     params = scenario["params"]
     spec = scenario["family"]
-    variant = params.get("variant", "sandwiched")
-    ns = _check_n_list(params.get("n_list", [2, 3, 4]), "$.params.n_list")
-    alphas = _check_grid(params.get("alpha_grid", [1.5, 2.0]), "$.params.alpha_grid")
-    fam.check_block_dim(spec, max(ns))  # before any block or rate is built
+    variant = params["variant"]
+    fam.check_block_dim(spec, max(params["n_list"]))  # before any block or rate is built
     rate = fam.asymptotic_rate(spec, variant=variant)
     rows = []
-    for n in ns:
+    for n in params["n_list"]:
         pair = fam.family_states(spec, n)
         scale = float(n) ** float(spec.scaling_exponent)
-        for alpha in alphas:
+        for alpha in params["alpha_grid"]:
             psi_n = renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
             lim = rate(alpha) if 1.0 <= alpha <= rate.t_hi else None
             resid = None if lim is None else psi_n / scale - lim
             rows.append([str(n), _fmt(alpha), variant, _fmt(psi_n), _fmt(psi_n / scale),
                          _fmt(lim), _fmt(resid), f"family[{spec.kind}]"])
-    path = os.path.join(out_dir, params.get("out", "family.csv"))
+    path = os.path.join(out_dir, params["out"])
     header = ["n", "alpha", "variant", "psi_n", "psi_over_scale", "limit", "residual",
               "provenance"]
     return [_write_csv(path, header, rows)], 0
 
 
-def _sweep_kwargs(scenario):
-    """The keyword arguments ``np-sweep`` and ``sc-report`` both pass to ``hyptest``."""
+def _emit_reports(run, grid_name, scenario, out_dir, threads):
+    """Run ``run`` (``hyptest.exponent_sweep`` or ``hyptest.sc_report``) at
+    each value of the scenario's ``grid_name`` on a thread pool, write one
+    convergence table per value (suffixed ``_00``, ``_01``, ... when there are
+    several), and check every report's invariants."""
     params = scenario["params"]
-    ns = _check_n_list(
-        params.get("n_list", [64, 128, 256, 512, 1024]), "$.params.n_list"
-    )
-    variant = params.get("variant", "sandwiched")
-    rate = fam.asymptotic_rate(scenario["family"], variant=variant)
-    return dict(n_list=ns, mode=params.get("mode", "np"), rate=rate, variant=variant)
-
-
-def _emit_reports(job, grid, params, stem, out_dir, threads):
-    """Run ``job`` over ``grid`` on a thread pool, write one convergence table
-    per value (suffixed ``_00``, ``_01``, ... when there are several), and
-    check every report's invariants."""
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    rate = fam.asymptotic_rate(scenario["family"], variant=params["variant"])
+    grid = params[grid_name]
+    if grid is None:
+        grid = [float(v) for v in ht.default_a_grid(rate)]
+    job = partial(run, scenario["family"], n_list=params["n_list"], mode=params["mode"],
+                  rate=rate, variant=params["variant"])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         reports = list(pool.map(job, grid))
-    base, ext = os.path.splitext(params.get("out", f"{stem}.csv"))
+    base, ext = os.path.splitext(params["out"])
     paths, failures = [], []
     for idx, report in enumerate(reports):
         name = f"{base}_{idx:02d}{ext}" if len(grid) > 1 else base + ext
@@ -324,53 +342,32 @@ def _emit_reports(job, grid, params, stem, out_dir, threads):
     return paths, 0
 
 
-def _run_np_sweep(scenario, out_dir, threads):
-    params = scenario["params"]
-    kwargs = _sweep_kwargs(scenario)
-    if "a_grid" in params:
-        grid = _check_grid(params["a_grid"], "$.params.a_grid")
-    else:
-        grid = [float(v) for v in ht.default_a_grid(kwargs["rate"])]
-    job = partial(ht.exponent_sweep, scenario["family"], **kwargs)
-    return _emit_reports(job, grid, params, "np_sweep", out_dir, threads)
-
-
-def _run_sc_report(scenario, out_dir, threads):
-    params = scenario["params"]
-    kwargs = _sweep_kwargs(scenario)
-    grid = _check_grid(params.get("r_grid", [0.1]), "$.params.r_grid")
-    job = partial(ht.sc_report, scenario["family"], **kwargs)
-    return _emit_reports(job, grid, params, "sc_report", out_dir, threads)
-
-
 def _run_ldp(scenario, out_dir, threads):
     params = scenario["params"]
-    ns = _check_n_list(
-        params.get("n_list", [256, 512, 1024, 2048, 4096]), "$.params.n_list"
-    )
-    prob = float(params.get("prob", 0.5))
-    xs = _check_grid(params.get("x_grid", [0.7]), "$.params.x_grid")
-    window_hi = float(params.get("window_hi", 1.0))
-    t_range = params.get("t_range", [-1.0, 4.0])
+    ns, prob, t_range = params["n_list"], params["prob"], params["t_range"]
     seq = ldp_mod.binomial_sequence(ns, prob)
     rows = []
-    for x in xs:
+    for x in params["x_grid"]:
         bound = ldp_mod.chernoff_upper(seq, x, np.linspace(0, t_range[1], 513))
-        verdict = ldp_mod.gartner_ellis_lower_check(seq, x, (x, window_hi), tuple(t_range))
+        verdict = ldp_mod.gartner_ellis_lower_check(seq, x, (x, params["window_hi"]), t_range)
         margins = dict(verdict.margins)
         rows.extend(
             [str(n), _fmt(x), _fmt(ldp_mod.exact_tail_rate(seq, n, x)), _fmt(bound),
              _fmt(-verdict.legendre_value), _fmt(margins[n]), f"binomial[p={prob:g}]"]
             for n in ns
         )
-    path = os.path.join(out_dir, params.get("out", "ldp.csv"))
+    path = os.path.join(out_dir, params["out"])
     header = ["n", "x", "exact_tail_rate", "chernoff_bound", "ge_lower", "margin",
               "provenance"]
     return [_write_csv(path, header, rows)], 0
 
 
 def _run_verify(scenario, out_dir, threads):
-    seed = int(os.environ.get("SCONV_SEED", "42"))
+    try:
+        seed = int(os.environ.get("SCONV_SEED", "42"))
+    except ValueError:
+        raise ScenarioError("SCONV_SEED", "SCONV_SEED must be an integer, not "
+                            f"{os.environ['SCONV_SEED']!r}") from None
     results = run_all_checks(seed=seed)
     passed = sum(1 for r in results if r.ok)
     failed = len(results) - passed
@@ -397,8 +394,9 @@ RUNNERS = {
     "renyi": _run_renyi,
     "hoeffding": _run_hoeffding,
     "family": _run_family,
-    "np-sweep": _run_np_sweep,
-    "sc-report": _run_sc_report,
+    # look each hyptest function up per call, so that a rebinding of it takes effect
+    "np-sweep": lambda *args: _emit_reports(ht.exponent_sweep, "a_grid", *args),
+    "sc-report": lambda *args: _emit_reports(ht.sc_report, "r_grid", *args),
     "ldp": _run_ldp,
     "verify": _run_verify,
 }
@@ -433,6 +431,8 @@ def main(argv=None):
         sp = sub.add_parser(task)
         _add_common(sp, scenario_required=(task != "verify"))
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        sub.choices[args.task].error("argument --threads: must be at least 1")
     try:
         if args.scenario is not None:
             scenario = load_scenario(args.scenario)

@@ -13,6 +13,7 @@ from sconv import families as fam
 from sconv import hyptest as ht
 from sconv.cli import (
     CONVERGENCE_COLUMNS,
+    PARAMS,
     TASKS,
     ScenarioError,
     emit_convergence_table,
@@ -161,7 +162,8 @@ class TestLoadScenario:
         ("sc-report", "r_grid", [0.1, math.inf]),
         ("renyi", "alpha_grid", [True, 2.0]),
         ("sc-report", "r_grid", [0.1, "0.2"]),
-    ], ids=["string", "nan", "infinity", "bool", "numeric-string"])
+        ("np-sweep", "a_grid", None),  # null is not a request for the default grid
+    ], ids=["string", "nan", "infinity", "bool", "numeric-string", "null"])
     def test_bad_grid_entry(self, tmp_path, task, grid, entries):
         obj = {
             "task": task,
@@ -292,6 +294,11 @@ class TestLoadScenario:
         family["scaling_exponent"] = 2
         err = expect_error(tmp_path, {"task": "sc-report", "family": family}, "$.family")
         assert "lattice dimension" in err.message
+
+    def test_defaults_fill_every_parameter(self, tmp_path):
+        obj = {"task": "sc-report", "family": binary_family(), "params": {"r_grid": [0.3]}}
+        scenario = load_scenario(write_scenario(tmp_path, obj))
+        assert scenario["params"] == {**PARAMS["sc-report"], "r_grid": [0.3]}
 
     def test_ldp_needs_no_family(self, tmp_path):
         obj = {"task": "ldp", "params": {"n_list": [256, 512, 1024]}}
@@ -493,6 +500,48 @@ class TestMain:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["field"] == "$.params.out"
 
+    @pytest.mark.parametrize("task, key, value", [
+        ("sc-report", "r_gird", [0.3]), ("hoeffding", "mode", "np"), ("renyi", "variant", "plain"),
+    ])
+    def test_unknown_parameter_exits_two(self, tmp_path, capsys, task, key, value):
+        # each value is one the key takes on the tasks that have it
+        scenario = write_scenario(
+            tmp_path, {"task": task, "family": binary_family(), "params": {key: value}}
+        )
+        assert main([task, "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == f"$.params.{key}" and key in err["error"]
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("out", ["ABSOLUTE", "../x.csv", "sub/x.csv", "", ".", ".."],
+                             ids=["absolute", "parent", "subdir", "empty", "dot", "dotdot"])
+    def test_out_must_be_a_bare_file_name(self, tmp_path, capsys, out):
+        (tmp_path / "run" / "sub").mkdir(parents=True)
+        if out == "ABSOLUTE":
+            out = str(tmp_path / "x.csv")
+        scenario = write_scenario(
+            tmp_path, {"task": "renyi", "family": binary_family(), "params": {"out": out}}
+        )
+        assert main(["renyi", "--scenario", scenario, "--out", str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "$.params.out"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_non_integer_seed_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SCONV_SEED", "abc")
+        assert main(["verify", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "SCONV_SEED" and "SCONV_SEED" in err["error"]
+        assert not (tmp_path / "verify_summary.json").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--out", str(tmp_path), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "verify_summary.json").exists()
+
     def test_bad_t_range_exits_two(self, tmp_path, capsys):
         scenario = write_scenario(
             tmp_path, {"task": "ldp", "params": {"t_range": ["a", 4.0]}}
@@ -641,6 +690,19 @@ class TestMain:
             assert done.value.code == 0
             offered |= set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
         assert offered - {"--help"} == documented
+
+    def test_readme_parameter_table_matches_params(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        documented, task = {}, None
+        # a row with an empty task cell continues the task above it; a default
+        # that is not one JSON literal in backticks is np-sweep's computed a_grid
+        rows = re.findall(r"^\| *(`[\w-]+`)? *\| `(\w+)` \| (.+?) \|$", readme, re.M)
+        for task_cell, name, default in rows:
+            task = task_cell.strip("`") or task
+            value = json.loads(default.strip("`")) if default.startswith("`") else None
+            documented.setdefault(task, {})[name] = value
+        assert {t: documented.get(t, {}) for t in TASKS} == PARAMS
+        assert set(documented) <= set(TASKS)
 
     def test_ldp_runner(self, tmp_path):
         scenario = write_scenario(
