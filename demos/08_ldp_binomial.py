@@ -20,6 +20,7 @@ import numpy as np
 
 from sconv.ldp import (
     binomial_sequence,
+    build_rate_curve,
     chernoff_upper,
     exact_tail_rate,
     gartner_ellis_lower_check,
@@ -31,7 +32,7 @@ kl = x * math.log(x / 0.5) + (1 - x) * math.log((1 - x) / 0.5)
 print(f"tail event: empirical mean >= {x}  (exact rate = KL = {kl:.6f})")
 print()
 
-bound = chernoff_upper(seq, x, np.linspace(0.0, 8.0, 641))
+bound = chernoff_upper(build_rate_curve(seq, np.linspace(0.0, 8.0, 641)), x)
 print(f"Chernoff upper bound on the tail rate: {bound:.6f}")
 print(f"{'n':>6} {'exact (1/n) log P':>18} {'slack under bound':>18}")
 for n in seq.n_list:
@@ -39,8 +40,8 @@ for n in seq.n_list:
     print(f"{n:6d} {exact:18.6f} {bound - exact:18.6f}")
 print()
 
-verdict = gartner_ellis_lower_check(seq, x, (x, 1.0), (-1.0, 4.0),
-                                    delta_fraction=1.0 / 6.0)
+verdict = gartner_ellis_lower_check(build_rate_curve(seq, np.linspace(-1.0, 4.0, 201)),
+                                    x, (x, 1.0), delta_fraction=1.0 / 6.0)
 print("tilted-measure lower bound (margins must rise to 0 from below):")
 print(f"{'n':>6} {'margin':>12}")
 for n, m in verdict.margins:

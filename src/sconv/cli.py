@@ -264,6 +264,14 @@ def _report_invariant_failures(report):
 # -- task runners ----------------------------------------------------------
 
 
+def _family_rate(spec, variant):
+    """The family's asymptotic rate; a refusal to build it is the family's."""
+    try:
+        return fam.asymptotic_rate(spec, variant=variant)
+    except ValueError as exc:
+        raise ScenarioError("$.family", str(exc)) from exc
+
+
 def _run_renyi(scenario, out_dir, threads):
     params = scenario["params"]
     pair = fam.family_states(scenario["family"], params["n"])
@@ -282,7 +290,7 @@ def _run_hoeffding(scenario, out_dir, threads):
     params = scenario["params"]
     spec = scenario["family"]
     variant = params["variant"]
-    rate = fam.asymptotic_rate(spec, variant=variant)
+    rate = _family_rate(spec, variant)
     rows = []
     for r in params["r_grid"]:
         h = hoeffding_anti(rate, r)
@@ -299,7 +307,7 @@ def _run_family(scenario, out_dir, threads):
     spec = scenario["family"]
     variant = params["variant"]
     fam.check_block_dim(spec, max(params["n_list"]))  # before any block or rate is built
-    rate = fam.asymptotic_rate(spec, variant=variant)
+    rate = _family_rate(spec, variant)
     rows = []
     for n in params["n_list"]:
         pair = fam.family_states(spec, n)
@@ -322,7 +330,7 @@ def _emit_reports(run, grid_name, scenario, out_dir, threads):
     convergence table per value (suffixed ``_00``, ``_01``, ... when there are
     several), and check every report's invariants."""
     params = scenario["params"]
-    rate = fam.asymptotic_rate(scenario["family"], variant=params["variant"])
+    rate = _family_rate(scenario["family"], params["variant"])
     grid = params[grid_name]
     if grid is None:
         grid = [float(v) for v in ht.default_a_grid(rate)]
@@ -346,10 +354,12 @@ def _run_ldp(scenario, out_dir, threads):
     params = scenario["params"]
     ns, prob, t_range = params["n_list"], params["prob"], params["t_range"]
     seq = ldp_mod.binomial_sequence(ns, prob)
+    upper = ldp_mod.build_rate_curve(seq, np.linspace(0, t_range[1], 513))
+    curve = ldp_mod.build_rate_curve(seq, np.linspace(*t_range, 201))
     rows = []
     for x in params["x_grid"]:
-        bound = ldp_mod.chernoff_upper(seq, x, np.linspace(0, t_range[1], 513))
-        verdict = ldp_mod.gartner_ellis_lower_check(seq, x, (x, params["window_hi"]), t_range)
+        bound = ldp_mod.chernoff_upper(upper, x)
+        verdict = ldp_mod.gartner_ellis_lower_check(curve, x, (x, params["window_hi"]))
         margins = dict(verdict.margins)
         rows.extend(
             [str(n), _fmt(x), _fmt(ldp_mod.exact_tail_rate(seq, n, x)), _fmt(bound),
@@ -444,7 +454,10 @@ def main(argv=None):
                 )
         else:
             scenario = {"task": args.task, "params": {}}
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError("--out", f"cannot create output directory: {exc}") from exc
         paths, status = RUNNERS[args.task](scenario, args.out, args.threads)
     except ScenarioError as exc:
         _emit_error_json(exc.field, exc.message)

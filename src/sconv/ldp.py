@@ -4,13 +4,16 @@ A :class:`WeightedSampleSequence` is a family of finite positive measures
 ``mu_n`` (support points plus log-weights, not necessarily normalized) with a
 positive scale sequence ``c_n``.  The module computes log-moment-generating
 functions and extrapolates the normalized curve ``Lambda_bar(t) = lim (1/c_n)
-Lambda_n(c_n t)`` over whole ``t`` grids: each call builds one ``(size x t)``
-table of ``Lambda_n(c_n t)/c_n`` and takes :func:`sconv.hoeffding.richardson`
-of it.  From that curve it derives Chernoff-style upper bounds on tail rates and
-verifies the matching lower bound empirically through the tilted-measure
-construction: locate ``t_x`` with ``Lambda_bar'(t_x) = x``, predict the
-windowed tail rate ``-Lambda_bar*(x)``, and report per-``n`` margins plus the
-concentration of the exponentially tilted measure.
+Lambda_n(c_n t)``.  :func:`build_rate_curve` is the one place that builds the
+``(size x t)`` table of ``Lambda_n(c_n t)/c_n`` over a ``t`` grid; it takes
+:func:`sconv.hoeffding.richardson` of the table and splines the result into a
+:class:`RateCurve`, which keeps the sequence and the table.  The bounds read a
+curve built beforehand, so one table serves every ``x``: the Chernoff-style
+upper bound on tail rates reads the curve's values, and the tilted-measure
+construction verifies the matching lower bound empirically: it locates
+``t_x`` with ``Lambda_bar'(t_x) = x``, predicts the windowed tail rate
+``-Lambda_bar*(x)``, and reports per-``n`` margins plus the concentration of
+the exponentially tilted measure.
 
 Everything is exact log-space arithmetic on the finite supports; at block
 sizes in the thousands the tail masses themselves underflow doubles.
@@ -95,32 +98,27 @@ def log_mgf(seq, n, t):
     return np.array([logsumexp(lw + ti * y) for ti in t])
 
 
-def _normalized_samples(seq, t_grid):
-    """Scales ``c_n`` and the ``(size x t)`` table of ``Lambda_n(c_n t)/c_n``."""
-    cs = np.array([float(seq.c(n)) for n in seq.n_list])
-    table = np.array([log_mgf(seq, n, cn * t_grid) / cn
-                      for n, cn in zip(seq.n_list, cs)])
-    return cs, table
-
-
 def lambda_bar(seq, t):
-    """Extrapolated ``lim (1/c_n) Lambda_n(c_n t)`` with a Cauchy residual.
+    """Extrapolated ``lim (1/c_n) Lambda_n(c_n t)`` at one ``t`` with a residual.
 
     One-term Richardson in ``1/c_n`` from the two largest sizes; the residual
     is the change against the next-coarser pair (or the last finite
-    difference when only two sizes exist).  A 1-d ``t`` gives both as arrays.
+    difference when only two sizes exist).
     """
-    fine, resid = richardson(*_normalized_samples(seq, np.atleast_1d(t)))
-    if np.ndim(t) == 0:
-        return float(fine[0]), float(resid[0])
-    return fine, resid
+    cs = np.array([float(seq.c(n)) for n in seq.n_list])
+    samples = [log_mgf(seq, n, cn * t) / cn for n, cn in zip(seq.n_list, cs)]
+    fine, resid = richardson(cs, samples)
+    return float(fine), float(resid)
 
 
 @dataclass
 class RateCurve:
-    """Extrapolated log-MGF curve and its Legendre transform on a grid."""
+    """Extrapolated log-MGF curve and its Legendre transform on a grid; ``table``
+    holds ``Lambda_n(c_n t)/c_n`` of ``seq``, one row per size."""
 
+    seq: WeightedSampleSequence
     t_grid: np.ndarray
+    table: np.ndarray
     values: np.ndarray
     residuals: np.ndarray
     spline: CubicSpline
@@ -150,52 +148,42 @@ class RateCurve:
         return x * t_x - float(self.spline(t_x))
 
 
-def _check_grid(t_grid):
+def build_rate_curve(seq, t_grid):
+    """Tabulate ``Lambda_n(c_n t)/c_n`` over an increasing grid (the one
+    log-MGF table builder), Richardson-extrapolate it to ``Lambda_bar``, and
+    spline it unless the extrapolation is visibly non-convex."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 4 or np.diff(t_grid).min() <= 0:
         raise ValueError("need an increasing grid with at least four points")
-    return t_grid
-
-
-def _rate_curve(t_grid, cs, table):
+    cs = np.array([float(seq.c(n)) for n in seq.n_list])
+    table = np.array([log_mgf(seq, n, cn * t_grid) / cn
+                      for n, cn in zip(seq.n_list, cs)])
     vals, resid = richardson(cs, table)
-    second = np.diff(vals, 2)
     scale = max(float(np.abs(vals).max()), 1.0)
-    if second.min() < -1e-6 * scale:
+    if np.diff(vals, 2).min() < -1e-6 * scale:
         raise ValueError("extrapolated curve is visibly non-convex; refuse to spline")
-    return RateCurve(t_grid=t_grid, values=vals, residuals=resid,
+    return RateCurve(seq=seq, t_grid=t_grid, table=table, values=vals, residuals=resid,
                      spline=CubicSpline(t_grid, vals))
 
 
-def build_rate_curve(seq, t_grid):
-    """Richardson-extrapolate ``Lambda_bar`` over a grid and spline it."""
-    t_grid = _check_grid(t_grid)
-    return _rate_curve(t_grid, *_normalized_samples(seq, t_grid))
+def chernoff_upper(curve, x, side="ge"):
+    """Upper bound ``-sup_t { t x - Lambda_bar(t) }`` over the curve's grid.
 
-
-def chernoff_upper(seq, x, t_grid=None, side="ge"):
-    """Upper bound ``-sup_t { t x - Lambda_bar(t) }`` on the tail rate.
-
-    ``side='ge'`` bounds ``limsup (1/c_n) log mu_n([x, oo))`` with ``t >= 0``;
-    ``side='le'`` bounds the ``(-oo, x]`` tail with ``t <= 0``.  ``t = 0`` is
-    always included, so the bound is at most ``Lambda_bar(0)`` (vacuous for
-    probability measures).
+    ``side='ge'`` bounds ``limsup (1/c_n) log mu_n([x, oo))`` and needs a grid
+    of ``t >= 0``; ``side='le'`` bounds the ``(-oo, x]`` tail and needs
+    ``t <= 0``.  The grid must contain ``t = 0``, so the bound is at most
+    ``Lambda_bar(0)`` (vacuous for probability measures).
     """
     if side not in ("ge", "le"):
         raise ValueError(f"unknown side {side!r}")
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 32.0, 129)
-        if side == "le":
-            t_grid = -t_grid
-    t_grid = np.asarray(t_grid, dtype=float)
-    if side == "ge" and t_grid.min() < 0:
+    t_grid = curve.t_grid
+    if side == "ge" and t_grid[0] < 0:
         raise ValueError("upper-tail bound needs t >= 0")
-    if side == "le" and t_grid.max() > 0:
+    if side == "le" and t_grid[-1] > 0:
         raise ValueError("lower-tail bound needs t <= 0")
     if not np.any(t_grid == 0.0):
-        t_grid = np.append(t_grid, 0.0)
-    vals, _ = lambda_bar(seq, t_grid)
-    return -float(np.max(t_grid * x - vals))
+        raise ValueError("Chernoff bound needs the grid node t = 0")
+    return -float(np.max(t_grid * x - curve.values))
 
 
 def exact_tail_rate(seq, n, x, side="ge"):
@@ -234,30 +222,27 @@ class GELowerVerdict:
         return self.margins[-1][1]
 
 
-def gartner_ellis_lower_check(seq, x, window, t_range, grid_points=201,
-                              delta_fraction=TILT_WINDOW_FRACTION):
+def gartner_ellis_lower_check(curve, x, window, delta_fraction=TILT_WINDOW_FRACTION):
     """Verify the tilted-measure lower bound for the windowed tail at ``x``.
 
-    Refuses to run when the normalized log-MGF samples have not numerically
-    converged (successive differences over the grid above ``CAUCHY_TOL`` for
-    the last three sizes).  Returns the stationary point, the rate prediction
-    ``-Lambda_bar*(x)``, per-``n`` margins (windowed empirical rate minus
-    prediction), and the concentration of the tilted measure near ``x``.
+    Reads the sequence and its log-MGF table off ``curve``.  Refuses to run
+    when the table has not numerically converged (successive differences over
+    the grid above ``CAUCHY_TOL`` for the last three sizes).  Returns the
+    stationary point, the rate prediction ``-Lambda_bar*(x)``, per-``n``
+    margins (windowed empirical rate minus prediction), and the concentration
+    of the tilted measure near ``x``.
     """
     x0, x1 = window
     if not x0 <= x < x1:
         raise ValueError("x must lie at the left edge of the open window")
+    seq = curve.seq
     if len(seq.n_list) < 3:
         raise ValueError("need at least three sizes for the convergence gate")
-    t_grid = _check_grid(np.linspace(t_range[0], t_range[1], grid_points))
-    cs, table = _normalized_samples(seq, t_grid)
-    gaps = np.abs(np.diff(table[-3:], axis=0)).max(axis=1)
-    converged = bool((gaps <= CAUCHY_TOL).all())
-    if not converged:
+    gaps = np.abs(np.diff(curve.table[-3:], axis=0)).max(axis=1)
+    if not (gaps <= CAUCHY_TOL).all():
         raise ValueError(
             f"normalized log-MGF not Cauchy at tolerance {CAUCHY_TOL}: gaps {gaps}"
         )
-    curve = _rate_curve(t_grid, cs, table)
     t_x = curve.stationary_t(x)
     leg = x * t_x - float(curve.spline(t_x))
     margins = [(n, windowed_rate(seq, n, x0, x1) + leg) for n in seq.n_list]
@@ -289,7 +274,7 @@ def gartner_ellis_lower_check(seq, x, window, t_range, grid_points=201,
         margins=margins,
         tilted_mass=mass,
         delta=delta,
-        converged=converged,
+        converged=True,
         curve=curve,
         notes=tuple(notes),
     )

@@ -202,7 +202,7 @@ def _check_pinched_commutes(rng):
 def _check_ldp_chernoff(rng):
     ns = (64, 128, 256)
     seq = ldp.binomial_sequence(ns, 0.5)
-    bound = ldp.chernoff_upper(seq, 0.7, np.linspace(0, 8, 801))
+    bound = ldp.chernoff_upper(ldp.build_rate_curve(seq, np.linspace(0, 8, 801)), 0.7)
     for n in ns:
         exact = ldp.exact_tail_rate(seq, n, 0.7)
         if exact > bound + 1e-12:

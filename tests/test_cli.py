@@ -11,6 +11,7 @@ import pytest
 
 from sconv import families as fam
 from sconv import hyptest as ht
+from sconv import ldp
 from sconv.cli import (
     CONVERGENCE_COLUMNS,
     PARAMS,
@@ -734,6 +735,45 @@ class TestMain:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "x must lie at the left edge of the open window",
                        "field": "$.params"}
+
+    def test_family_rate_failure_names_the_family(self, tmp_path, capsys):
+        # identity transitions make the Markov transfer matrix reducible
+        family = markov_family()
+        family["payload"]["P0"] = family["payload"]["P1"] = [[1.0, 0.0], [0.0, 1.0]]
+        scenario = write_scenario(tmp_path, {"task": "hoeffding", "family": family})
+        rc = main(["hoeffding", "--scenario", scenario, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "transfer matrix is reducible; Perron limit undefined",
+                       "field": "$.family"}
+
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, {"task": "ldp", "params": {"n_list": [64, 128]}})
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        rc = main(["ldp", "--scenario", scenario, "--out", str(afile)])
+        assert rc == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["field"] == "--out" and "File exists" in err["error"]
+
+    def test_ldp_builds_one_table_per_grid(self, tmp_path, monkeypatch):
+        # the Chernoff grid and the Gaertner-Ellis grid: one log-MGF row per
+        # size each, however many x there are
+        grid_calls = []
+        log_mgf = ldp.log_mgf
+
+        def counted(seq, n, t):
+            if np.ndim(t):
+                grid_calls.append(n)
+            return log_mgf(seq, n, t)
+
+        monkeypatch.setattr(ldp, "log_mgf", counted)
+        scenario = write_scenario(tmp_path, {"task": "ldp", "params": {
+            "n_list": [64, 128, 256, 512, 1024], "x_grid": [0.6, 0.7, 0.8, 0.9]}})
+        assert main(["ldp", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        assert sorted(grid_calls) == sorted(2 * [64, 128, 256, 512, 1024])
 
     def test_report_invariant_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("sconv.cli._report_invariant_failures",

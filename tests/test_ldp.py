@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sconv import ldp
 from sconv.ldp import (
     WeightedSampleSequence,
     binomial_sequence,
@@ -127,42 +128,50 @@ class TestChernoff:
         # discrete t-grid: optimum within half a grid step, error ~ curvature*(dt/2)^2
         seq = binomial_sequence([256, 512, 1024])
         for x in (0.6, 0.7, 0.85):
-            bound = chernoff_upper(seq, x, np.linspace(0.0, 8.0, 321))
+            bound = chernoff_upper(build_rate_curve(seq, np.linspace(0.0, 8.0, 321)), x)
             assert bound == pytest.approx(-binary_kl(x), abs=5e-5)
             assert bound >= -binary_kl(x) - 1e-12  # grid sup never exceeds true sup
 
     def test_dominates_exact_tails(self):
         seq = binomial_sequence([16, 64, 256, 1024])
         x = 0.7
-        bound = chernoff_upper(seq, x, np.linspace(0.0, 8.0, 321))
+        bound = chernoff_upper(build_rate_curve(seq, np.linspace(0.0, 8.0, 321)), x)
         for n in seq.n_list:
             assert exact_tail_rate(seq, n, x) <= bound + 1e-12
 
     def test_lower_side(self):
         seq = binomial_sequence([256, 512, 1024])
         x = 0.3
-        bound = chernoff_upper(seq, x, side="le")  # default coarse grid
+        bound = chernoff_upper(build_rate_curve(seq, np.linspace(-32.0, 0.0, 129)), x,
+                               side="le")  # coarse grid
         assert bound == pytest.approx(-binary_kl(x), abs=5e-3)
         for n in seq.n_list:
             assert exact_tail_rate(seq, n, x, side="le") <= bound + 1e-12
 
     def test_never_positive_for_probability_measures(self):
         seq = binomial_sequence([64, 128, 256])
-        assert chernoff_upper(seq, 0.5) <= 1e-12
+        assert chernoff_upper(build_rate_curve(seq, np.linspace(0.0, 32.0, 129)), 0.5) <= 1e-12
 
     def test_grid_equals_pointwise_sup(self):
         seq = binomial_sequence([256, 512, 1024])
         t_grid = np.linspace(0.0, 8.0, 321)
         for x in (0.6, 0.7):
             pointwise = -max(t * x - lambda_bar(seq, float(t))[0] for t in t_grid)
-            assert chernoff_upper(seq, x, t_grid) == pointwise
+            assert chernoff_upper(build_rate_curve(seq, t_grid), x) == pointwise
 
     def test_side_validation(self):
         seq = binomial_sequence([64, 128, 256])
         with pytest.raises(ValueError, match="side"):
-            chernoff_upper(seq, 0.6, side="both")
+            chernoff_upper(build_rate_curve(seq, np.linspace(0, 1, 11)), 0.6, side="both")
         with pytest.raises(ValueError, match="t >= 0"):
-            chernoff_upper(seq, 0.6, t_grid=np.linspace(-1, 1, 11))
+            chernoff_upper(build_rate_curve(seq, np.linspace(-1, 1, 11)), 0.6)
+
+    def test_grid_needs_the_zero_node(self):
+        seq = binomial_sequence([64, 128, 256])
+        with pytest.raises(ValueError, match="t = 0"):
+            chernoff_upper(build_rate_curve(seq, np.linspace(0.5, 2.0, 11)), 0.6)
+        with pytest.raises(ValueError, match="t <= 0"):
+            chernoff_upper(build_rate_curve(seq, np.linspace(0.0, 2.0, 11)), 0.3, side="le")
 
 
 class TestTailHelpers:
@@ -195,7 +204,8 @@ class TestGartnerEllisLower:
     def test_binomial_margins_shrink(self):
         seq = binomial_sequence([256, 512, 1024, 2048, 4096])
         verdict = gartner_ellis_lower_check(
-            seq, 0.7, (0.7, 1.0), (-1.0, 4.0), delta_fraction=1.0 / 6.0
+            build_rate_curve(seq, np.linspace(-1.0, 4.0, 201)), 0.7, (0.7, 1.0),
+            delta_fraction=1.0 / 6.0
         )
         assert verdict.converged
         assert verdict.t_x == pytest.approx(math.log(7.0 / 3.0), abs=1e-6)
@@ -210,17 +220,27 @@ class TestGartnerEllisLower:
 
     def test_curve_equals_pointwise_lambda_bar(self):
         seq = binomial_sequence([256, 512, 1024])
-        verdict = gartner_ellis_lower_check(seq, 0.7, (0.7, 1.0), (-1.0, 4.0),
-                                            grid_points=41)
+        verdict = gartner_ellis_lower_check(
+            build_rate_curve(seq, np.linspace(-1.0, 4.0, 41)), 0.7, (0.7, 1.0))
         t_grid = np.linspace(-1.0, 4.0, 41)
         values = build_rate_curve(seq, t_grid).values
         assert verdict.curve.values.tolist() == values.tolist()
         assert values.tolist() == [lambda_bar(seq, t)[0] for t in t_grid]
 
+    def test_reads_the_table_of_its_curve(self, monkeypatch):
+        curve = build_rate_curve(binomial_sequence([256, 512, 1024]),
+                                 np.linspace(-1.0, 4.0, 41))
+        monkeypatch.setattr(ldp, "log_mgf", None)  # any new table would call it
+        for x in (0.6, 0.7):
+            verdict = gartner_ellis_lower_check(curve, x, (x, 1.0))
+            assert verdict.curve is curve
+            assert verdict.legendre_value == pytest.approx(binary_kl(x), abs=1e-6)
+
     def test_narrow_tilt_window_flagged(self):
         seq = binomial_sequence([256, 512, 1024, 2048, 4096])
         verdict = gartner_ellis_lower_check(
-            seq, 0.7, (0.7, 1.0), (-1.0, 4.0), delta_fraction=0.05
+            build_rate_curve(seq, np.linspace(-1.0, 4.0, 201)), 0.7, (0.7, 1.0),
+            delta_fraction=0.05
         )
         # the 5% default window is CLT-narrow at n = 4096: mass visibly < 0.99
         assert verdict.tilted_mass < 0.99
@@ -235,7 +255,10 @@ class TestGartnerEllisLower:
 
         seq = WeightedSampleSequence(support, lambda n: float(n), (64, 128, 256))
         with pytest.raises(ValueError, match="Cauchy"):
-            gartner_ellis_lower_check(seq, 0.6, (0.6, 1.0), (0.0, 2.0))
+            # from t = 0.5 on the extrapolated curve is the line t, so the
+            # convexity gate of the build passes and the Cauchy gate refuses
+            gartner_ellis_lower_check(build_rate_curve(seq, np.linspace(0.5, 2.0, 201)),
+                                      0.6, (0.6, 1.0))
 
     def test_window_validation(self):
         seq = binomial_sequence([64, 128, 256])
@@ -245,14 +268,16 @@ class TestGartnerEllisLower:
     def test_needs_three_sizes(self):
         seq = binomial_sequence([64, 128])
         with pytest.raises(ValueError, match="three"):
-            gartner_ellis_lower_check(seq, 0.6, (0.6, 1.0), (0.0, 2.0))
+            gartner_ellis_lower_check(build_rate_curve(seq, np.linspace(0.0, 2.0, 201)),
+                                      0.6, (0.6, 1.0))
 
 
     def test_pinched_sectors_computed_once_per_size(self, sector_calls):
         rho1 = HermitianOperator(np.diag([0.4, 0.6]))
         sigma1 = HermitianOperator(np.array([[0.7, 0.02], [0.02, 0.3]]))
         seq = pinched_pair_sequence(rho1, sigma1, (6, 8, 10))
-        verdict = gartner_ellis_lower_check(seq, 0.3, (0.3, 1.0), (-1.0, 2.0))
+        verdict = gartner_ellis_lower_check(
+            build_rate_curve(seq, np.linspace(-1.0, 2.0, 201)), 0.3, (0.3, 1.0))
         assert verdict.converged
         assert len(sector_calls) == sum(n + 1 for n in seq.n_list)
 
