@@ -17,16 +17,15 @@ prints the regime, the value, and the attaining parameters.
 
 import numpy as np
 
-from sconv.families import IIDPayload, StateFamilySpec, asymptotic_rate
+from sconv.families import IIDPayload, asymptotic_rate
 from sconv.hoeffding import hoeffding_anti, polar_detail
 from sconv.operators import HermitianOperator
 from sconv.renyi import relative_entropy
 
 rho = HermitianOperator(np.diag([0.5, 0.5]))
 sigma = HermitianOperator(np.diag([0.25, 0.75]))
-spec = StateFamilySpec(kind="iid", payload=IIDPayload(rho1=rho, sigma1=sigma),
-                       scaling_exponent=1)
-rate = asymptotic_rate(spec, variant="plain")
+family = IIDPayload(rho1=rho, sigma1=sigma)
+rate = asymptotic_rate(family, variant="plain")
 
 d1 = relative_entropy(rho, sigma)
 dmax = rate.slope_at_infinity

@@ -14,7 +14,7 @@ be compared against the Legendre-transform predictions
 
 import numpy as np
 
-from sconv.families import IIDPayload, StateFamilySpec, asymptotic_rate
+from sconv.families import IIDPayload, asymptotic_rate
 from sconv.hoeffding import polar_detail
 from sconv.hyptest import exponent_sweep, fit_rate
 from sconv.operators import HermitianOperator
@@ -22,9 +22,8 @@ from sconv.renyi import relative_entropy
 
 rho = HermitianOperator(np.diag([0.5, 0.5]))
 sigma = HermitianOperator(np.diag([0.25, 0.75]))
-spec = StateFamilySpec(kind="iid", payload=IIDPayload(rho1=rho, sigma1=sigma),
-                       scaling_exponent=1)
-rate = asymptotic_rate(spec, variant="plain")
+family = IIDPayload(rho1=rho, sigma1=sigma)
+rate = asymptotic_rate(family, variant="plain")
 
 d1 = relative_entropy(rho, sigma)
 a = 0.5 * (d1 + rate.slope_at_infinity)  # midpoint of the strong-converse band
@@ -35,7 +34,7 @@ print(f"predicted type-II rate = {phi + a:.6f}")
 print()
 
 ns = [256, 512, 1024, 2048, 4096]
-report = exponent_sweep(spec, a, ns, rate=rate)
+report = exponent_sweep(family, a, ns, rate=rate)
 print(f"engine: {report.provenance}")
 print(f"{'n':>6} {'-log(success)/n':>16} {'-log(beta)/n':>14}")
 for ep in report.per_n:

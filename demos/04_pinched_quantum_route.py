@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from sconv.families import IIDPayload, StateFamilySpec, asymptotic_rate
+from sconv.families import IIDPayload, asymptotic_rate
 from sconv.hoeffding import hoeffding_anti, polar_detail
 from sconv.hyptest import exponent_sweep
 from sconv.operators import HermitianOperator
@@ -26,10 +26,9 @@ c, s = math.cos(theta), math.sin(theta)
 rot = np.array([[c, -s], [s, c]])
 rho1 = HermitianOperator(np.diag([0.85, 0.15]))
 sigma1 = HermitianOperator(rot @ np.diag([0.7, 0.3]) @ rot.T)
-spec = StateFamilySpec(kind="iid", payload=IIDPayload(rho1=rho1, sigma1=sigma1),
-                       scaling_exponent=1)
+family = IIDPayload(rho1=rho1, sigma1=sigma1)
 
-rate = asymptotic_rate(spec, variant="sandwiched")
+rate = asymptotic_rate(family, variant="sandwiched")
 a = 0.2162
 phi = polar_detail(rate, a).value
 print(f"threshold a = {a}   predicted (success, type-II) rates ="
@@ -37,7 +36,7 @@ print(f"threshold a = {a}   predicted (success, type-II) rates ="
 print()
 
 ns = list(range(4, 13))
-report = exponent_sweep(spec, a, ns, mode="pinched", rate=rate)
+report = exponent_sweep(family, a, ns, mode="pinched", rate=rate)
 print(f"engine: {report.provenance}")
 print(f"{'n':>4} {'-log(succ)/n':>13} {'-log(beta)/n':>13} {'gap':>9}"
       f" {'ceiling slack':>14}")

@@ -14,7 +14,6 @@ import numpy as np
 
 from sconv.families import (
     MarkovPayload,
-    StateFamilySpec,
     markov_psi_limit,
     markov_psi_n,
     markov_rate,
@@ -27,7 +26,6 @@ payload = MarkovPayload(
     P0=np.array([[0.7, 0.3], [0.4, 0.6]]),
     P1=np.array([[0.5, 0.5], [0.55, 0.45]]),
 )
-spec = StateFamilySpec(kind="markov", payload=payload, scaling_exponent=1)
 
 alpha = 1.7
 limit = markov_psi_limit(payload, alpha)
@@ -48,6 +46,6 @@ print()
 ns = [32, 64, 128, 256]
 print(f"{'r':>9} {'regime':>10} {'H*_r':>10} {'fitted beta rate':>17}")
 for r in (dbar - 0.01, dbar + 0.005, dbar + 0.02):
-    rep = sc_report(spec, float(r), ns, rate=rate)
+    rep = sc_report(payload, float(r), ns, rate=rate)
     print(f"{r:9.5f} {rep.regime:>10} {rep.predicted_H:10.6f}"
           f" {rep.beta_fit.rate:17.6f}")

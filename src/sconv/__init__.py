@@ -17,7 +17,6 @@ from .families import (
     GibbsPairPayload,
     IIDPayload,
     MarkovPayload,
-    StateFamilySpec,
     asymptotic_rate,
     family_from_json,
     family_states,
@@ -99,7 +98,6 @@ __all__ = [
     "GibbsPairPayload",
     "QuasiFreePayload",
     "TrigPolySymbol",
-    "StateFamilySpec",
     "family_states",
     "family_to_json",
     "family_from_json",

@@ -46,6 +46,9 @@ PARAMS = {
     "verify": {},
 }
 TASKS = tuple(PARAMS)
+# the fewest sizes a task's n_list may hold: two for the fit of the error decay
+# rates, three for the convergence gate of the large-deviation lower bound
+MIN_SIZES = {"np-sweep": 2, "sc-report": 2, "ldp": 3}
 
 __all__ = ["main", "load_scenario", "emit_convergence_table", "parse_convergence_table"]
 
@@ -100,13 +103,15 @@ def _positive_int(v):
     return type(v) is int and v >= 1  # JSON true parses as int
 
 
-def _check_n_list(ns, path):
+def _check_n_list(ns, path, task):
     if not isinstance(ns, list) or not ns:
         raise ScenarioError(path, "n_list must be a nonempty list")
     if not all(map(_positive_int, ns)):
         raise ScenarioError(path, "n_list entries must be positive integers")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ScenarioError(path, "n_list must be strictly increasing")
+    if len(ns) < MIN_SIZES.get(task, 1):
+        raise ScenarioError(path, f"{task} needs at least {MIN_SIZES[task]} sizes in n_list")
     return ns
 
 
@@ -118,11 +123,11 @@ def _check_grid(g, path):
     return [float(v) for v in g]
 
 
-def _check_param(name, v):
-    """Check one parameter, given or defaulted, and return it typed."""
+def _check_param(task, name, v):
+    """Check one of ``task``'s parameters, given or defaulted, and return it typed."""
     path = f"$.params.{name}"
     if name == "n_list":
-        return _check_n_list(v, path)
+        return _check_n_list(v, path, task)
     if name.endswith("_grid"):
         return _check_grid(v, path)
     if name == "n" and not _positive_int(v):
@@ -179,7 +184,8 @@ def load_scenario(path):
     if unknown:
         raise ScenarioError(f"$.params.{unknown[0]}",
                             f"{task} takes no {unknown[0]!r}; it takes {tuple(PARAMS[task])}")
-    scenario["params"] = {name: _check_param(name, v) if name in params or v is not None else v
+    scenario["params"] = {name: _check_param(task, name, v)
+                          if name in params or v is not None else v
                           for name, v in {**PARAMS[task], **params}.items()}
     return scenario
 
@@ -264,10 +270,10 @@ def _report_invariant_failures(report):
 # -- task runners ----------------------------------------------------------
 
 
-def _family_rate(spec, variant):
+def _family_rate(family, variant):
     """The family's asymptotic rate; a refusal to build it is the family's."""
     try:
-        return fam.asymptotic_rate(spec, variant=variant)
+        return fam.asymptotic_rate(family, variant=variant)
     except ValueError as exc:
         raise ScenarioError("$.family", str(exc)) from exc
 
@@ -288,15 +294,15 @@ def _run_renyi(scenario, out_dir, threads):
 
 def _run_hoeffding(scenario, out_dir, threads):
     params = scenario["params"]
-    spec = scenario["family"]
+    family = scenario["family"]
     variant = params["variant"]
-    rate = _family_rate(spec, variant)
+    rate = _family_rate(family, variant)
     rows = []
     for r in params["r_grid"]:
         h = hoeffding_anti(rate, r)
         rows.append([_fmt(r), _fmt(h.value), h.regime, _fmt(h.a_r), _fmt(h.attaining_t),
                      str(bool(h.tail_dominated)).lower(),
-                     f"anti-divergence[{spec.kind}/{variant}]"])
+                     f"anti-divergence[{family.kind}/{variant}]"])
     path = os.path.join(out_dir, params["out"])
     header = ["r", "value", "regime", "a_r", "attaining_t", "tail_dominated", "provenance"]
     return [_write_csv(path, header, rows)], 0
@@ -304,20 +310,20 @@ def _run_hoeffding(scenario, out_dir, threads):
 
 def _run_family(scenario, out_dir, threads):
     params = scenario["params"]
-    spec = scenario["family"]
+    family = scenario["family"]
     variant = params["variant"]
-    fam.check_block_dim(spec, max(params["n_list"]))  # before any block or rate is built
-    rate = _family_rate(spec, variant)
+    fam.check_block_dim(family, max(params["n_list"]))  # before any block or rate is built
+    rate = _family_rate(family, variant)
     rows = []
     for n in params["n_list"]:
-        pair = fam.family_states(spec, n)
-        scale = float(n) ** float(spec.scaling_exponent)
+        pair = fam.family_states(family, n)
+        scale = float(n) ** float(family.scaling_exponent)
         for alpha in params["alpha_grid"]:
             psi_n = renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
             lim = rate(alpha) if 1.0 <= alpha <= rate.t_hi else None
             resid = None if lim is None else psi_n / scale - lim
             rows.append([str(n), _fmt(alpha), variant, _fmt(psi_n), _fmt(psi_n / scale),
-                         _fmt(lim), _fmt(resid), f"family[{spec.kind}]"])
+                         _fmt(lim), _fmt(resid), f"family[{family.kind}]"])
     path = os.path.join(out_dir, params["out"])
     header = ["n", "alpha", "variant", "psi_n", "psi_over_scale", "limit", "residual",
               "provenance"]
@@ -373,11 +379,13 @@ def _run_ldp(scenario, out_dir, threads):
 
 
 def _run_verify(scenario, out_dir, threads):
+    raw = os.environ.get("SCONV_SEED", "42")
     try:
-        seed = int(os.environ.get("SCONV_SEED", "42"))
+        seed = int(raw)
     except ValueError:
-        raise ScenarioError("SCONV_SEED", "SCONV_SEED must be an integer, not "
-                            f"{os.environ['SCONV_SEED']!r}") from None
+        seed = -1
+    if seed < 0:
+        raise ScenarioError("SCONV_SEED", f"SCONV_SEED must be a non-negative integer, not {raw!r}")
     results = run_all_checks(seed=seed)
     passed = sum(1 for r in results if r.ok)
     failed = len(results) - passed

@@ -1,9 +1,9 @@
 """Constructors for correlated state sequences.
 
-Four kinds of families are supported, each a :class:`StateFamilySpec` of a
-kind tag and a payload whose class knows the kind's states, block dimension,
-rate curve, JSON form and per-``n`` scaling exponent (1 for chains, the
-lattice dimension for quasi-free families):
+Four kinds of families are supported.  A family is an instance of its kind's
+payload class, which knows the kind's tag, states, block dimension, rate
+curve, JSON form and per-``n`` scaling exponent (1 for chains, the lattice
+dimension for quasi-free families):
 
 * ``iid`` — tensor powers of a single-site pair;
 * ``markov`` — classical chains, materialized as diagonal path-probability
@@ -48,7 +48,6 @@ __all__ = [
     "MarkovPayload",
     "GibbsPayload",
     "GibbsPairPayload",
-    "StateFamilySpec",
     "check_block_dim",
     "family_states",
     "gibbs_local_hamiltonian",
@@ -253,32 +252,6 @@ class GibbsPairPayload:
 _PAYLOADS = {c.kind: c for c in (IIDPayload, MarkovPayload, GibbsPairPayload, qf.QuasiFreePayload)}
 
 
-@dataclass
-class StateFamilySpec:
-    """Declarative description of a correlated sequence of state pairs.
-
-    ``kind`` names the payload class, which holds every per-kind fact.  The
-    scaling exponent is the payload's lattice dimension (1, or ``nu`` for
-    quasi-free families): ``None`` takes it, and any other value must equal it.
-    """
-
-    kind: str
-    payload: object
-    scaling_exponent: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _PAYLOADS:
-            raise ValueError(f"unknown family kind {self.kind!r}; expected {tuple(_PAYLOADS)}")
-        expected = _PAYLOADS[self.kind]
-        if not isinstance(self.payload, expected):
-            raise ValueError(f"{self.kind} family needs a {expected.__name__} payload")
-        lattice = self.payload.scaling_exponent
-        if self.scaling_exponent not in (None, lattice):
-            raise ValueError(f"scaling exponent {self.scaling_exponent!r} must equal the "
-                             f"lattice dimension {lattice} of a {self.kind} family")
-        self.scaling_exponent = lattice
-
-
 # -- explicit state construction ------------------------------------------
 
 
@@ -292,18 +265,18 @@ def _markov_path_distribution(pi, P, n):
     return probs
 
 
-def check_block_dim(spec, n):
+def check_block_dim(family, n):
     """Refuse block ``n`` when its dense dimension exceeds ``DIM_CAP``; builds nothing."""
-    if spec.payload.block_dim(n) > DIM_CAP:
+    if family.block_dim(n) > DIM_CAP:
         raise ValueError(f"the dimension of block {n} exceeds cap {DIM_CAP}")
 
 
-def family_states(spec, n):
+def family_states(family, n):
     """Explicit density-operator pair of block ``n``; the cap is checked before any work."""
     if n < 1:
         raise ValueError("block size must be positive")
-    check_block_dim(spec, n)
-    return spec.payload.states(n)
+    check_block_dim(family, n)
+    return family.states(n)
 
 
 def gibbs_local_hamiltonian(payload, n):
@@ -520,21 +493,27 @@ def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), variant="sandwiched"):
     return rate_from_samples(list(n_list), _GIBBS_GRID, mat)
 
 
-def asymptotic_rate(spec, variant="sandwiched"):
-    """The family's asymptotic rate curve, as its payload builds it."""
-    return spec.payload.rate(variant)
+def asymptotic_rate(family, variant="sandwiched"):
+    """The family's asymptotic rate curve, as its payload class builds it."""
+    return family.rate(variant)
 
 
 # -- JSON round trip -------------------------------------------------------
 
 
-def family_to_json(spec):
-    return {"kind": spec.kind, "scaling_exponent": spec.scaling_exponent,
-            "payload": spec.payload.to_json()}
+def family_to_json(family):
+    return {"kind": family.kind, "scaling_exponent": family.scaling_exponent,
+            "payload": family.to_json()}
 
 
 def family_from_json(data):
-    kind, payload = data["kind"], data["payload"]
+    """The family (its payload instance) of a ``{"kind", "scaling_exponent",
+    "payload"}`` object; a given scaling exponent must be the lattice dimension."""
+    kind, scaling = data["kind"], data.get("scaling_exponent")
     if kind not in _PAYLOADS:
         raise ValueError(f"unknown family kind {kind!r}")
-    return StateFamilySpec(kind, _PAYLOADS[kind].from_json(payload), data.get("scaling_exponent"))
+    family = _PAYLOADS[kind].from_json(data["payload"])
+    if scaling not in (None, family.scaling_exponent):
+        raise ValueError(f"scaling exponent {scaling!r} must equal the lattice "
+                         f"dimension {family.scaling_exponent} of a {kind} family")
+    return family

@@ -164,7 +164,7 @@ class RateFit:
 class ExponentReport:
     """Per-n error pairs plus fitted and predicted exponents for one family."""
 
-    family: fam.StateFamilySpec
+    family: object  # a payload instance: IIDPayload, MarkovPayload, GibbsPairPayload, ...
     mode: str
     a: float
     per_n: list
@@ -484,7 +484,7 @@ def _commuting_iid_probs(payload):
     return p, sigma.eigenvalues.copy()
 
 
-def _dense_error_pair(spec, mode, n, c, a):
+def _dense_error_pair(family, mode, n, c, a):
     """Error pair of the (pinched) threshold test from dense matrices.
 
     One eigh of the threshold operator per ``(n, c)`` and sector: both traces
@@ -492,7 +492,7 @@ def _dense_error_pair(spec, mode, n, c, a):
     positive part.  A pair whose states share their diagonal blocks (Fock
     densities, by particle number) splits into independent sector slices.
     """
-    pair = fam.family_states(spec, n)
+    pair = fam.family_states(family, n)
     rho = _pinch_matrix(pair.rho, pair.sigma) if mode == "pinched" else pair.rho.entries
     sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
     success = beta = lp = 0.0
@@ -512,23 +512,23 @@ def _dense_error_pair(spec, mode, n, c, a):
     )
 
 
-def _resolve_engine(spec, mode):
+def _resolve_engine(family, mode):
     """Pick the cheapest exact engine; fall back to dense matrices.
 
     Returns ``(engine, provenance)``: ``engine(n, c, a)`` is one of the four
     engine functions with the family's data bound.
     """
-    if spec.kind == "iid":
-        tables = _commuting_iid_probs(spec.payload)
+    if family.kind == "iid":
+        tables = _commuting_iid_probs(family)
         if tables is not None:
             label = "exact-binomial" if tables[0].size == 2 else "exact-type-classes"
             return partial(iid_type_class_error_pair, *tables), label
-        if mode == "pinched" and _splits_into_sectors(spec.payload.sigma1):
-            return (partial(qubit_sector_error_pair, spec.payload.rho1, spec.payload.sigma1),
+        if mode == "pinched" and _splits_into_sectors(family.sigma1):
+            return (partial(qubit_sector_error_pair, family.rho1, family.sigma1),
                     "pinched-sectors")
-    if spec.kind == "markov" and spec.payload.d == 2:
-        return partial(markov_error_pair, spec.payload), "exact-run-classes"
-    return partial(_dense_error_pair, spec, mode), "dense"
+    if family.kind == "markov" and family.d == 2:
+        return partial(markov_error_pair, family), "exact-run-classes"
+    return partial(_dense_error_pair, family, mode), "dense"
 
 
 # -- fitting and reports ---------------------------------------------------
@@ -571,7 +571,7 @@ def default_a_grid(rate):
     return np.linspace(lo + 0.02 * gap, hi - 0.02 * gap, 9)
 
 
-def _build_report(spec, a, n_list, mode, rate, h, notes):
+def _build_report(family, a, n_list, mode, rate, h, notes):
     """Run the engine at threshold rate ``a`` over ``n_list``, fit once, report.
 
     ``h`` is the anti-divergence at the report's ``r`` (``None`` for a plain
@@ -582,12 +582,12 @@ def _build_report(spec, a, n_list, mode, rate, h, notes):
     """
     if mode not in ("np", "pinched"):
         raise ValueError(f"unknown mode {mode!r}")
-    engine, provenance = _resolve_engine(spec, mode)
+    engine, provenance = _resolve_engine(family, mode)
     if provenance == "dense":  # refuse an over-cap block before building any
-        fam.check_block_dim(spec, max(n_list))
+        fam.check_block_dim(family, max(n_list))
     elif provenance == "pinched-sectors":
         _check_sector_dim(max(n_list))
-    s = float(spec.scaling_exponent)
+    s = float(family.scaling_exponent)
     pairs = [engine(n, a * float(n) ** s, a) for n in sorted(n_list)]
     pd = polar_detail(rate, a)
     success_rate, beta_rate = pd.value, pd.value + float(a)
@@ -604,7 +604,7 @@ def _build_report(spec, a, n_list, mode, rate, h, notes):
     if not (success_fit.asymptotic and beta_fit.asymptotic):
         own.append("not yet asymptotic: fit R^2 below 0.98")
     return ExponentReport(
-        family=spec,
+        family=family,
         mode=mode,
         a=float(a),
         per_n=pairs,
@@ -620,12 +620,12 @@ def _build_report(spec, a, n_list, mode, rate, h, notes):
     )
 
 
-def exponent_sweep(spec, a, n_list, mode="np", rate=None, variant="sandwiched"):
+def exponent_sweep(family, a, n_list, mode="np", rate=None, variant="sandwiched"):
     """Error pairs over ``n_list`` at fixed threshold rate ``a``, with fitted
     decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``."""
     if rate is None:
-        rate = fam.asymptotic_rate(spec, variant=variant)
-    return _build_report(spec, a, n_list, mode, rate, None, [])
+        rate = fam.asymptotic_rate(family, variant=variant)
+    return _build_report(family, a, n_list, mode, rate, None, [])
 
 
 def _shifted_pair(ep, shift):
@@ -634,7 +634,7 @@ def _shifted_pair(ep, shift):
                                ep.log_beta - shift, None)
 
 
-def sc_report(spec, r, n_list, mode="np", rate=None, variant="sandwiched"):
+def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched"):
     """Full strong-converse report at success-vs-type-II tradeoff ``r``.
 
     Resolves the regime of the anti-divergence at ``r``, picks the matching
@@ -645,7 +645,7 @@ def sc_report(spec, r, n_list, mode="np", rate=None, variant="sandwiched"):
     if r < 0:
         raise ValueError("tradeoff rate r must be nonnegative")
     if rate is None:
-        rate = fam.asymptotic_rate(spec, variant=variant)
+        rate = fam.asymptotic_rate(family, variant=variant)
     h = hoeffding_anti(rate, r)
     notes = []
     if h.regime == "zero":
@@ -662,7 +662,7 @@ def sc_report(spec, r, n_list, mode="np", rate=None, variant="sandwiched"):
         notes.append("linear-tail regime: rescaled sub-tests in effect")
         if not rate.slope_is_exact:
             notes.append("boundary slope estimated from the grid tail")
-    if spec.kind == "quasifree" and not spec.payload.scalar_reference:
+    if family.kind == "quasifree" and not family.scalar_reference:
         notes.append("reference symbol is not the scalar 1/2: prediction is a lower bound "
                      "in a two-sided bracket, not claimed as an equality")
-    return _build_report(spec, a, n_list, mode, rate, h, notes)
+    return _build_report(family, a, n_list, mode, rate, h, notes)

@@ -19,7 +19,6 @@ from sconv.families import (
     MarkovPayload,
     PAULI_X,
     PAULI_Z,
-    StateFamilySpec,
     asymptotic_rate,
     factorization_certificate,
     gibbs_state,
@@ -166,8 +165,7 @@ def test_05_binary_strong_converse_exponent_fit():
     start = time.perf_counter()
     rho = HermitianOperator(np.diag([0.5, 0.5]))
     sigma = HermitianOperator(np.diag([0.25, 0.75]))
-    spec = StateFamilySpec(kind="iid", payload=IIDPayload(rho1=rho, sigma1=sigma),
-                           scaling_exponent=1)
+    spec = IIDPayload(rho1=rho, sigma1=sigma)
     rate = asymptotic_rate(spec, variant="plain")
     d1 = relative_entropy(rho, sigma)
     a = 0.5 * (d1 + rate.slope_at_infinity)
@@ -191,8 +189,7 @@ def test_06_pinched_route_rate_convergence():
     rot = np.array([[c, -s], [s, c]])
     rho1 = HermitianOperator(np.diag([0.85, 0.15]))
     sigma1 = HermitianOperator(rot @ np.diag([0.7, 0.3]) @ rot.T)
-    spec = StateFamilySpec(kind="iid", payload=IIDPayload(rho1=rho1, sigma1=sigma1),
-                           scaling_exponent=1)
+    spec = IIDPayload(rho1=rho1, sigma1=sigma1)
     rate = asymptotic_rate(spec, variant="sandwiched")
     a = 0.2162
     phi = polar_detail(rate, a).value
@@ -351,11 +348,10 @@ def test_11_markov_transfer_limit_and_regime_boundary():
     assert rate.right_derivative_at_1 == pytest.approx(dbar, abs=1e-9)
     # regime boundary of the reports sits at the relative entropy rate,
     # located within one step of the scanning grid
-    spec = StateFamilySpec(kind="markov", payload=payload, scaling_exponent=1)
     ns = [32, 64, 128, 256]
     r_grid = np.linspace(dbar - 0.02, dbar + 0.02, 9)
     step = float(r_grid[1] - r_grid[0])
-    regimes = [sc_report(spec, float(r), ns, rate=rate).regime for r in r_grid]
+    regimes = [sc_report(payload, float(r), ns, rate=rate).regime for r in r_grid]
     flip = next(i for i, reg in enumerate(regimes) if reg != "zero")
     assert all(reg == "zero" for reg in regimes[:flip])
     assert all(reg != "zero" for reg in regimes[flip:])

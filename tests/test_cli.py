@@ -24,7 +24,7 @@ from sconv.cli import (
 )
 from sconv.families import PAULI_X, PAULI_Z
 from sconv.operators import HermitianOperator, operator_to_json, rand_density
-from sconv.quasifree import quasifree_block_symbol, singleparticle_psi
+from sconv.quasifree import QuasiFreePayload, quasifree_block_symbol, singleparticle_psi
 from sconv.renyi import psi
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,7 +81,7 @@ def onsite_gibbs_family():
     """A Gibbs pair of two on-site interactions: every block is a tensor power."""
     null = fam.GibbsPayload(2, [HermitianOperator(np.diag([0.0, 1.0]))], 0.7)
     alt = fam.GibbsPayload(2, [HermitianOperator(0.6 * PAULI_X + 0.3 * PAULI_Z)], 0.5)
-    return fam.family_to_json(fam.StateFamilySpec("gibbs", fam.GibbsPairPayload(null, alt)))
+    return fam.family_to_json(fam.GibbsPairPayload(null, alt))
 
 
 # psi_n of each family kind by a route that builds no dense block state
@@ -252,7 +252,7 @@ class TestLoadScenario:
         else:
             rho["im"] = im
         scenario = load_scenario(write_scenario(tmp_path, {"task": "renyi", "family": family}))
-        assert np.array_equal(scenario["family"].payload.rho1.entries, np.diag([1.0, 0.0]))
+        assert np.array_equal(scenario["family"].rho1.entries, np.diag([1.0, 0.0]))
 
     def test_bad_mode(self, tmp_path):
         obj = {
@@ -300,6 +300,42 @@ class TestLoadScenario:
         obj = {"task": "sc-report", "family": binary_family(), "params": {"r_grid": [0.3]}}
         scenario = load_scenario(write_scenario(tmp_path, obj))
         assert scenario["params"] == {**PARAMS["sc-report"], "r_grid": [0.3]}
+
+    @pytest.mark.parametrize("task, family, n_list", [
+        ("np-sweep", markov_family(), [1024]),
+        ("sc-report", markov_family(), [1024]),
+        ("ldp", None, [256, 512]),
+    ], ids=["np-sweep", "sc-report", "ldp"])
+    def test_too_few_sizes_refused_before_any_rate(self, tmp_path, capsys, monkeypatch,
+                                                   task, family, n_list):
+        calls = []
+        monkeypatch.setattr(fam, "asymptotic_rate", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(ldp, "build_rate_curve", lambda *args, **kw: calls.append(args))
+        obj = {"task": task, "params": {"n_list": n_list}}
+        if family is not None:
+            obj["family"] = family
+        scenario = write_scenario(tmp_path, obj)
+        assert main([task, "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "$.params.n_list"
+        assert calls == [] and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("make_family, payload_class", [
+        (binary_family, fam.IIDPayload),
+        (markov_family, fam.MarkovPayload),
+        (onsite_gibbs_family, fam.GibbsPairPayload),
+        (quasifree_family, QuasiFreePayload),
+    ], ids=["iid", "markov", "gibbs", "quasifree"])
+    def test_the_family_is_its_payload(self, tmp_path, make_family, payload_class):
+        obj = {"task": "renyi", "family": make_family()}
+        family = load_scenario(write_scenario(tmp_path, obj))["family"]
+        assert isinstance(family, payload_class)
+        assert type(fam.family_from_json(fam.family_to_json(family))) is payload_class
+
+    def test_a_report_holds_the_family(self, tmp_path):
+        obj = {"task": "sc-report", "family": binary_family()}
+        family = load_scenario(write_scenario(tmp_path, obj))["family"]
+        assert ht.sc_report(family, 0.2, [16, 32, 64]).family is family
 
     def test_ldp_needs_no_family(self, tmp_path):
         obj = {"task": "ldp", "params": {"n_list": [256, 512, 1024]}}
@@ -535,6 +571,14 @@ class TestMain:
         assert err["field"] == "SCONV_SEED" and "SCONV_SEED" in err["error"]
         assert not (tmp_path / "verify_summary.json").exists()
 
+    def test_negative_seed_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SCONV_SEED", "-1")
+        assert main(["verify", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "SCONV_SEED must be a non-negative integer, not '-1'",
+                       "field": "SCONV_SEED"}
+        assert not (tmp_path / "verify_summary.json").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
         with pytest.raises(SystemExit) as exc:
@@ -640,7 +684,7 @@ class TestMain:
     @pytest.mark.parametrize("variant", ["plain", "sandwiched"])
     def test_family_psi_matches_independent_route(self, tmp_path, family, ns, variant):
         reference = FAMILY_PSI_REFERENCES[family["kind"]]
-        payload = fam.family_from_json(family).payload
+        payload = fam.family_from_json(family)
         alphas = [0.75, 1.5, 2.0]
         scenario = write_scenario(tmp_path, {
             "task": "family", "family": family,
@@ -748,7 +792,8 @@ class TestMain:
                        "field": "$.family"}
 
     def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
-        scenario = write_scenario(tmp_path, {"task": "ldp", "params": {"n_list": [64, 128]}})
+        scenario = write_scenario(tmp_path, {"task": "ldp",
+                                             "params": {"n_list": [64, 128, 256]}})
         afile = tmp_path / "afile"
         afile.write_text("", encoding="utf-8")
         rc = main(["ldp", "--scenario", scenario, "--out", str(afile)])

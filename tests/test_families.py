@@ -14,7 +14,6 @@ from sconv.families import (
     GibbsPayload,
     IIDPayload,
     MarkovPayload,
-    StateFamilySpec,
     _markov_path_distribution,
     asymptotic_rate,
     factorization_certificate,
@@ -103,50 +102,41 @@ class TestPayloadValidation:
         with pytest.raises(ValueError, match="site dimension"):
             GibbsPairPayload(a, b)
 
-    def test_spec_payload_type_check(self, rng):
-        with pytest.raises(ValueError, match="payload"):
-            StateFamilySpec("markov", IIDPayload(rand_density(2, rng), rand_density(2, rng)))
-
-    def test_spec_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            StateFamilySpec("bogus", two_state_markov())
-
     def test_quasifree_scaling_must_match_nu(self):
         payload = QuasiFreePayload(1, TrigPolySymbol(0.4), TrigPolySymbol(0.5), 0.2)
         with pytest.raises(ValueError, match="lattice dimension"):
-            StateFamilySpec("quasifree", payload, scaling_exponent=2)
+            family_from_json({**family_to_json(payload), "scaling_exponent": 2})
 
     def test_scaling_exponent_is_the_lattice_dimension(self, rng):
         iid = IIDPayload(rand_density(2, rng), rand_density(2, rng))
-        assert StateFamilySpec("iid", iid).scaling_exponent == 1
-        assert StateFamilySpec("iid", iid, scaling_exponent=1).scaling_exponent == 1
+        assert iid.scaling_exponent == 1
+        back = family_from_json({**family_to_json(iid), "scaling_exponent": 1})
+        assert back.scaling_exponent == 1
         two_d = QuasiFreePayload(2, lambda x, y: 0.45 + 0.1 * np.cos(x),
                                  lambda x, y: 0.5 + 0.05 * np.sin(y), 0.2)
-        assert StateFamilySpec("quasifree", two_d).scaling_exponent == 2
-        for kind, payload in (("iid", iid), ("markov", two_state_markov()),
-                              ("gibbs", GibbsPairPayload(onsite_gibbs(), zzx_gibbs()))):
+        assert two_d.scaling_exponent == 2
+        for payload in (iid, two_state_markov(), GibbsPairPayload(onsite_gibbs(), zzx_gibbs())):
             with pytest.raises(ValueError, match="lattice dimension"):
-                StateFamilySpec(kind, payload, scaling_exponent=2)
+                family_from_json({**family_to_json(payload), "scaling_exponent": 2})
 
 
 class TestFamilyStates:
     def test_iid_states_are_tensor_powers(self, rng):
         rho1, sigma1 = rand_density(2, rng), rand_density(2, rng)
-        spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+        spec = IIDPayload(rho1, sigma1)
         pair = family_states(spec, 3)
         assert np.allclose(
             pair.rho.entries, tensor_power(rho1, 3).entries, atol=1e-12
         )
 
     def test_iid_dim_cap(self, rng):
-        spec = StateFamilySpec("iid", IIDPayload(rand_density(2, rng), rand_density(2, rng)))
+        spec = IIDPayload(rand_density(2, rng), rand_density(2, rng))
         with pytest.raises(ValueError, match="cap"):
             family_states(spec, 20)
 
     def test_markov_states_are_path_distributions(self):
         mp = two_state_markov()
-        spec = StateFamilySpec("markov", mp)
-        pair = family_states(spec, 2)
+        pair = family_states(mp, 2)
         # diagonal with entries pi(a) P(a, b) in lexicographic path order
         expect = np.array(
             [mp.pi0[a] * mp.P0[a, b] for a in range(2) for b in range(2)]
@@ -167,11 +157,11 @@ class TestFamilyStates:
         calls = []
         monkeypatch.setattr(qf, "quasifree_block_symbol", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="block 13 exceeds cap 4096"):
-            family_states(StateFamilySpec("quasifree", payload), 13)
+            family_states(payload, 13)
         assert calls == []
 
     def test_gibbs_pair_states(self):
-        spec = StateFamilySpec("gibbs", GibbsPairPayload(onsite_gibbs(0.5), onsite_gibbs(1.1)))
+        spec = GibbsPairPayload(onsite_gibbs(0.5), onsite_gibbs(1.1))
         pair = family_states(spec, 3)
         assert pair.dim == 8
         assert pair.rho.trace == pytest.approx(1.0, abs=1e-10)
@@ -252,8 +242,7 @@ class TestMarkovTransfer:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_brute_force_paths(self, n):
         mp = two_state_markov()
-        spec = StateFamilySpec("markov", mp)
-        pair = family_states(spec, n)
+        pair = family_states(mp, n)
         for alpha in (0.6, 1.7, 2.5):
             brute = psi(pair.rho, pair.sigma, alpha)
             assert markov_psi_n(mp, alpha, n) == pytest.approx(brute, abs=1e-12)
@@ -329,33 +318,33 @@ class TestRateCurves:
             assert f(a) == pytest.approx(psi(w_null, w_alt, a, "sandwiched"), abs=1e-9)
 
     def test_asymptotic_rate_dispatch(self, rng):
-        spec = StateFamilySpec("iid", IIDPayload(rand_density(2, rng), rand_density(2, rng)))
+        spec = IIDPayload(rand_density(2, rng), rand_density(2, rng))
         f = asymptotic_rate(spec)
         assert f(1.0) == 0.0
-        g = asymptotic_rate(StateFamilySpec("markov", two_state_markov()))
+        g = asymptotic_rate(two_state_markov())
         assert g(1.0) == 0.0
 
 
 class TestJsonRoundTrip:
     def test_iid(self, rng):
-        spec = StateFamilySpec("iid", IIDPayload(rand_density(2, rng), rand_density(2, rng)))
+        spec = IIDPayload(rand_density(2, rng), rand_density(2, rng))
         back = family_from_json(family_to_json(spec))
-        assert np.allclose(back.payload.rho1.entries, spec.payload.rho1.entries)
+        assert np.allclose(back.rho1.entries, spec.rho1.entries)
 
     def test_markov(self):
-        spec = StateFamilySpec("markov", two_state_markov())
+        spec = two_state_markov()
         back = family_from_json(family_to_json(spec))
-        assert np.allclose(back.payload.P0, spec.payload.P0)
-        assert markov_psi_n(back.payload, 2.0, 5) == pytest.approx(
-            markov_psi_n(spec.payload, 2.0, 5), abs=1e-15
+        assert np.allclose(back.P0, spec.P0)
+        assert markov_psi_n(back, 2.0, 5) == pytest.approx(
+            markov_psi_n(spec, 2.0, 5), abs=1e-15
         )
 
     def test_gibbs(self):
-        spec = StateFamilySpec("gibbs", GibbsPairPayload(zzx_gibbs(), onsite_gibbs()))
+        spec = GibbsPairPayload(zzx_gibbs(), onsite_gibbs())
         back = family_from_json(family_to_json(spec))
-        assert back.payload.null.beta == spec.payload.null.beta
-        w0 = gibbs_state(spec.payload.null, 3)
-        w1 = gibbs_state(back.payload.null, 3)
+        assert back.null.beta == spec.null.beta
+        w0 = gibbs_state(spec.null, 3)
+        w1 = gibbs_state(back.null, 3)
         assert np.allclose(w0.entries, w1.entries, atol=1e-12)
 
     def test_quasifree(self):
@@ -365,10 +354,9 @@ class TestJsonRoundTrip:
             TrigPolySymbol(0.5, sin_coeffs=(0.05,)),
             0.2,
         )
-        spec = StateFamilySpec("quasifree", payload)
-        back = family_from_json(family_to_json(spec))
+        back = family_from_json(family_to_json(payload))
         x = np.linspace(0, 2 * np.pi, 17)
-        assert np.allclose(back.payload.q_symbol(x), payload.q_symbol(x), atol=1e-15)
+        assert np.allclose(back.q_symbol(x), payload.q_symbol(x), atol=1e-15)
         assert back.scaling_exponent == 1
 
     def test_unknown_kind_raises(self):

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 
 from sconv import families as fam
 from sconv.cli import main
-from sconv.families import IIDPayload, MarkovPayload, StateFamilySpec, markov_psi_n
+from sconv.families import IIDPayload, MarkovPayload, markov_psi_n
 from sconv.hyptest import (
     _SECTOR_CACHE,
     RUN_CLASS_CHUNK,
@@ -51,12 +51,9 @@ from conftest import classical_pair
 
 def binary_spec(p=0.25, q=0.75):
     """Commuting binary i.i.d. family as diagonal qubits."""
-    return StateFamilySpec(
-        "iid",
-        IIDPayload(
-            HermitianOperator(np.diag([1 - p, p])),
-            HermitianOperator(np.diag([1 - q, q])),
-        ),
+    return IIDPayload(
+        HermitianOperator(np.diag([1 - p, p])),
+        HermitianOperator(np.diag([1 - q, q])),
     )
 
 
@@ -217,8 +214,7 @@ class TestExactClassicalEngines:
             pi0=[0.6, 0.4], pi1=[0.5, 0.5],
             P0=[[0.7, 0.3], [0.2, 0.8]], P1=[[0.5, 0.5], [0.4, 0.6]],
         )
-        spec = StateFamilySpec("markov", mp)
-        pair = family_states(spec, n)
+        pair = family_states(mp, n)
         for a in (-0.1, 0.04, 0.2):
             c = a * n
             exact = markov_error_pair(mp, n, c)
@@ -232,9 +228,8 @@ class TestExactClassicalEngines:
             pi0=[1.0, 0.0], pi1=[0.5, 0.5],
             P0=[[1.0, 0.0], [0.3, 0.7]], P1=[[0.6, 0.4], [0.2, 0.8]],
         )
-        spec = StateFamilySpec("markov", mp)
         n = 5
-        pair = family_states(spec, n)
+        pair = family_states(mp, n)
         c = 0.1 * n
         exact = markov_error_pair(mp, n, c)
         dense = error_pair(pair, np_test(pair, c), n=n)
@@ -274,7 +269,7 @@ class TestSectorEngine:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_matches_dense_pinched(self, n):
         rho1, sigma1 = noncommuting_qubits()
-        spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+        spec = IIDPayload(rho1, sigma1)
         pair = family_states(spec, n)
         for a in (0.0, 0.15):
             c = a * n
@@ -305,7 +300,7 @@ class TestSectorEngine:
             ep = qubit_sector_error_pair(rho1, sigma1, n, a * n)
             assert ep.success + ep.alpha_err == pytest.approx(1.0, abs=1e-10)
             if n == 4:
-                spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+                spec = IIDPayload(rho1, sigma1)
                 pair = family_states(spec, n)
                 dense = error_pair(pair, pinched_np_test(pair, a * n), n=n)
                 assert ep.success == pytest.approx(dense.success, abs=1e-10)
@@ -379,14 +374,11 @@ class TestSectorCache:
 
 
 def quasifree_spec():
-    return StateFamilySpec(
-        "quasifree",
-        QuasiFreePayload(
-            nu=1,
-            q_symbol=TrigPolySymbol(0.5, cos_coeffs=(0.2,)),
-            r_symbol=TrigPolySymbol(0.45, cos_coeffs=(-0.1,), sin_coeffs=(0.05,)),
-            c_bound=0.2,
-        ),
+    return QuasiFreePayload(
+        nu=1,
+        q_symbol=TrigPolySymbol(0.5, cos_coeffs=(0.2,)),
+        r_symbol=TrigPolySymbol(0.45, cos_coeffs=(-0.1,), sin_coeffs=(0.05,)),
+        c_bound=0.2,
     )
 
 
@@ -500,22 +492,19 @@ class TestSweepAndReport:
             pi0=[0.6, 0.4], pi1=[0.5, 0.5],
             P0=[[0.7, 0.3], [0.2, 0.8]], P1=[[0.5, 0.5], [0.4, 0.6]],
         )
-        report = exponent_sweep(StateFamilySpec("markov", mp), 0.12, [8, 16, 32, 64])
+        report = exponent_sweep(mp, 0.12, [8, 16, 32, 64])
         assert report.provenance == "exact-run-classes"
 
         rho1, sigma1 = noncommuting_qubits()
-        spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+        spec = IIDPayload(rho1, sigma1)
         pinched = exponent_sweep(spec, 0.2, [2, 4, 6], mode="pinched")
         assert pinched.provenance == "pinched-sectors"
         plain = exponent_sweep(spec, 0.2, [2, 4, 6], mode="np")
         assert plain.provenance == "dense"
 
-        qutrit = StateFamilySpec(
-            "iid",
-            IIDPayload(
-                HermitianOperator(np.diag([0.5, 0.3, 0.2])),
-                HermitianOperator(np.diag([0.2, 0.3, 0.5])),
-            ),
+        qutrit = IIDPayload(
+            HermitianOperator(np.diag([0.5, 0.3, 0.2])),
+            HermitianOperator(np.diag([0.2, 0.3, 0.5])),
         )
         typed = exponent_sweep(qutrit, 0.3, [4, 8, 16])
         assert typed.provenance == "exact-type-classes"
@@ -523,7 +512,7 @@ class TestSweepAndReport:
     def test_dense_pinched_one_eigh_per_block(self, qutrit_pair, monkeypatch):
         # the pinched matrix needs no eigenbasis: only the threshold operator's eigh
         rho1, sigma1 = qutrit_pair
-        spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+        spec = IIDPayload(rho1, sigma1)
         engine, provenance = _resolve_engine(spec, "pinched")
         assert provenance == "dense"
         shapes, eigh = [], np.linalg.eigh
@@ -535,7 +524,7 @@ class TestSweepAndReport:
 
     def test_dense_pinched_floor_is_pinched_positive_part(self, qutrit_pair):
         rho1, sigma1 = qutrit_pair
-        spec = StateFamilySpec("iid", IIDPayload(rho1, sigma1))
+        spec = IIDPayload(rho1, sigma1)
         a = 0.05
         report = exponent_sweep(spec, a, [2, 3, 4, 5], mode="pinched")
         assert report.provenance == "dense"

@@ -11,7 +11,7 @@ import pytest
 
 import sconv.cli  # noqa: F401  (imports every module the tracer patches)
 from sconv import hyptest as ht
-from sconv.families import IIDPayload, StateFamilySpec, asymptotic_rate
+from sconv.families import IIDPayload, asymptotic_rate
 from sconv.operators import HermitianOperator
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -47,10 +47,10 @@ def test_install_and_uninstall_restore_every_target(tracer_module):
 
 
 def test_engine_calls_sit_directly_under_the_sweep(tracer_module):
-    binary = StateFamilySpec("iid", IIDPayload(
+    binary = IIDPayload(
         HermitianOperator(np.diag([0.25, 0.75])),
         HermitianOperator(np.diag([0.75, 0.25])),
-    ))
+    )
     rate = asymptotic_rate(binary)
     tail_r = rate.slope_at_infinity + 0.4
     tracer = tracer_module.Tracer()
