@@ -135,11 +135,15 @@ def _check_param(task, name, v):
     if name in ("prob", "window_hi"):
         if not finite_json_numbers([v]):
             raise ScenarioError(path, f"{name} must be a finite number")
+        if name == "prob" and not 0 < v < 1:
+            raise ScenarioError(path, "prob must lie in (0, 1)")
         return float(v)
     if name == "t_range":
         if not (isinstance(v, list) and len(v) == 2 and finite_json_numbers(v)
                 and v[0] < v[1]):
             raise ScenarioError(path, "t_range must be finite [lo, hi] with lo < hi")
+        if v[1] <= 0:  # hi also ends the Chernoff grid [0, hi]
+            raise ScenarioError(path, "t_range must end above 0")
         return tuple(map(float, v))
     if name == "out" and not (isinstance(v, str) and v not in ("", ".", "..")
                               and not os.path.dirname(v)):
@@ -162,6 +166,10 @@ def load_scenario(path):
         raise ScenarioError("$", f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("$", "scenario must be a JSON object")
+    unknown = sorted(set(raw) - {"task", "family", "params"})
+    if unknown:
+        raise ScenarioError(f"$.{unknown[0]}", f"a scenario takes no {unknown[0]!r}; "
+                            "it takes ('task', 'family', 'params')")
     task = _require(raw, "task", str, "$")
     if task not in TASKS:
         raise ScenarioError("$.task", f"unknown task {task!r}; expected one of {TASKS}")
@@ -312,14 +320,16 @@ def _run_family(scenario, out_dir, threads):
     params = scenario["params"]
     family = scenario["family"]
     variant = params["variant"]
-    fam.check_block_dim(family, max(params["n_list"]))  # before any block or rate is built
+    psis = {}  # largest block first, so an over-cap block is refused before any other
+    for n in sorted(params["n_list"], reverse=True):
+        pair = fam.family_states(family, n)
+        psis[n] = [renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
+                   for alpha in params["alpha_grid"]]
     rate = _family_rate(family, variant)
     rows = []
     for n in params["n_list"]:
-        pair = fam.family_states(family, n)
         scale = float(n) ** float(family.scaling_exponent)
-        for alpha in params["alpha_grid"]:
-            psi_n = renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
+        for alpha, psi_n in zip(params["alpha_grid"], psis[n]):
             lim = rate(alpha) if 1.0 <= alpha <= rate.t_hi else None
             resid = None if lim is None else psi_n / scale - lim
             rows.append([str(n), _fmt(alpha), variant, _fmt(psi_n), _fmt(psi_n / scale),

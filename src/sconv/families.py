@@ -48,7 +48,6 @@ __all__ = [
     "MarkovPayload",
     "GibbsPayload",
     "GibbsPairPayload",
-    "check_block_dim",
     "family_states",
     "gibbs_local_hamiltonian",
     "gibbs_state",
@@ -265,17 +264,12 @@ def _markov_path_distribution(pi, P, n):
     return probs
 
 
-def check_block_dim(family, n):
-    """Refuse block ``n`` when its dense dimension exceeds ``DIM_CAP``; builds nothing."""
-    if family.block_dim(n) > DIM_CAP:
-        raise ValueError(f"the dimension of block {n} exceeds cap {DIM_CAP}")
-
-
 def family_states(family, n):
     """Explicit density-operator pair of block ``n``; the cap is checked before any work."""
     if n < 1:
         raise ValueError("block size must be positive")
-    check_block_dim(family, n)
+    if family.block_dim(n) > DIM_CAP:
+        raise ValueError(f"the dimension of block {n} exceeds cap {DIM_CAP}")
     return family.states(n)
 
 
@@ -345,7 +339,8 @@ def smallest_factorization_eta(payload, max_total=8):
     of :func:`psd_dominates`) contributes exactly 1, so on-site interactions
     give ``1.0``.  The result certifies the tested sizes only.
     """
-    w = {j: gibbs_state(payload, j) for j in range(1, max_total + 1)}
+    # largest first, so an over-cap block is refused before any other is built
+    w = {j: gibbs_state(payload, j) for j in range(max_total, 0, -1)}
     eta = 1.0
     for m, k, r_rem in _all_splits(max_total):
         w_n = w[k * m + r_rem]
@@ -485,8 +480,9 @@ _GIBBS_GRID = np.concatenate([np.linspace(1.0, 2.0, 21), np.linspace(2.1, 8.0, 6
 
 
 def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), variant="sandwiched"):
-    """Extrapolated rate curve for a Gibbs pair from finite-volume samples."""
-    pairs = [pair_payload.states(n) for n in n_list]
+    """Extrapolated rate curve for a Gibbs pair from finite-volume samples; the
+    largest block is built first, so an over-cap one is refused before any other."""
+    pairs = [pair_payload.states(n) for n in sorted(n_list, reverse=True)][::-1]
     mat = np.array(
         [[psi(p.rho, p.sigma, a, variant) for a in _GIBBS_GRID] for p in pairs]
     )

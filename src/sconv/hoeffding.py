@@ -24,6 +24,8 @@ import numpy as np
 
 DEFAULT_T_HI = 64.0
 GOLDEN_XTOL = 1e-10  # golden-search stop width in t; at a smooth max, value error O(width^2)
+BISECTION_XTOL = 1e-10  # bracket width in a where the anti-divergence bisection stops
+BISECTION_MAX_STEPS = 200  # caps the halvings where float spacing at a keeps the bracket wider
 TAIL_SLOPE_TOL = 1e-8  # a sup objective rising faster than this at t_hi is still climbing
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -268,8 +270,8 @@ def hoeffding_anti(f, r):
     # h is strictly increasing (polar slope >= 0 plus the +a term), and h(hi) > 0:
     # a finite tail gets here only with r < r_max - 1e-12, so h(a_max) = r_max - r;
     # an infinite tail makes h(a_max) infinite; and h(r + 1) >= 1, the polar being >= 0
-    for _ in range(200):
-        if hi - lo <= 1e-10:
+    for _ in range(BISECTION_MAX_STEPS):
+        if hi - lo <= BISECTION_XTOL:
             break
         mid = 0.5 * (lo + hi)
         if h(mid) > 0.0:

@@ -433,17 +433,11 @@ def _splits_into_sectors(sigma1):
     return mu.size == 2 and mu.min() > 0 and mu[1] - mu[0] > 1e-12
 
 
-def _check_sector_dim(n):
-    """Refuse block ``n`` when its largest Hamming sector exceeds ``DIM_CAP``
-    rows; builds nothing."""
-    if math.comb(n, n // 2) > DIM_CAP:
-        raise ValueError(f"the largest Hamming sector of block {n} exceeds cap {DIM_CAP}")
-
-
 def _sector_spectra(rho1, sigma1, n):
     if not _splits_into_sectors(sigma1):
         raise ValueError("Hamming sectors need a positive nondegenerate qubit reference")
-    _check_sector_dim(n)
+    if math.comb(n, n // 2) > DIM_CAP:  # refused before any sector of block n is built
+        raise ValueError(f"the largest Hamming sector of block {n} exceeds cap {DIM_CAP}")
     mu = sigma1.eigenvalues
     v = sigma1.eigenvectors
     rho_ref = v.conj().T @ rho1.entries @ v
@@ -583,12 +577,9 @@ def _build_report(family, a, n_list, mode, rate, h, notes):
     if mode not in ("np", "pinched"):
         raise ValueError(f"unknown mode {mode!r}")
     engine, provenance = _resolve_engine(family, mode)
-    if provenance == "dense":  # refuse an over-cap block before building any
-        fam.check_block_dim(family, max(n_list))
-    elif provenance == "pinched-sectors":
-        _check_sector_dim(max(n_list))
     s = float(family.scaling_exponent)
-    pairs = [engine(n, a * float(n) ** s, a) for n in sorted(n_list)]
+    # largest block first: an engine refuses an over-limit block before any other is built
+    pairs = [engine(n, a * float(n) ** s, a) for n in sorted(n_list, reverse=True)][::-1]
     pd = polar_detail(rate, a)
     success_rate, beta_rate = pd.value, pd.value + float(a)
     if h is not None and h.regime == "linear_tail":

@@ -69,12 +69,11 @@ class WeightedSampleSequence:
         self.n_list = tuple(sorted(int(n) for n in self.n_list))
         if not self.n_list:
             raise ValueError("need at least one sample size")
-        for n in self.n_list[:1]:
-            y, lw = self.support(n)
-            if np.asarray(y).size == 0:
-                raise ValueError("empty support")
-            if np.asarray(y).shape != np.asarray(lw).shape:
-                raise ValueError("support points and log-weights must align")
+        y, lw = self.support(self.n_list[-1])  # the largest: an over-cap size fails here
+        if np.asarray(y).size == 0:
+            raise ValueError("empty support")
+        if np.asarray(y).shape != np.asarray(lw).shape:
+            raise ValueError("support points and log-weights must align")
         if any(self.c(n) <= 0 for n in self.n_list):
             raise ValueError("scales c_n must be positive")
 

@@ -179,7 +179,10 @@ class TestLoadScenario:
         ("renyi", "params.n", 2.9),
         ("renyi", "family.scaling_exponent", 1.5),
         ("renyi", "family.scaling_exponent", True),
-    ], ids=["prob-string", "window-bool", "n-float", "scaling-float", "scaling-bool"])
+        ("ldp", "params.prob", 1.5),
+        ("ldp", "params.t_range", [-2.0, -0.5]),
+    ], ids=["prob-string", "window-bool", "n-float", "scaling-float", "scaling-bool",
+            "prob-above-one", "t-range-below-zero"])
     def test_bad_scalar(self, tmp_path, task, field, value):
         obj = {"task": task, "family": binary_family(), "params": {}}
         section, key = field.split(".")
@@ -550,6 +553,14 @@ class TestMain:
         assert err["field"] == f"$.params.{key}" and key in err["error"]
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_unknown_top_level_key_exits_two(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, {"task": "hoeffding", "family": binary_family(),
+                                             "parmas": {"r_grid": [0.3]}})
+        assert main(["hoeffding", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "$.parmas" and "parmas" in err["error"]
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("out", ["ABSOLUTE", "../x.csv", "sub/x.csv", "", ".", ".."],
                              ids=["absolute", "parent", "subdir", "empty", "dot", "dotdot"])
     def test_out_must_be_a_bare_file_name(self, tmp_path, capsys, out):
@@ -705,7 +716,7 @@ class TestMain:
     def test_over_cap_block_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                     task, params):
         calls = []
-        monkeypatch.setattr(fam, "family_states", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(fam.IIDPayload, "states", lambda *args, **kw: calls.append(args))
         scenario = write_scenario(tmp_path, {"task": task, "family": qubit_family(),
                                              "params": params})
         assert main([task, "--scenario", scenario, "--out", str(tmp_path)]) == 2

@@ -22,7 +22,10 @@ DEMOS = [
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # one BLAS thread: beside other jobs on a shared 2-core host, spinning BLAS threads
+    # slowed demo 06 from 3 s to 50 s
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,

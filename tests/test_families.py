@@ -195,6 +195,18 @@ class TestGibbs:
         w3 = gibbs_state(p, 3)
         assert np.allclose(w3.entries, tensor_power(w1, 3).entries, atol=1e-12)
 
+    def test_gibbs_rate_refuses_over_cap_block_before_any_smaller_one(self, monkeypatch):
+        # a qutrit chain's block 8 has 3^8 = 6561 rows, over the cap of 4096
+        built = []
+        build = gibbs_state
+        monkeypatch.setattr("sconv.families.gibbs_state",
+                            lambda payload, n: built.append(n) or build(payload, n))
+        qutrit = GibbsPayload(site_dim=3, terms=[HermitianOperator(np.diag([0.0, 1.0, 2.0]))],
+                              beta=0.7)
+        with pytest.raises(ValueError, match=r"3\^8 exceeds cap 4096"):
+            gibbs_rate(GibbsPairPayload(qutrit, qutrit))
+        assert built == [8]
+
     def test_onsite_certifies_eta_one(self):
         p = onsite_gibbs()
         for m, k, r in [(1, 2, 0), (2, 2, 1), (1, 3, 2), (3, 2, 0)]:

@@ -191,6 +191,21 @@ class TestExactClassicalEngines:
         assert exact.success == pytest.approx(dense.success, abs=1e-11)
         assert exact.beta_err == pytest.approx(dense.beta_err, abs=1e-11)
 
+    def test_over_cap_type_classes_refused_before_any_smaller_block(self, monkeypatch):
+        # block 2100 of a three-outcome pair has C(2102, 2) = 2208051 classes, over the
+        # cap; block 1500 is under it, and the engine never runs there
+        sizes = []
+        engine = iid_type_class_error_pair
+        monkeypatch.setattr("sconv.hyptest.iid_type_class_error_pair",
+                            lambda p, q, n, c, a=0.0: sizes.append(n) or engine(p, q, n, c, a))
+        qutrit = IIDPayload(
+            HermitianOperator(np.diag([0.5, 0.3, 0.2])),
+            HermitianOperator(np.diag([0.2, 0.3, 0.5])),
+        )
+        with pytest.raises(ValueError, match="type classes exceed"):
+            exponent_sweep(qutrit, 0.3, [1500, 2100])
+        assert sizes == [2100]
+
     def test_pos_part_identity(self):
         # for the strict threshold test, Tr(rho - e^c sigma)_+ =
         # success - e^c beta

@@ -325,3 +325,10 @@ class TestPinchedPairSequence:
         with pytest.raises(ValueError, match="cap"):
             pinched_pair_sequence(rho1, sigma1, [15])
         assert hamming_blocks == []
+
+    def test_over_cap_size_refused_before_any_smaller_one(self, rng, hamming_blocks):
+        # block 6 is under the cap and block 15 over it: no sector of either is built
+        rho1, sigma1 = rand_density(2, rng), rand_density(2, rng)
+        with pytest.raises(ValueError, match="block 15 exceeds cap"):
+            pinched_pair_sequence(rho1, sigma1, [6, 15])
+        assert hamming_blocks == []
