@@ -52,6 +52,7 @@ from .operators import (
     DIM_CAP,
     HermitianOperator,
     Test,
+    _memoised,
     _pinch_matrix,
     logsumexp,
     positive_part_trace,
@@ -416,14 +417,8 @@ def _pinched_sectors(rho1, sigma1, n):
     are read-only.
     """
     key = (rho1.entries.tobytes(), sigma1.entries.tobytes(), n)
-    with _SECTOR_LOCK:
-        sectors = _SECTOR_CACHE.get(key)
-        if sectors is None:
-            sectors = tuple(_sector_spectra(rho1, sigma1, n))
-            if len(_SECTOR_CACHE) >= SECTOR_CACHE_ENTRIES:
-                del _SECTOR_CACHE[next(iter(_SECTOR_CACHE))]  # oldest first
-            _SECTOR_CACHE[key] = sectors
-    return sectors
+    return _memoised(_SECTOR_CACHE, _SECTOR_LOCK, key,
+                     lambda: tuple(_sector_spectra(rho1, sigma1, n)), SECTOR_CACHE_ENTRIES)
 
 
 def _splits_into_sectors(sigma1):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.special import logsumexp as _scipy_logsumexp
 
 HERMITICITY_TOL = 1e-12  # relative asymmetry that rounding leaves; more means bad input
 SUPPORT_TOL = 1e-12  # eigenvalues under this fraction of the largest are noise: off-support
@@ -198,8 +197,49 @@ def spectral(op):
 
 def logsumexp(a):
     """``log sum exp(a)`` over every entry of ``a`` as a float; an empty sum is
-    ``-inf``.  Every log-domain sum of the package goes through here."""
-    return float(_scipy_logsumexp(a)) if np.size(a) else -math.inf
+    ``-inf``.  Every log-domain sum of the package goes through here.
+
+    The body performs scipy 1.17's ``scipy.special.logsumexp`` operations on
+    real input, without its array-API dispatch, so the result is the same to
+    the bit: the ``m`` maximal entries are summed apart from the rest, the
+    last steps act on 1-element arrays (as scipy's do), and a result that is
+    not finite is replaced by the direct ``log(sum(exp(a)))``.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if not a.size:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(keepdims=True)
+        top = a == a_max
+        m = top.sum(keepdims=True, dtype=float)
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(keepdims=True)
+        if s.item() != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not math.isfinite(out.item()):
+            out = np.log(np.exp(a).sum(keepdims=True))
+    return out.item()
+
+
+def _memoised(cache, lock, key, build, budget, size=lambda value: 1):
+    """``cache[key]``, built by ``build()`` when it is missing.
+
+    ``lock`` is held from lookup to insertion, so one thread builds a missing
+    value while the others wait for it.  ``cache`` is a dict in insertion
+    order: entries leave oldest first until the ``size`` of those kept, the
+    new one included, is at most ``budget``.  A value whose own size exceeds
+    ``budget`` is returned but not kept.
+    """
+    with lock:
+        value = cache.get(key)
+        if value is None:
+            value = build()
+            need = size(value)
+            if need <= budget:
+                while sum(map(size, cache.values())) + need > budget:
+                    del cache[next(iter(cache))]
+                cache[key] = value
+    return value
 
 
 def _require_psd(op):

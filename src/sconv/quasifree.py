@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -24,11 +25,18 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .hoeffding import ConvexRate
-from .operators import DIM_CAP, HermitianOperator, StatePair, finite_json_numbers
+from .operators import DIM_CAP, HermitianOperator, StatePair, _memoised, finite_json_numbers
 
 FOURIER_GRID_1D = 2**14
 FOURIER_GRID_2D = 2**11  # 2^14 per axis is beyond desk scale in two dimensions
 QUAD_GRID = 2**12
+# Bytes of Fock densities kept: both densities of the blocks m = 6..10 that an
+# sc-report sweep revisits for every r, entries plus eigenvectors in complex128,
+# are 2 * sum_m 2 * 16 * 4^m bytes = 89.4 MB; a 2^11 density (134 MB) is not kept.
+FOCK_CACHE_BYTES = 96 * 2**20
+
+_FOCK_CACHE = {}
+_FOCK_LOCK = threading.Lock()  # one thread builds a missing density, the others wait
 
 __all__ = [
     "TrigPolySymbol",
@@ -264,7 +272,22 @@ def fock_density(symbol):
     evaluated in batched chunks.  The density is block-diagonal in particle
     number: it is assembled by :meth:`HermitianOperator.block_diagonal`, one
     ``eigh`` per sector, and its ``sectors`` are ``(C(m, k))_{k=0..m}``.
+
+    Densities are memoised by the symbol's entries, so every caller that
+    asks for the same symbol shares one operator, whose ``entries``,
+    ``eigenvalues`` and ``eigenvectors`` are read-only.  The memo keeps at
+    most ``FOCK_CACHE_BYTES``, oldest out first; a larger density is built
+    on every call and not kept.
     """
+    return _memoised(_FOCK_CACHE, _FOCK_LOCK, symbol.entries.tobytes(),
+                     lambda: _fock_density(symbol), FOCK_CACHE_BYTES, _density_bytes)
+
+
+def _density_bytes(op):
+    return op.entries.nbytes + op.eigenvalues.nbytes + op.eigenvectors.nbytes
+
+
+def _fock_density(symbol):
     m = symbol.dim
     if 2**m > DIM_CAP:
         raise ValueError(f"Fock dimension 2^{m} exceeds cap {DIM_CAP}")
@@ -287,6 +310,8 @@ def fock_density(symbol):
     op = HermitianOperator.block_diagonal(blocks, hermiticity_tol=1e-9)
     if abs(op.trace - 1.0) > 1e-10:
         raise ValueError(f"Fock density trace {op.trace!r} deviates from 1")
+    for arr in (op.entries, op.eigenvalues, op.eigenvectors):
+        arr.flags.writeable = False
     return op
 
 

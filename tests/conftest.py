@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from sconv import hyptest
+from sconv import hyptest, quasifree
 from sconv.operators import HermitianOperator, rand_density
 
 
@@ -34,9 +34,10 @@ def classical_pair(p, q):
 
 @pytest.fixture(autouse=True)
 def cold_sector_cache():
-    """Start every test without memoised Hamming-sector spectra, so a count
-    test never depends on which tests ran before it."""
+    """Start every test without memoised Hamming-sector spectra or Fock
+    densities, so a count test never depends on which tests ran before it."""
     hyptest._SECTOR_CACHE.clear()
+    quasifree._FOCK_CACHE.clear()
 
 
 @pytest.fixture

@@ -862,8 +862,9 @@ class TestMain:
         ("sc-report", CATALOG / "markov-sc-report" / "s00", ["--threads", "2"]),
         ("sc-report", SHORT_JOBS_CASE, ["--threads", "2"]),
         ("sc-report", CATALOG / "quasifree-sc-report" / "s00", []),
+        ("sc-report", CATALOG / "quasifree-sc-report" / "s00", ["--threads", "2"]),
     ], ids=["ldp", "np-sweep", "markov-sc-report", "pinched-sc-report",
-            "quasifree-sc-report"])
+            "quasifree-sc-report", "quasifree-sc-report-threads"])
     def test_ldp_bytes_match_benchmark_reference(self, tmp_path, task, case, extra):
         # a benchmark draw-0 scenario and the CSVs its reference commit wrote
         stem = task.replace("-", "_")

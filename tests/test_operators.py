@@ -256,6 +256,37 @@ class TestLogSumExp:
             assert logsumexp(a) == float(scipy.special.logsumexp(a))
 
 
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # seeded 1-D and 2-D inputs with ties, all-equal values, +-inf, NaN and
+    # all -inf: the direct body must repeat scipy's result to the last bit
+    rng = np.random.default_rng(20261019)
+    for i in range(20000):
+        shape = (int(rng.integers(1, 60)),) if i % 2 else tuple(rng.integers(1, 9, 2))
+        a = rng.normal(0.0, 10.0 ** int(rng.integers(-3, 4)), shape)
+        flat = a.reshape(-1)
+        case = i % 8
+        if case == 1:
+            flat[rng.integers(flat.size)] = flat.max()
+        elif case == 2:
+            flat[:] = flat[0]
+        elif case == 3:
+            flat[rng.random(flat.size) < 0.3] = -np.inf
+        elif case == 4:
+            flat[rng.integers(flat.size)] = np.inf
+        elif case == 5:
+            flat[rng.integers(flat.size)] = np.nan
+        elif case == 6:
+            flat[:] = -np.inf
+        elif case == 7:
+            flat[rng.integers(flat.size)] = np.inf
+            flat[rng.integers(flat.size)] = -np.inf
+        with np.errstate(all="ignore"):
+            ref = scipy.special.logsumexp(a)
+        out = logsumexp(a)
+        assert type(out) is float
+        assert np.float64(out).tobytes() == np.float64(ref).tobytes(), (i, a)
+
+
 class TestOrderAndSupports:
     def test_psd_dominates(self):
         a = HermitianOperator(np.diag([2.0, 3.0]))

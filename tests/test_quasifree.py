@@ -1,10 +1,16 @@
 """Unit tests for the quasi-free fermion machinery."""
 
+import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sconv import quasifree
+from sconv.hyptest import sc_report
 from sconv.operators import HermitianOperator
 from sconv.quasifree import (
     QuasiFreePayload,
@@ -152,6 +158,69 @@ class TestFockOracle:
         # the basis order of fock_basis walks the same sectors
         counts = [k for k, _ in fock_basis(m)]
         assert tuple(counts.count(k) for k in range(m + 1)) == w.sectors
+
+
+@pytest.fixture
+def fock_builds(monkeypatch):
+    """Symbol dimension of every Fock density actually built (memo misses)."""
+    builds = []
+    build = quasifree._fock_density
+
+    def counted(symbol):
+        builds.append(symbol.dim)
+        return build(symbol)
+
+    monkeypatch.setattr(quasifree, "_fock_density", counted)
+    return builds
+
+
+class TestFockMemo:
+    def test_concurrent_callers_share_one_build(self, fock_builds):
+        p = payload_1d()
+        symbols = [s for m in (3, 4, 5, 6) for s in quasifree_block_symbol(p, m)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fock_density, s) for _ in range(8) for s in symbols]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(fock_builds) == sorted(s.dim for s in symbols)
+        for i in range(len(symbols)):
+            assert all(r is results[i] for r in results[i::len(symbols)])
+
+    def test_sc_report_builds_each_density_once(self, fock_builds):
+        case = Path(__file__).resolve().parents[1] / "perfbench" / "catalog"
+        scenario = json.loads(
+            (case / "quasifree-sc-report" / "s00" / "sc_report.json").read_text())
+        family = QuasiFreePayload.from_json(scenario["family"]["payload"])
+        rate = quasifree_rate(family)
+        for r in scenario["params"]["r_grid"]:
+            sc_report(family, r, scenario["params"]["n_list"], rate=rate)
+        assert sorted(fock_builds) == sorted(2 * scenario["params"]["n_list"])
+
+    @pytest.mark.parametrize("slot", ["entries", "eigenvalues", "eigenvectors"])
+    def test_cached_density_is_read_only(self, slot):
+        qn, _ = quasifree_block_symbol(payload_1d(), 3)
+        arr = getattr(fock_density(qn), slot)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+    def test_budget_evicts_oldest_and_skips_oversize(self, fock_builds, monkeypatch):
+        p = payload_1d()
+        q3, q4, q5 = (quasifree_block_symbol(p, m)[0] for m in (3, 4, 5))
+        size4 = quasifree._density_bytes(fock_density(q4))
+        monkeypatch.setattr(quasifree, "FOCK_CACHE_BYTES", size4)
+        quasifree._FOCK_CACHE.clear()
+        fock_density(q3)
+        fock_density(q4)  # fills the budget alone: q3 leaves
+        assert list(quasifree._FOCK_CACHE) == [q4.entries.tobytes()]
+        fock_density(q5)  # larger than the budget: returned, not kept
+        assert list(quasifree._FOCK_CACHE) == [q4.entries.tobytes()]
+        fock_density(q4)
+        fock_density(q5)
+        assert fock_builds == [4, 3, 4, 5, 5]
 
 
 class TestSingleParticleFormulas:
