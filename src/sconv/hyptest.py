@@ -15,9 +15,10 @@ Engines, most specific first, each a module function that
 * two-state Markov chains — ``markov_error_pair``, exact run-length
   combinatorics, O(n^2) classes;
 * non-commuting qubit i.i.d. in pinched mode — ``qubit_sector_error_pair``,
-  per-sector spectral sums over the Hamming blocks of the reference basis,
-  the largest of which, ``C(n, n/2)`` rows, must stay within
-  ``operators.DIM_CAP`` (so ``n <= 14``);
+  per-sector spectral sums over the Hamming sectors of the reference basis,
+  each spectrum in closed form (Schur-Weyl duality) with no matrix built;
+  a block is refused past ``MAX_TYPE_CLASSES`` closed-form terms, about
+  ``n^3 / 24`` (so ``n <= 360``);
 * everything else — ``_dense_error_pair``, dense matrices of at most
   ``operators.DIM_CAP`` rows.
 
@@ -29,9 +30,10 @@ works one sector at a time: when both states of a pair are block-diagonal
 with the same ``sectors`` (the particle-number sectors of quasi-free Fock
 densities), each block of the threshold operator gets its own ``eigh`` and
 the three traces are summed over the blocks, so no quasi-free ``eigh`` is
-larger than ``C(m, m/2)``.  The sector engine computes each Hamming-sector
-spectrum once per ``(pair, n)``: the spectra do not depend on the threshold,
-so every later sweep reads them from a bounded memo.
+larger than ``C(m, m/2)``; in pinched mode each slice is pinched on its own.
+The sector engine computes each Hamming-sector spectrum once per
+``(pair, n)``: the spectra do not depend on the threshold, so every later
+sweep reads them from a bounded memo.
 """
 
 from __future__ import annotations
@@ -44,26 +46,27 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from . import families as fam
 from .hoeffding import hoeffding_anti, polar_detail
 from .operators import (
-    DIM_CAP,
     HermitianOperator,
     Test,
+    _cluster_labels,
     _memoised,
     _pinch_matrix,
+    _pinch_slice,
     logsumexp,
     positive_part_trace,
 )
 
 STRICT_POSITIVE_TOL = 1e-12  # eigenvalues this close to zero are not "strictly positive"
 COMMUTING_TOL = 1e-12  # off-diagonal size in sigma's eigenbasis that still counts as commuting
-MAX_TYPE_CLASSES = 2_000_000
+MAX_TYPE_CLASSES = 2_000_000  # classes (or closed-form sector terms) one exact block may sum
 RUN_CLASS_CHUNK = 16_384  # Markov run classes per chunk: bounds the engine's working set
 R_SQUARED_GATE = 0.98
-SECTOR_CACHE_ENTRIES = 32  # (pair, n) sector spectra kept; a block-12 spectrum is 4096 floats
+SECTOR_CACHE_ENTRIES = 32  # (pair, n) sector spectra kept; a block-360 entry is 181^2 classes, 0.5 MB
 
 _SECTOR_CACHE = {}
 _SECTOR_LOCK = threading.Lock()  # one thread computes a missing entry, the others wait
@@ -392,29 +395,16 @@ def markov_error_pair(payload, n, c, a=0.0):
 # -- pinched qubit i.i.d. sector engine ------------------------------------
 
 
-def _hamming_block(rho_ref, n, k):
-    """Block of ``rho_ref^{(x) n}`` on weight-``k`` strings of the reference basis."""
-    combos = list(itertools.combinations(range(n), k))
-    m = len(combos)
-    occ = np.zeros((m, n), dtype=int)
-    for i, cmb in enumerate(combos):
-        occ[i, list(cmb)] = 1
-    block = np.ones((m, m), dtype=complex)
-    for i in range(n):
-        col = occ[:, i]
-        block = block * rho_ref[col[:, None], col[None, :]]
-    return block
-
-
 def _pinched_sectors(rho1, sigma1, n):
-    """``(lam, log mu_k)`` per Hamming sector ``k = 0..n`` of block ``n``.
+    """``(log_mult, log_lam, log mu_k)`` per Hamming sector ``k = 0..n`` of block ``n``.
 
     The reference state's eigenbasis splits block ``n`` into Hamming sectors;
     pinching keeps exactly the sector-diagonal blocks, so the pinched spectrum
-    is the union of the sector spectra ``lam`` (with dust ``<= 0`` from
-    rank-deficient blocks), and on sector ``k`` the reference is ``mu_k``.
-    The tuple is memoised by the pair's entries and ``n``; its ``lam`` arrays
-    are read-only.
+    is the union of the sector spectra, and on sector ``k`` the reference is
+    ``mu_k``.  Each sector holds classes of ``e^log_mult`` equal eigenvalues
+    ``e^log_lam`` (``-inf`` for a zero eigenvalue; see ``_sector_spectrum``).
+    The tuple is memoised by the pair's entries and ``n``; its arrays are
+    read-only.
     """
     key = (rho1.entries.tobytes(), sigma1.entries.tobytes(), n)
     return _memoised(_SECTOR_CACHE, _SECTOR_LOCK, key,
@@ -428,34 +418,90 @@ def _splits_into_sectors(sigma1):
     return mu.size == 2 and mu.min() > 0 and mu[1] - mu[0] > 1e-12
 
 
+def _sector_terms(n):
+    """Number of terms the closed form sums over block ``n``:
+    ``(m + 1)(m + 2) / 2`` for sector ``k``, ``m = min(k, n - k)``."""
+    h = n // 2
+    if n % 2:
+        return 2 * math.comb(h + 3, 3)
+    return 2 * math.comb(h + 2, 3) + (h + 1) * (h + 2) // 2
+
+
 def _sector_spectra(rho1, sigma1, n):
     if not _splits_into_sectors(sigma1):
         raise ValueError("Hamming sectors need a positive nondegenerate qubit reference")
-    if math.comb(n, n // 2) > DIM_CAP:  # refused before any sector of block n is built
-        raise ValueError(f"the largest Hamming sector of block {n} exceeds cap {DIM_CAP}")
-    mu = sigma1.eigenvalues
+    terms = _sector_terms(n)
+    if terms > MAX_TYPE_CLASSES:  # refused before any sector of block n is built
+        raise ValueError(f"block {n} exceeds cap {MAX_TYPE_CLASSES} on the terms of its "
+                         f"Hamming sector spectra ({terms})")
     v = sigma1.eigenvectors
     rho_ref = v.conj().T @ rho1.entries @ v
-    log_mu = np.log(mu)
+    coeffs = (
+        max(rho_ref[0, 0].real, 0.0),
+        max(rho_ref[1, 1].real, 0.0),
+        abs(rho_ref[0, 1]) ** 2,
+        float(np.prod(np.clip(rho1.eigenvalues, 0.0, None))),  # det rho, no cancellation
+    )
+    log_binom, log_mult = _log_binomials(n)
+    log_mult.flags.writeable = False
+    log_mu = np.log(sigma1.eigenvalues)
     for k in range(n + 1):
-        lam = np.linalg.eigvalsh(_hamming_block(rho_ref, n, k))
-        lam.flags.writeable = False
-        yield lam, (n - k) * log_mu[0] + k * log_mu[1]
+        log_lam = _sector_spectrum(coeffs, log_binom, n, k)
+        log_lam.flags.writeable = False
+        yield log_mult[: log_lam.size], log_lam, (n - k) * log_mu[0] + k * log_mu[1]
+
+
+def _log_binomials(n):
+    """``log C(r, i)`` for ``i <= r <= n`` (``-inf`` for ``i > r``) and the log
+    multiplicities ``C(n, j) - C(n, j - 1)``, ``j <= n / 2``: each the log of
+    an exact integer rounded once to a float."""
+    log_binom = np.full((n + 1, n + 1), -math.inf)
+    row = [1]  # row r of Pascal's triangle, in exact integers
+    for r in range(n + 1):
+        log_binom[r, : r + 1] = np.log(np.array(row, dtype=float))
+        row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
+    mult = [math.comb(n, j) * (n - 2 * j + 1) // (n - j + 1) for j in range(n // 2 + 1)]
+    return log_binom, np.log(np.array(mult, dtype=float))
+
+
+def _sector_spectrum(coeffs, log_binom, n, k):
+    """``log lam`` of Hamming sector ``k`` of ``rho^{(x) n}``, in closed form.
+
+    In the reference basis ``rho = [[a, b], [conj(b), c]]`` with ``D = det rho``
+    (``coeffs = (a, c, |b|^2, D)``).  By Schur-Weyl duality the sector acts as
+    a scalar ``lam_j`` on each Specht component ``(n - j, j)``,
+    ``j <= m = min(k, n - k)``, of multiplicity ``C(n, j) - C(n, j - 1)``: the
+    weight-``(k - j)`` entry of ``det^j (x) Sym^{n - 2j}``, each of whose
+    weight spaces is one-dimensional,
+
+        lam_j = D^j sum_i C(k-j, i) C(n-k-j, i) a^(n-k-j-i) c^(k-j-i) |b|^(2i),
+
+    over ``i <= m - j`` (``log_binom`` of ``_log_binomials`` is ``-inf`` past
+    it).  Every term is ``>= 0``, so the sum is taken in log space; ``xlogy``
+    reads ``0 log 0`` as 0 (a pure ``rho`` or ``b = 0``).
+    """
+    a, c, b2, det = coeffs
+    m = min(k, n - k)
+    j = np.arange(m + 1)[:, None]
+    i = np.arange(m + 1)
+    terms = (
+        log_binom[k - j, i] + log_binom[n - k - j, i]
+        + xlogy(np.maximum(n - k - j - i, 0), a)
+        + xlogy(np.maximum(k - j - i, 0), c)
+        + xlogy(i, b2)
+    )
+    return xlogy(j[:, 0], det) + np.fromiter(map(logsumexp, terms), float, m + 1)
 
 
 def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
     """Exact pinched-test error pair for a qubit i.i.d. pair.
 
     The pinched threshold comparison is a scalar test per eigenvalue, so each
-    sector of ``_pinched_sectors`` is one ``(0, log lambda, log mu_k)`` chunk of
-    ``_log_terms_to_pair``; eigenvalues ``<= 0`` carry no mass.  Cost is
-    driven by the largest sector, ``C(n, n/2)``, instead of ``2^n``.
+    sector of ``_pinched_sectors`` is one ``(log_mult, log lambda, log mu_k)``
+    chunk of ``_log_terms_to_pair``; a zero eigenvalue carries no mass.  Block
+    ``n`` has ``O(n^2)`` eigenvalue classes and no matrix is built.
     """
-    chunks = (
-        (np.zeros(lam.size), _safe_log(lam), np.full(lam.size, log_mu_k))
-        for lam, log_mu_k in _pinched_sectors(rho1, sigma1, n)
-    )
-    return _log_terms_to_pair(n, a, chunks, c)
+    return _log_terms_to_pair(n, a, _pinched_sectors(rho1, sigma1, n), c)
 
 
 # -- engine dispatch -------------------------------------------------------
@@ -479,17 +525,25 @@ def _dense_error_pair(family, mode, n, c, a):
     One eigh of the threshold operator per ``(n, c)`` and sector: both traces
     are sums of ``<v|X|v>`` over the test's range ``V``, and the floor is its
     positive part.  A pair whose states share their diagonal blocks (Fock
-    densities, by particle number) splits into independent sector slices.
+    densities, by particle number) splits into independent sector slices; in
+    pinched mode each slice is pinched by the eigenvectors of sigma supported
+    on it, which stay on their own block.
     """
     pair = fam.family_states(family, n)
-    rho = _pinch_matrix(pair.rho, pair.sigma) if mode == "pinched" else pair.rho.entries
+    rho, sigma = pair.rho.entries, pair.sigma.entries
     sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
+    if mode == "pinched":
+        basis, labels = pair.sigma.eigenvectors, _cluster_labels(pair.sigma)
     success = beta = lp = 0.0
     for lo, hi in itertools.pairwise(itertools.accumulate(sectors, initial=0)):
         blk = slice(lo, hi)
-        diff, v = _threshold_split(rho[blk, blk], pair.sigma.entries[blk, blk], c)
-        success += float(np.vdot(v, pair.rho.entries[blk, blk] @ v).real)
-        beta += float(np.vdot(v, pair.sigma.entries[blk, blk] @ v).real)
+        rho_hat = rho[blk, blk]
+        if mode == "pinched":  # by sigma's eigenvectors on this slice, in its global clusters
+            cols = np.flatnonzero(np.any(basis[blk] != 0, axis=0))
+            rho_hat = _pinch_slice(rho_hat, basis[blk, cols], labels[cols])
+        diff, v = _threshold_split(rho_hat, sigma[blk, blk], c)
+        success += float(np.vdot(v, rho[blk, blk] @ v).real)
+        beta += float(np.vdot(v, sigma[blk, blk] @ v).real)
         lp += positive_part_trace(diff)
     return ErrorPair(
         n=n,

@@ -308,21 +308,22 @@ def pinched_pair_sequence(rho1, sigma1, n_list, under="sigma"):
 
     Support points are ``y = (1/n)(log lam - log mu)`` over joint eigenpairs
     of the pinched state and the reference ``sigma_n``, one Hamming sector of
-    ``hyptest._pinched_sectors`` at a time; weights are the
-    ``sigma_n`` eigenvalues (``under='sigma'``) or the pinched-state
-    eigenvalues (``under='rho_hat'``).  With sigma-weights,
-    ``Lambda_n(n t) = psi(t)`` of the pinched pair; with rho-weights it is
-    ``psi(1 + t)``.
+    ``hyptest._pinched_sectors`` at a time, one point per eigenvalue class;
+    weights are the class multiplicity times the ``sigma_n`` eigenvalue
+    (``under='sigma'``) or the pinched-state eigenvalue
+    (``under='rho_hat'``).  With sigma-weights, ``Lambda_n(n t) = psi(t)``
+    of the pinched pair; with rho-weights it is ``psi(1 + t)``.
     """
     if under not in ("sigma", "rho_hat"):
         raise ValueError(f"unknown weighting {under!r}")
 
     def support(n):
         ys, lws = [], []
-        for lam, log_mu_k in _pinched_sectors(rho1, sigma1, n):
-            lam = lam[lam > 0]
-            ys.append((np.log(lam) - log_mu_k) / n)
-            lws.append(np.full(lam.size, log_mu_k) if under == "sigma" else np.log(lam))
+        for log_mult, log_lam, log_mu_k in _pinched_sectors(rho1, sigma1, n):
+            live = log_lam > -np.inf
+            log_mult, log_lam = log_mult[live], log_lam[live]
+            ys.append((log_lam - log_mu_k) / n)
+            lws.append(log_mult + (log_mu_k if under == "sigma" else log_lam))
         return np.concatenate(ys), np.concatenate(lws)
 
     return WeightedSampleSequence(support=support, c=lambda n: float(n),

@@ -327,13 +327,23 @@ def _pinch_matrix(x, sigma):
     """The exactly Hermitian matrix of :func:`pinch`, without its eigenbasis."""
     if x.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    clusters = eigenvalue_clusters(sigma)
-    v = sigma.eigenvectors
-    w = v.conj().T @ x.entries @ v
-    masked = np.zeros_like(w)
-    for ix in clusters:
-        masked[np.ix_(ix, ix)] = w[np.ix_(ix, ix)]
-    out = v @ masked @ v.conj().T
+    return _pinch_slice(x.entries, sigma.eigenvectors, _cluster_labels(sigma))
+
+
+def _cluster_labels(sigma):
+    """Index, in ``eigenvalue_clusters(sigma)``, of the cluster of each eigenvector."""
+    labels = np.empty(sigma.dim, dtype=int)
+    for c, ix in enumerate(eigenvalue_clusters(sigma)):
+        labels[ix] = c
+    return labels
+
+
+def _pinch_slice(x, v, labels):
+    """``sum_c V_c V_c^+ x V_c V_c^+``, exactly Hermitian, over the groups ``V_c``
+    of the orthonormal columns of ``v`` that share a label ``c``: the pinching
+    of ``x`` when the columns span the space ``x`` acts on."""
+    w = v.conj().T @ x @ v
+    out = v @ np.where(labels[:, None] == labels[None, :], w, 0.0) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 
 

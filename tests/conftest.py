@@ -1,6 +1,3 @@
-import math
-import sys
-
 import numpy as np
 import pytest
 
@@ -42,16 +39,18 @@ def cold_sector_cache():
 
 @pytest.fixture
 def sector_calls(monkeypatch):
-    """Shapes of the ``eigvalsh`` calls made from ``hyptest`` (the sector spectra)."""
+    """``(n, k)`` of every Hamming-sector spectrum ``hyptest`` builds; a sector
+    of a block over the work cap raises instead of being built."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    build = hyptest._sector_spectrum
 
-    def counted(a, *args, **kwargs):
-        if sys._getframe(1).f_globals.get("__name__") == "sconv.hyptest":
-            calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(coeffs, log_binom, n, k):
+        calls.append((n, k))
+        if hyptest._sector_terms(n) > hyptest.MAX_TYPE_CLASSES:
+            raise AssertionError(f"a sector of over-cap block {n} was requested")
+        return build(coeffs, log_binom, n, k)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(hyptest, "_sector_spectrum", counted)
     return calls
 
 
@@ -67,20 +66,3 @@ def eigh_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     return shapes
-
-
-@pytest.fixture
-def hamming_blocks(monkeypatch):
-    """``(n, k)`` of every Hamming block ``hyptest`` is asked for; a block of
-    more than 4096 rows raises instead of being allocated."""
-    calls = []
-    build = hyptest._hamming_block
-
-    def guarded(rho_ref, n, k):
-        calls.append((n, k))
-        if math.comb(n, k) > 4096:
-            raise AssertionError(f"a {math.comb(n, k)}-row Hamming block was requested")
-        return build(rho_ref, n, k)
-
-    monkeypatch.setattr(hyptest, "_hamming_block", guarded)
-    return calls

@@ -725,15 +725,28 @@ class TestMain:
         assert calls == [] and not list(tmp_path.glob("*.csv"))
 
     def test_over_cap_hamming_sector_refused_before_any_block(self, tmp_path, capsys,
-                                                              hamming_blocks):
+                                                              sector_calls):
         scenario = write_scenario(tmp_path, {
             "task": "sc-report", "family": qubit_family(),
-            "params": {"mode": "pinched", "n_list": [6, 15], "r_grid": [0.1]},
+            "params": {"mode": "pinched", "n_list": [6, 361], "r_grid": [0.1]},
         })
         assert main(["sc-report", "--scenario", scenario, "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert "block 15" in err["error"] and "Hamming sector" in err["error"]
-        assert hamming_blocks == [] and not list(tmp_path.glob("*.csv"))
+        assert "block 361" in err["error"] and "Hamming sector" in err["error"]
+        assert sector_calls == [] and not list(tmp_path.glob("*.csv"))
+
+    def test_pinched_sectors_run_past_the_old_matrix_cap(self, tmp_path, capsys):
+        # block 15's middle sector has C(15, 7) = 6435 rows, more than the matrix
+        # cap of 4096; the closed-form sector spectra build no matrix
+        scenario = write_scenario(tmp_path, {
+            "task": "sc-report", "family": qubit_family(),
+            "params": {"mode": "pinched", "n_list": [6, 15, 64], "r_grid": [0.1]},
+        })
+        rc = main(["sc-report", "--scenario", scenario, "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        parsed = parse_convergence_table(str(tmp_path / "sc_report.csv"))
+        assert parsed["footer"]["provenance"] == "pinched-sectors"
+        assert [row["n"] for row in parsed["per_n"]] == [6, 15, 64]
 
     def test_readme_shared_flags_match_every_subcommand(self, capsys):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -860,10 +873,12 @@ class TestMain:
         ("ldp", SHORT_JOBS_CASE, []),
         ("np-sweep", SHORT_JOBS_CASE, []),
         ("sc-report", CATALOG / "markov-sc-report" / "s00", ["--threads", "2"]),
-        ("sc-report", SHORT_JOBS_CASE, ["--threads", "2"]),
+        *[("sc-report", SHORT_JOBS_CASE.with_name(f"s{i:02d}"), ["--threads", "2"])
+          for i in range(16)],
         ("sc-report", CATALOG / "quasifree-sc-report" / "s00", []),
         ("sc-report", CATALOG / "quasifree-sc-report" / "s00", ["--threads", "2"]),
     ], ids=["ldp", "np-sweep", "markov-sc-report", "pinched-sc-report",
+            *[f"pinched-sc-report-s{i:02d}" for i in range(1, 16)],
             "quasifree-sc-report", "quasifree-sc-report-threads"])
     def test_ldp_bytes_match_benchmark_reference(self, tmp_path, task, case, extra):
         # a benchmark draw-0 scenario and the CSVs its reference commit wrote

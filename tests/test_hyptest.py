@@ -1,5 +1,6 @@
 """Unit tests for the Neyman-Pearson engines and exponent reports."""
 
+import itertools
 import json
 import math
 import sys
@@ -18,10 +19,10 @@ from sconv.hyptest import (
     SECTOR_CACHE_ENTRIES,
     ErrorPair,
     _dense_error_pair,
-    _hamming_block,
     _markov_run_classes,
     _pinched_sectors,
     _resolve_engine,
+    _sector_spectra,
     default_a_grid,
     error_pair,
     exponent_sweep,
@@ -63,6 +64,24 @@ def noncommuting_qubits(theta=0.45):
     u = np.array([[c, -s], [s, c]])
     sigma = HermitianOperator(u @ np.diag([0.7, 0.3]) @ u.T)
     return rho, sigma
+
+
+def _hamming_block(rho_ref, n, k):
+    """Oracle: the block of ``rho_ref^{(x) n}`` on the weight-``k`` strings, as a matrix."""
+    combos = list(itertools.combinations(range(n), k))
+    occ = np.zeros((len(combos), n), dtype=int)
+    for i, cmb in enumerate(combos):
+        occ[i, list(cmb)] = 1
+    block = np.ones((len(combos), len(combos)), dtype=complex)
+    for i in range(n):
+        col = occ[:, i]
+        block = block * rho_ref[col[:, None], col[None, :]]
+    return block
+
+
+def _reference_frame(rho1, sigma1):
+    v = sigma1.eigenvectors
+    return v.conj().T @ rho1.entries @ v
 
 
 class TestErrorPair:
@@ -301,11 +320,11 @@ class TestSectorEngine:
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_pure_state_dust(self, n):
         # a pure rho_1 makes every Hamming block rank one, so eigvalsh returns
-        # dust around 0; the engine drops the dust <= 0 from the mass sums
+        # dust around 0; the closed form gives those eigenvalues as exact zeros,
+        # which carry no mass
         rho1 = HermitianOperator(np.diag([1.0, 0.0]))
         _, sigma1 = noncommuting_qubits()
-        v = sigma1.eigenvectors
-        rho_ref = v.conj().T @ rho1.entries @ v
+        rho_ref = _reference_frame(rho1, sigma1)
         lams = np.concatenate([
             np.linalg.eigvalsh(_hamming_block(rho_ref, n, k)) for k in range(n + 1)
         ])
@@ -326,6 +345,42 @@ class TestSectorEngine:
         sigma1 = HermitianOperator(0.5 * np.eye(2))
         with pytest.raises(ValueError, match="nondegenerate"):
             qubit_sector_error_pair(rho1, sigma1, 3, 0.0)
+
+
+def _qubit_pairs():
+    """Five seeded random complex qubit pairs and one pure rho_1."""
+    rng = np.random.default_rng(20261019)
+    pairs = [(rand_density(2, rng), rand_density(2, rng)) for _ in range(5)]
+    return pairs + [(rand_density(2, rng, rank=1), rand_density(2, rng))]
+
+
+class TestSectorClosedForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 10])
+    def test_spectrum_matches_dense_block(self, n):
+        for rho1, sigma1 in _qubit_pairs():
+            rho_ref = _reference_frame(rho1, sigma1)
+            for k, (log_mult, log_lam, _) in enumerate(_sector_spectra(rho1, sigma1, n)):
+                mult = np.exp(log_mult)
+                counts = np.rint(mult).astype(int)
+                assert np.abs(mult - counts).max() < 1e-9
+                assert counts.min() >= 1 and counts.sum() == math.comb(n, k)
+                want = np.linalg.eigvalsh(_hamming_block(rho_ref, n, k))
+                got = np.sort(np.repeat(np.exp(log_lam), counts))
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_commuting_pair_matches_type_classes(self, n):
+        # b = 0 exactly: every |b|^(2i) with i > 0 is xlogy's 0 * log 0 edge
+        rho1 = HermitianOperator(np.diag([0.8, 0.2]))
+        sigma1 = HermitianOperator(np.diag([0.35, 0.65]))
+        p, q = np.diag(_reference_frame(rho1, sigma1)).real, sigma1.eigenvalues
+        for a in (-0.4, 0.1, 0.6, 1.1):
+            got = qubit_sector_error_pair(rho1, sigma1, n, a * n, a)
+            want = iid_type_class_error_pair(p, q, n, a * n, a)
+            for name in ("log_success", "log_beta", "log_pos_part"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
+            assert got.success == pytest.approx(want.success, abs=1e-12)
+            assert got.alpha_err == pytest.approx(want.alpha_err, abs=1e-12)
 
 
 class TestSectorCache:
@@ -354,12 +409,14 @@ class TestSectorCache:
         sectors = _pinched_sectors(rho1, sigma1, 5)
         assert _pinched_sectors(rho1, sigma1, 5) is sectors
         assert len(sector_calls) == 6
-        lam = sectors[2][0]
-        with pytest.raises(ValueError):
-            lam[0] = 1.0
-        v = sigma1.eigenvectors
-        fresh = np.linalg.eigvalsh(_hamming_block(v.conj().T @ rho1.entries @ v, 5, 2))
-        assert lam.tolist() == fresh.tolist()
+        log_mult, log_lam, log_mu_k = sectors[2]
+        for arr in (log_mult, log_lam):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        fresh = tuple(_sector_spectra(rho1, sigma1, 5))[2]
+        assert log_mult.tolist() == fresh[0].tolist()
+        assert log_lam.tolist() == fresh[1].tolist()
+        assert log_mu_k == fresh[2]
 
     def test_concurrent_callers_share_one_computation(self, sector_calls):
         rho1, sigma1 = noncommuting_qubits()
@@ -422,6 +479,22 @@ class TestDenseSectors:
             assert got.beta_err == pytest.approx(want.beta_err, abs=1e-12)
             assert math.exp(got.log_pos_part) == pytest.approx(
                 math.exp(want.log_pos_part), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_pinched_slices_match_whole_matrix_pinch(self, n):
+        # the engine pinches each particle-number slice on its own; the public
+        # pinched test pinches the whole 2^n matrix
+        spec = quasifree_spec()
+        pair = fam.family_states(spec, n)
+        rho_hat = pinch(pair.rho, pair.sigma).entries
+        for a in (0.02, 0.1, 0.3):
+            got = _dense_error_pair(spec, "pinched", n, a * n, a)
+            want = error_pair(pair, pinched_np_test(pair, a * n), n=n, a=a)
+            floor = positive_part_trace(rho_hat - math.exp(a * n) * pair.sigma.entries)
+            assert 0.0 < want.success < 1.0
+            assert got.success == pytest.approx(want.success, abs=1e-12)
+            assert got.beta_err == pytest.approx(want.beta_err, abs=1e-12)
+            assert math.exp(got.log_pos_part) == pytest.approx(floor, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["np", "pinched"])
     def test_resolved_engine_is_the_dense_function(self, mode):

@@ -319,16 +319,17 @@ class TestPinchedPairSequence:
         with pytest.raises(ValueError, match="nondegenerate"):
             pinched_pair_sequence(rho1, degenerate, [4])
 
-    def test_over_cap_sector_refused_before_any_block(self, rng, hamming_blocks):
-        # block 15's middle sector has C(15, 7) = 6435 rows, over the cap of 4096
+    def test_over_cap_sector_refused_before_any_block(self, rng, sector_calls):
+        # block 361's sector spectra sum 2,009,462 closed-form terms, over the
+        # cap of 2,000,000 (block 360 sums 1,992,991)
         rho1, sigma1 = rand_density(2, rng), rand_density(2, rng)
         with pytest.raises(ValueError, match="cap"):
-            pinched_pair_sequence(rho1, sigma1, [15])
-        assert hamming_blocks == []
+            pinched_pair_sequence(rho1, sigma1, [361])
+        assert sector_calls == []
 
-    def test_over_cap_size_refused_before_any_smaller_one(self, rng, hamming_blocks):
-        # block 6 is under the cap and block 15 over it: no sector of either is built
+    def test_over_cap_size_refused_before_any_smaller_one(self, rng, sector_calls):
+        # block 6 is under the cap and block 361 over it: no sector of either is built
         rho1, sigma1 = rand_density(2, rng), rand_density(2, rng)
-        with pytest.raises(ValueError, match="block 15 exceeds cap"):
-            pinched_pair_sequence(rho1, sigma1, [6, 15])
-        assert hamming_blocks == []
+        with pytest.raises(ValueError, match="block 361 exceeds cap"):
+            pinched_pair_sequence(rho1, sigma1, [6, 361])
+        assert sector_calls == []
