@@ -58,6 +58,7 @@ from .operators import (
     _pinch_matrix,
     _pinch_slice,
     logsumexp,
+    logsumexp_rows,
     positive_part_trace,
 )
 
@@ -490,7 +491,7 @@ def _sector_spectrum(coeffs, log_binom, n, k):
         + xlogy(np.maximum(k - j - i, 0), c)
         + xlogy(i, b2)
     )
-    return xlogy(j[:, 0], det) + np.fromiter(map(logsumexp, terms), float, m + 1)
+    return xlogy(j[:, 0], det) + logsumexp_rows(terms)
 
 
 def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):

@@ -28,6 +28,7 @@ __all__ = [
     "Test",
     "spectral",
     "logsumexp",
+    "logsumexp_rows",
     "power_on_support",
     "log_on_support",
     "positive_part_trace",
@@ -197,28 +198,35 @@ def spectral(op):
 
 def logsumexp(a):
     """``log sum exp(a)`` over every entry of ``a`` as a float; an empty sum is
-    ``-inf``.  Every log-domain sum of the package goes through here.
+    ``-inf``.  Every log-domain sum of the package goes through here or
+    through :func:`logsumexp_rows`, which holds the one body.
+    """
+    return logsumexp_rows(np.ravel(a, order="K")).item()
+
+
+def logsumexp_rows(a):
+    """``log sum exp`` over the last axis of ``a``, one float per row; an empty
+    row sums to ``-inf``.
 
     The body performs scipy 1.17's ``scipy.special.logsumexp`` operations on
-    real input, without its array-API dispatch, so the result is the same to
-    the bit: the ``m`` maximal entries are summed apart from the rest, the
-    last steps act on 1-element arrays (as scipy's do), and a result that is
-    not finite is replaced by the direct ``log(sum(exp(a)))``.
+    real input, row by row and without its array-API dispatch, so each row's
+    result is the same to the bit as scipy's on that row alone: the ``m``
+    maximal entries are summed apart from the rest, and a result that is not
+    finite is replaced by the direct ``log(sum(exp(row)))``.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if not a.size:
-        return -math.inf
+    a = np.ascontiguousarray(a, dtype=float)  # each row is summed as a 1-D array is
+    if not a.shape[-1]:
+        return np.full(a.shape[:-1], -math.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(keepdims=True)
+        a_max = a.max(axis=-1, keepdims=True)
         top = a == a_max
-        m = top.sum(keepdims=True, dtype=float)
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(keepdims=True)
-        if s.item() != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not math.isfinite(out.item()):
-            out = np.log(np.exp(a).sum(keepdims=True))
-    return out.item()
+        m = top.sum(axis=-1, keepdims=True, dtype=float)
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max  # scipy divides a nonzero s only; 0 / m is 0
+        if not all(map(math.isfinite, out.ravel().tolist())):  # cheaper than a reduction
+            bad = ~np.isfinite(out)
+            out[bad] = np.log(np.exp(a[bad[..., 0]]).sum(axis=-1))
+    return out[..., 0]
 
 
 def _memoised(cache, lock, key, build, budget, size=lambda value: 1):

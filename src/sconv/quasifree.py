@@ -5,11 +5,12 @@ A family is described by two real symbols ``q, r`` on the torus ``[0, 2pi)^nu``
 compressions ``Q_n``, ``R_n`` of the symbols (multi-level, lexicographic over
 the hypercube for ``nu = 2``).  Renyi quantities reduce to ``n^nu``-dimensional
 single-particle formulas; small blocks can additionally be materialized as
-explicit ``2^m``-dimensional Fock-space densities through the determinant
-construction ``w_Q = det(I-Q) (+)_k wedge^k (Q (I-Q)^{-1})``, which serves as
-an independent oracle.  That density is block-diagonal in particle number:
-sector ``k`` (``C(m, k)`` occupation strings) is ``det(I-Q) wedge^k(...)``,
-and nothing couples two sectors, so each block is diagonalised on its own.
+explicit ``2^m``-dimensional Fock-space densities
+``w_Q = det(I-Q) (+)_k wedge^k (Q (I-Q)^{-1})``, which serve as an independent
+oracle.  That density is block-diagonal in particle number: sector ``k``
+(``C(m, k)`` occupation strings) is ``det(I-Q) wedge^k(...)``, built from
+sector ``k - 1`` by Laplace expansion, and nothing couples two sectors, so
+each block is diagonalised on its own.
 Per-mode limits are Szego-type integrals of the symbols.
 """
 
@@ -130,7 +131,9 @@ class QuasiFreePayload:
 
     @classmethod
     def from_json(cls, d):
-        """Payload from its JSON object; every number must be a finite JSON number."""
+        """Payload from its JSON object; every number must be a finite JSON number,
+        and the payload and each symbol take no keys but their own."""
+        _check_json_object(d, "payload", ("nu", "q_symbol", "r_symbol", "c_bound"))
         if type(d["nu"]) is not int or d["nu"] != 1:  # not isinstance: true is an int too
             raise ValueError(f"quasi-free nu must be the JSON integer 1, got {d['nu']!r}: "
                              "JSON symbols are one-dimensional trig polynomials")
@@ -267,11 +270,15 @@ def fock_density(symbol):
     """Explicit ``2^m``-dimensional density of the quasi-free state.
 
     Built as ``det(I-Q)`` times the direct sum over particle sectors of
-    ``wedge^k(Q (I-Q)^{-1})``, whose entries are the ``k x k`` minors
-    ``det A[S, T]`` (subsets in lexicographic order).  Determinants are
-    evaluated in batched chunks.  The density is block-diagonal in particle
-    number: it is assembled by :meth:`HermitianOperator.block_diagonal`, one
-    ``eigh`` per sector, and its ``sectors`` are ``(C(m, k))_{k=0..m}``.
+    ``wedge^k A``, ``A = Q (I-Q)^{-1}``, whose entries are the ``k x k`` minors
+    ``C_k[S, T] = det A[S, T]`` (subsets in lexicographic order).  Each sector
+    comes from the one before by Laplace expansion along the first row
+    ``s0 = min S``,
+    ``C_k[S, T] = sum_p (-1)^p A[s0, t_p] C_{k-1}[S - s0, T - t_p]``: ``k``
+    vectorised gathers per sector and no determinant, with no temporary larger
+    than a sector.  The density is block-diagonal in particle number: it is
+    assembled by :meth:`HermitianOperator.block_diagonal`, one ``eigh`` per
+    sector, and its ``sectors`` are ``(C(m, k))_{k=0..m}``.
 
     Densities are memoised by the symbol's entries, so every caller that
     asks for the same symbol shares one operator, whose ``entries``,
@@ -296,17 +303,22 @@ def _fock_density(symbol):
     c0 = math.exp(log_det)
     a = (symbol.eigenvectors * (lam / (1.0 - lam))) @ symbol.eigenvectors.conj().T
     a = 0.5 * (a + a.conj().T)
-    blocks = [np.full((1, 1), c0, dtype=complex)]
+    rank = np.zeros(2**m, dtype=int)  # a subset's place in its sector, by bit mask
+    minors = np.ones((1, 1), dtype=complex)  # wedge^0 A
+    blocks = [c0 * minors]
     for k in range(1, m + 1):
         subs = np.array(list(itertools.combinations(range(m), k)), dtype=int)
-        count = subs.shape[0]
-        block = np.empty((count, count), dtype=complex)
-        chunk = max(1, int(2_000_000 // (count * k * k)))
-        for s0 in range(0, count, chunk):
-            rows = subs[s0 : s0 + chunk]
-            batch = a[rows[:, None, :, None], subs[None, :, None, :]]
-            block[s0 : s0 + rows.shape[0]] = c0 * np.linalg.det(batch)
-        blocks.append(block)
+        bits = 1 << subs
+        masks = bits.sum(axis=1)
+        rank[masks] = np.arange(len(subs))
+        # Laplace expansion of every minor along its first row s0 = min S
+        rows = a[subs[:, 0]]
+        rest = minors[rank[masks - bits[:, 0]]]
+        minors = np.zeros((len(subs), len(subs)), dtype=complex)
+        for p in range(k):
+            term = rows[:, subs[:, p]] * rest[:, rank[masks - bits[:, p]]]
+            minors += -term if p % 2 else term
+        blocks.append(c0 * minors)
     op = HermitianOperator.block_diagonal(blocks, hermiticity_tol=1e-9)
     if abs(op.trace - 1.0) > 1e-10:
         raise ValueError(f"Fock density trace {op.trace!r} deviates from 1")
@@ -424,7 +436,17 @@ def _symbol_to_json(sym):
     }
 
 
+def _check_json_object(d, name, keys):
+    """Refuse ``d`` unless it is a JSON object with no keys but ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"quasi-free {name} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValueError(f"a quasi-free {name} takes no {unknown[0]!r}; it takes {keys}")
+
+
 def _symbol_from_json(d, name):
+    _check_json_object(d, name, ("constant", "cos_coeffs", "sin_coeffs"))
     cos, sin = d.get("cos_coeffs", []), d.get("sin_coeffs", [])
     for key, vals in (("constant", [d["constant"]]), ("cos_coeffs", cos), ("sin_coeffs", sin)):
         if not (isinstance(vals, list) and finite_json_numbers(vals)):

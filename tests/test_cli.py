@@ -216,6 +216,31 @@ class TestLoadScenario:
         err = expect_error(tmp_path, {"task": "hoeffding", "family": family}, "$.family")
         assert ".".join(path) in err.message and "finite JSON number" in err.message
 
+    @pytest.mark.parametrize("symbol", ["q_symbol", "r_symbol"])
+    def test_quasifree_symbol_must_be_object(self, tmp_path, capsys, symbol):
+        family = quasifree_family()
+        family["payload"][symbol] = [0.5]
+        scenario = write_scenario(tmp_path, {"task": "sc-report", "family": family,
+                                             "params": {"n_list": [2, 3], "r_grid": [0.3]}})
+        assert main(["sc-report", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "$.family" and symbol in err["error"]
+
+    @pytest.mark.parametrize("path, key", [
+        (("q_symbol",), "cosine"),
+        (("r_symbol",), "sin"),
+        ((), "q"),
+        ((), "scaling_exponent"),
+    ], ids=["q-symbol-misspelled", "r-symbol-extra", "payload-extra", "payload-misplaced"])
+    def test_quasifree_unknown_keys_are_refused(self, tmp_path, path, key):
+        family = quasifree_family()
+        target = family["payload"]
+        for p in path:
+            target = target[p]
+        target[key] = [0.3]
+        err = expect_error(tmp_path, {"task": "hoeffding", "family": family}, "$.family")
+        assert repr(key) in err.message and "takes no" in err.message
+
     @pytest.mark.parametrize("family, path, value", [
         (binary_family, ("rho", "dim"), 2.9),
         (binary_family, ("rho", "dim"), "2"),

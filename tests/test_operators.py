@@ -14,6 +14,7 @@ from sconv.operators import (
     eigenvalue_clusters,
     log_on_support,
     logsumexp,
+    logsumexp_rows,
     operator_from_json,
     operator_to_json,
     pinch,
@@ -285,6 +286,36 @@ def test_logsumexp_matches_scipy_bit_for_bit():
         out = logsumexp(a)
         assert type(out) is float
         assert np.float64(out).tobytes() == np.float64(ref).tobytes(), (i, a)
+
+
+def test_logsumexp_rows_match_one_call_per_row_bit_for_bit():
+    # seeded matrices with ties at the maximum, -inf entries and rows, +inf,
+    # NaN and scales up to 800: each row of the row-wise form must equal
+    # scipy's logsumexp of that row alone, to the last bit
+    rng = np.random.default_rng(20261020)
+    for i in range(2000):
+        rows, cols = (int(x) for x in rng.integers(1, 40, 2))
+        a = rng.normal(0.0, 800.0 ** rng.random(), (rows, cols))
+        case = i % 6
+        if case == 1:
+            a[:, -1] = a.max(axis=1)
+        elif case == 2:
+            a[rng.random(a.shape) < 0.3] = -np.inf
+        elif case == 3:
+            a[rng.integers(rows)] = -np.inf
+        elif case == 4:
+            a[rng.integers(rows), rng.integers(cols)] = np.inf
+        elif case == 5:
+            a[rng.integers(rows), rng.integers(cols)] = np.nan
+        with np.errstate(all="ignore"):
+            expect = np.array([float(scipy.special.logsumexp(row)) for row in a])
+        assert logsumexp_rows(a).tobytes() == expect.tobytes(), i
+        assert logsumexp_rows(a.T.copy().T).tobytes() == expect.tobytes(), i  # strided rows
+
+
+def test_logsumexp_rows_of_empty_rows_are_minus_inf():
+    out = logsumexp_rows(np.zeros((3, 0)))
+    assert out.shape == (3,) and (out == -math.inf).all()
 
 
 class TestOrderAndSupports:

@@ -1,5 +1,6 @@
 """Unit tests for the quasi-free fermion machinery."""
 
+import itertools
 import json
 import math
 import sys
@@ -160,6 +161,52 @@ class TestFockOracle:
         assert tuple(counts.count(k) for k in range(m + 1)) == w.sectors
 
 
+def _lu_minor_sectors(symbol):
+    """Oracle: the particle-number sectors ``det(I-Q) wedge^k A`` of the Fock
+    density, each ``k x k`` minor of ``A = Q (I-Q)^{-1}`` by its own LU, with
+    the ``A`` of ``quasifree._fock_density``."""
+    m = symbol.dim
+    lam = symbol.eigenvalues
+    c0 = math.exp(float(np.log1p(-lam).sum()))
+    a = (symbol.eigenvectors * (lam / (1.0 - lam))) @ symbol.eigenvectors.conj().T
+    a = 0.5 * (a + a.conj().T)
+    sectors = [np.full((1, 1), c0, dtype=complex)]
+    for k in range(1, m + 1):
+        subs = np.array(list(itertools.combinations(range(m), k)), dtype=int)
+        sectors.append(c0 * np.linalg.det(a[subs[:, None, :, None], subs[None, :, None, :]]))
+    return sectors
+
+
+def _seeded_symbol(seed, c_bound):
+    """Trig polynomial ``0.5 + `` three cosine and three sine terms whose
+    absolute coefficients sum to ``0.5 - c_bound``, so that its values stay in
+    ``[c_bound, 1 - c_bound]``."""
+    coeffs = np.random.default_rng(seed).normal(size=6)
+    coeffs *= (0.5 - c_bound) / np.abs(coeffs).sum()
+    return TrigPolySymbol(0.5, tuple(coeffs[:3]), tuple(coeffs[3:]))
+
+
+def minor_tolerance(k, kappa):
+    """Largest difference between the Laplace-recursion and LU sectors, relative
+    to the sector's largest entry: ``2 k eps kappa`` for ``k x k`` minors of an
+    ``A`` with condition number ``kappa``.
+
+    Each builder returns, to first order, the exact minors of a matrix whose
+    entries are off by at most ``k`` rounding units: LU with partial pivoting is
+    backward stable, and the recursion rounds each product and each partial sum
+    once per level, ``k`` levels deep.  A relative change ``d`` in the entries
+    moves a ``k x k`` minor by at most ``k d kappa(B)`` of its scale (the
+    derivative of ``log det B`` along ``dB`` is ``Tr B^{-1} dB``), and
+    ``kappa(B) <= kappa(A)`` for the positive definite ``A`` by interlacing.
+    The sector is positive semidefinite, so its largest entry is on its
+    diagonal and bounds every entry.  The two builders err independently, so
+    their difference stays within twice one builder's bound.  Measured on 60
+    seeded symbols (``c_bound`` 0.005, 0.05, 0.2; ``m <= 10``): at most
+    ``0.43 k eps kappa``.
+    """
+    return 2 * k * np.finfo(float).eps * kappa
+
+
 @pytest.fixture
 def fock_builds(monkeypatch):
     """Symbol dimension of every Fock density actually built (memo misses)."""
@@ -172,6 +219,39 @@ def fock_builds(monkeypatch):
 
     monkeypatch.setattr(quasifree, "_fock_density", counted)
     return builds
+
+
+class TestSectorRecursion:
+    @pytest.mark.parametrize("c_bound", [0.005, 0.05, 0.2])
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_sectors_match_lu_minors(self, c_bound, m):
+        for seed in range(3):
+            p = QuasiFreePayload(1, _seeded_symbol(seed, c_bound), TrigPolySymbol(0.5), c_bound)
+            q, _ = quasifree_block_symbol(p, m)
+            ahat = q.eigenvalues / (1.0 - q.eigenvalues)
+            w = quasifree._fock_density(q)
+            edges = np.cumsum((0,) + w.sectors)
+            for k, (lo, hi, oracle) in enumerate(zip(edges, edges[1:], _lu_minor_sectors(q))):
+                scale = np.abs(oracle).max()
+                err = np.abs(w.entries[lo:hi, lo:hi] - oracle).max()
+                assert err <= minor_tolerance(max(k, 1), ahat.max() / ahat.min()) * scale, \
+                    (seed, k, err / scale)
+
+    def test_builds_no_determinant_and_one_eigh_per_sector(self, monkeypatch):
+        m = 6
+        q, _ = quasifree_block_symbol(payload_1d(), m)
+        calls = {"det": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        quasifree._fock_density(q)
+        assert calls == {"det": 0, "eigh": m + 1}
 
 
 class TestFockMemo:
