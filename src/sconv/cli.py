@@ -15,8 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -341,19 +339,17 @@ def _run_family(scenario, out_dir, threads):
 
 
 def _emit_reports(run, grid_name, scenario, out_dir, threads):
-    """Run ``run`` (``hyptest.exponent_sweep`` or ``hyptest.sc_report``) at
-    each value of the scenario's ``grid_name`` on a thread pool, write one
-    convergence table per value (suffixed ``_00``, ``_01``, ... when there are
-    several), and check every report's invariants."""
+    """Run ``run`` (``hyptest.exponent_sweep`` or ``hyptest.sc_report``) once on
+    the scenario's whole ``grid_name``, with ``threads`` workers sharing the
+    block sizes; write one convergence table per value (suffixed ``_00``,
+    ``_01``, ... when there are several), and check every report's invariants."""
     params = scenario["params"]
     rate = _family_rate(scenario["family"], params["variant"])
     grid = params[grid_name]
     if grid is None:
         grid = [float(v) for v in ht.default_a_grid(rate)]
-    job = partial(run, scenario["family"], n_list=params["n_list"], mode=params["mode"],
-                  rate=rate, variant=params["variant"])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        reports = list(pool.map(job, grid))
+    reports = run(scenario["family"], grid, params["n_list"], mode=params["mode"], rate=rate,
+                  variant=params["variant"], threads=threads)
     base, ext = os.path.splitext(params["out"])
     paths, failures = [], []
     for idx, report in enumerate(reports):
@@ -443,7 +439,7 @@ def _add_common(p, scenario_required):
                    help="path to the scenario JSON file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker pool size for grid sweeps")
+                   help="workers that split the block sizes of a sweep, largest first")
 
 
 def main(argv=None):

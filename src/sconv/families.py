@@ -27,6 +27,7 @@ from .operators import (
     DIM_CAP,
     HermitianOperator,
     StatePair,
+    _check_json_object,
     finite_json_numbers,
     operator_from_json,
     operator_to_json,
@@ -101,6 +102,7 @@ class IIDPayload:
 
     @classmethod
     def from_json(cls, d):
+        _check_json_object(d, "iid payload", ("rho", "sigma"))
         return cls(operator_from_json(d["rho"]), operator_from_json(d["sigma"]))
 
 
@@ -164,7 +166,8 @@ class MarkovPayload:
     @classmethod
     def from_json(cls, d):
         """Payload from its JSON object: ``pi0``/``pi1`` are lists of finite JSON
-        numbers and ``P0``/``P1`` lists of such lists."""
+        numbers and ``P0``/``P1`` lists of such lists, and no other key."""
+        _check_json_object(d, "markov payload", ("pi0", "pi1", "P0", "P1"))
         for key in ("pi0", "pi1", "P0", "P1"):
             vector = key.startswith("pi")
             rows = [d[key]] if vector else d[key]
@@ -209,7 +212,8 @@ class GibbsPayload:
     @classmethod
     def from_json(cls, d):
         """Payload from its JSON object: ``site_dim`` is a JSON integer and
-        ``beta`` a finite JSON number."""
+        ``beta`` a finite JSON number, and no other key."""
+        _check_json_object(d, "gibbs payload", ("site_dim", "beta", "terms"))
         if type(d["site_dim"]) is not int:  # not isinstance: true is an int too
             raise ValueError(f"gibbs site_dim must be a JSON integer, got {d['site_dim']!r}")
         if not finite_json_numbers([d["beta"]]):
@@ -245,6 +249,7 @@ class GibbsPairPayload:
 
     @classmethod
     def from_json(cls, d):
+        _check_json_object(d, "gibbs pair payload", ("null", "alt"))
         return cls(GibbsPayload.from_json(d["null"]), GibbsPayload.from_json(d["alt"]))
 
 
@@ -505,6 +510,7 @@ def family_to_json(family):
 def family_from_json(data):
     """The family (its payload instance) of a ``{"kind", "scaling_exponent",
     "payload"}`` object; a given scaling exponent must be the lattice dimension."""
+    _check_json_object(data, "family", ("kind", "scaling_exponent", "payload"))
     kind, scaling = data["kind"], data.get("scaling_exponent")
     if kind not in _PAYLOADS:
         raise ValueError(f"unknown family kind {kind!r}")

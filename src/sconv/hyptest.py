@@ -22,25 +22,27 @@ Engines, most specific first, each a module function that
 * everything else — ``_dense_error_pair``, dense matrices of at most
   ``operators.DIM_CAP`` rows.
 
-The exact engines share one log-space reducer, ``_log_terms_to_pair``, whose
-every sum is ``operators.logsumexp`` (an empty class set sums to ``-inf``).
-The dense engine diagonalises the (pinched) threshold operator once per
-``(n, c)`` and reads both traces and the positive-part floor off it.  It
-works one sector at a time: when both states of a pair are block-diagonal
-with the same ``sectors`` (the particle-number sectors of quasi-free Fock
-densities), each block of the threshold operator gets its own ``eigh`` and
-the three traces are summed over the blocks, so no quasi-free ``eigh`` is
-larger than ``C(m, m/2)``; in pinched mode each slice is pinched on its own.
-The sector engine computes each Hamming-sector spectrum once per
-``(pair, n)``: the spectra do not depend on the threshold, so every later
-sweep reads them from a bounded memo.
+Every engine takes ``c`` and ``a`` as scalars (one ``ErrorPair``) or as
+equal-length sequences (one pair per threshold, from one pass over block
+``n``), so a sweep builds each block's classes or states once and keeps
+nothing between blocks.  The exact engines share one log-space reducer,
+``_log_terms_to_pair``, whose every sum is ``operators.logsumexp`` (an empty
+class set sums to ``-inf``); it reduces each class chunk for every threshold
+before it drops the chunk.  The dense engine builds the block's states once
+and diagonalises the (pinched) threshold operator once per ``(c, sector)``,
+reading both traces and the positive-part floor off it.  When both states of
+a pair are block-diagonal with the same ``sectors`` (the particle-number
+sectors of quasi-free Fock densities), each block of the threshold operator
+gets its own ``eigh`` and the three traces are summed over the blocks, so no
+quasi-free ``eigh`` is larger than ``C(m, m/2)``; in pinched mode each slice
+is pinched on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -54,7 +56,6 @@ from .operators import (
     HermitianOperator,
     Test,
     _cluster_labels,
-    _memoised,
     _pinch_matrix,
     _pinch_slice,
     logsumexp,
@@ -67,10 +68,6 @@ COMMUTING_TOL = 1e-12  # off-diagonal size in sigma's eigenbasis that still coun
 MAX_TYPE_CLASSES = 2_000_000  # classes (or closed-form sector terms) one exact block may sum
 RUN_CLASS_CHUNK = 16_384  # Markov run classes per chunk: bounds the engine's working set
 R_SQUARED_GATE = 0.98
-SECTOR_CACHE_ENTRIES = 32  # (pair, n) sector spectra kept; a block-360 entry is 181^2 classes, 0.5 MB
-
-_SECTOR_CACHE = {}
-_SECTOR_LOCK = threading.Lock()  # one thread computes a missing entry, the others wait
 
 __all__ = [
     "ErrorPair",
@@ -244,41 +241,56 @@ def error_pair(pair, t, n=1, a=0.0):
 # -- exact classical engines ----------------------------------------------
 
 
+def _thresholds(c, a):
+    """An engine's ``(c, a)`` pairs as a list, and whether ``c`` and ``a`` are
+    scalars rather than equal-length sequences."""
+    one = np.ndim(c) == 0
+    return ([(c, a)] if one else list(zip(c, a, strict=True))), one
+
+
 def _log_terms_to_pair(n, a, chunks, c):
-    """Assemble an ErrorPair from per-class exact log-weights.
+    """Assemble error pairs from per-class exact log-weights.
 
     ``chunks`` yields ``(log_mult, lp, lq)`` arrays: classes of multiplicity
     ``e^log_mult`` and per-string log-likelihoods ``lp``/``lq``. Inclusion is
     the strict comparison ``lp - lq > c``; the positive part accumulates
     ``log1p(-e^{-(lp - lq - c)})`` per included class, all in log space.
-    Each chunk is reduced to four partial log-sums as it arrives and then
-    dropped, so one chunk is held at a time; a single chunk reduces exactly
-    as one array would.
+    Each chunk is reduced to four partial log-sums per threshold as it
+    arrives and then dropped, so one chunk is held at a time; a single chunk
+    reduces exactly as one array would.  ``c``/``a`` are scalars (one pair)
+    or sequences (one pair per threshold, each summed in the scalar order).
     """
+    thresholds, one = _thresholds(c, a)
 
     def _chunk_sums(chunk):
         log_mult, lp, lq = chunk
         alive = lp > -math.inf
         with np.errstate(invalid="ignore"):  # (-inf) - (-inf) under a dead class
             ratio = lp - lq
-        inc = alive & (ratio > c)
-        exc = alive & ~inc
-        lsp = log_mult + lp
-        d = ratio[inc] - c  # > 0 strictly
-        return (
-            logsumexp(lsp[inc]),
-            logsumexp(lsp[exc]),
-            logsumexp((log_mult + lq)[inc]),
-            logsumexp(lsp[inc] + np.log1p(-np.exp(-d))),
-        )
+        lsp, lsq = log_mult + lp, log_mult + lq
+        out = []
+        for ci, _ in thresholds:
+            inc = alive & (ratio > ci)
+            d = ratio[inc] - ci  # > 0 strictly
+            out.append((
+                logsumexp(lsp[inc]),
+                logsumexp(lsp[alive & ~inc]),
+                logsumexp(lsq[inc]),
+                logsumexp(lsp[inc] + np.log1p(-np.exp(-d))),
+            ))
+        return out
 
     # map() lets go of each chunk before the next one is built
-    sums = np.array(list(map(_chunk_sums, chunks)))
-    log_success, log_alpha, log_beta, log_pos = map(logsumexp, sums.T)
-    total = np.logaddexp(log_success, log_alpha)
-    if abs(total) > 1e-9:
-        raise AssertionError(f"class masses sum to e^{total}, not 1")
-    return ErrorPair.from_logs(n, a, log_success, log_alpha, log_beta, log_pos)
+    sums = list(map(_chunk_sums, chunks))
+    pairs = []
+    for j, (_, ai) in enumerate(thresholds):
+        per_chunk = np.array([chunk[j] for chunk in sums])
+        log_success, log_alpha, log_beta, log_pos = map(logsumexp, per_chunk.T)
+        total = np.logaddexp(log_success, log_alpha)
+        if abs(total) > 1e-9:
+            raise AssertionError(f"class masses sum to e^{total}, not 1")
+        pairs.append(ErrorPair.from_logs(n, ai, log_success, log_alpha, log_beta, log_pos))
+    return pairs[0] if one else pairs
 
 
 def _safe_log(x):
@@ -396,22 +408,6 @@ def markov_error_pair(payload, n, c, a=0.0):
 # -- pinched qubit i.i.d. sector engine ------------------------------------
 
 
-def _pinched_sectors(rho1, sigma1, n):
-    """``(log_mult, log_lam, log mu_k)`` per Hamming sector ``k = 0..n`` of block ``n``.
-
-    The reference state's eigenbasis splits block ``n`` into Hamming sectors;
-    pinching keeps exactly the sector-diagonal blocks, so the pinched spectrum
-    is the union of the sector spectra, and on sector ``k`` the reference is
-    ``mu_k``.  Each sector holds classes of ``e^log_mult`` equal eigenvalues
-    ``e^log_lam`` (``-inf`` for a zero eigenvalue; see ``_sector_spectrum``).
-    The tuple is memoised by the pair's entries and ``n``; its arrays are
-    read-only.
-    """
-    key = (rho1.entries.tobytes(), sigma1.entries.tobytes(), n)
-    return _memoised(_SECTOR_CACHE, _SECTOR_LOCK, key,
-                     lambda: tuple(_sector_spectra(rho1, sigma1, n)), SECTOR_CACHE_ENTRIES)
-
-
 def _splits_into_sectors(sigma1):
     """Whether ``sigma1`` is a positive nondegenerate qubit state, whose
     eigenbasis splits every block into Hamming sectors."""
@@ -429,6 +425,15 @@ def _sector_terms(n):
 
 
 def _sector_spectra(rho1, sigma1, n):
+    """Yield ``(log_mult, log_lam, log mu_k)`` per Hamming sector ``k = 0..n`` of block ``n``.
+
+    The reference state's eigenbasis splits block ``n`` into Hamming sectors;
+    pinching keeps exactly the sector-diagonal blocks, so the pinched spectrum
+    is the union of the sector spectra, and on sector ``k`` the reference is
+    ``mu_k``.  Each sector holds classes of ``e^log_mult`` equal eigenvalues
+    ``e^log_lam`` (``-inf`` for a zero eigenvalue; see ``_sector_spectrum``).
+    A block over the work cap is refused before any of its sectors is built.
+    """
     if not _splits_into_sectors(sigma1):
         raise ValueError("Hamming sectors need a positive nondegenerate qubit reference")
     terms = _sector_terms(n)
@@ -444,11 +449,9 @@ def _sector_spectra(rho1, sigma1, n):
         float(np.prod(np.clip(rho1.eigenvalues, 0.0, None))),  # det rho, no cancellation
     )
     log_binom, log_mult = _log_binomials(n)
-    log_mult.flags.writeable = False
     log_mu = np.log(sigma1.eigenvalues)
     for k in range(n + 1):
         log_lam = _sector_spectrum(coeffs, log_binom, n, k)
-        log_lam.flags.writeable = False
         yield log_mult[: log_lam.size], log_lam, (n - k) * log_mu[0] + k * log_mu[1]
 
 
@@ -498,11 +501,11 @@ def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
     """Exact pinched-test error pair for a qubit i.i.d. pair.
 
     The pinched threshold comparison is a scalar test per eigenvalue, so each
-    sector of ``_pinched_sectors`` is one ``(log_mult, log lambda, log mu_k)``
+    sector of ``_sector_spectra`` is one ``(log_mult, log lambda, log mu_k)``
     chunk of ``_log_terms_to_pair``; a zero eigenvalue carries no mass.  Block
     ``n`` has ``O(n^2)`` eigenvalue classes and no matrix is built.
     """
-    return _log_terms_to_pair(n, a, _pinched_sectors(rho1, sigma1, n), c)
+    return _log_terms_to_pair(n, a, _sector_spectra(rho1, sigma1, n), c)
 
 
 # -- engine dispatch -------------------------------------------------------
@@ -521,46 +524,50 @@ def _commuting_iid_probs(payload):
 
 
 def _dense_error_pair(family, mode, n, c, a):
-    """Error pair of the (pinched) threshold test from dense matrices.
+    """Error pairs of the (pinched) threshold tests from dense matrices.
 
-    One eigh of the threshold operator per ``(n, c)`` and sector: both traces
-    are sums of ``<v|X|v>`` over the test's range ``V``, and the floor is its
-    positive part.  A pair whose states share their diagonal blocks (Fock
-    densities, by particle number) splits into independent sector slices; in
-    pinched mode each slice is pinched by the eigenvectors of sigma supported
-    on it, which stay on their own block.
+    The block's states are built once; then one eigh of the threshold
+    operator per ``(c, sector)``: both traces are sums of ``<v|X|v>`` over the
+    test's range ``V``, and the floor is its positive part.  A pair whose
+    states share their diagonal blocks (Fock densities, by particle number)
+    splits into independent sector slices; in pinched mode each slice is
+    pinched by the eigenvectors of sigma supported on it, which stay on their
+    own block.
     """
+    thresholds, one = _thresholds(c, a)
     pair = fam.family_states(family, n)
     rho, sigma = pair.rho.entries, pair.sigma.entries
     sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
     if mode == "pinched":
         basis, labels = pair.sigma.eigenvectors, _cluster_labels(pair.sigma)
-    success = beta = lp = 0.0
+    slices = []  # (rho, rho pinched or not, sigma) on each sector
     for lo, hi in itertools.pairwise(itertools.accumulate(sectors, initial=0)):
         blk = slice(lo, hi)
         rho_hat = rho[blk, blk]
         if mode == "pinched":  # by sigma's eigenvectors on this slice, in its global clusters
             cols = np.flatnonzero(np.any(basis[blk] != 0, axis=0))
             rho_hat = _pinch_slice(rho_hat, basis[blk, cols], labels[cols])
-        diff, v = _threshold_split(rho_hat, sigma[blk, blk], c)
-        success += float(np.vdot(v, rho[blk, blk] @ v).real)
-        beta += float(np.vdot(v, sigma[blk, blk] @ v).real)
-        lp += positive_part_trace(diff)
-    return ErrorPair(
-        n=n,
-        a=a,
-        alpha_err=1.0 - success,
-        beta_err=beta,
-        success=success,
-        log_pos_part=math.log(lp) if lp > 0 else -math.inf,
-    )
+        slices.append((rho[blk, blk], rho_hat, sigma[blk, blk]))
+    pairs = []
+    for ci, ai in thresholds:
+        success = beta = lp = 0.0
+        for rho_b, rho_hat, sigma_b in slices:
+            diff, v = _threshold_split(rho_hat, sigma_b, ci)
+            success += float(np.vdot(v, rho_b @ v).real)
+            beta += float(np.vdot(v, sigma_b @ v).real)
+            lp += positive_part_trace(diff)
+        pairs.append(ErrorPair(n=n, a=ai, alpha_err=1.0 - success, beta_err=beta,
+                               success=success,
+                               log_pos_part=math.log(lp) if lp > 0 else -math.inf))
+    return pairs[0] if one else pairs
 
 
 def _resolve_engine(family, mode):
     """Pick the cheapest exact engine; fall back to dense matrices.
 
     Returns ``(engine, provenance)``: ``engine(n, c, a)`` is one of the four
-    engine functions with the family's data bound.
+    engine functions with the family's data bound, ``c``/``a`` scalars or
+    equal-length sequences.
     """
     if family.kind == "iid":
         tables = _commuting_iid_probs(family)
@@ -615,58 +622,74 @@ def default_a_grid(rate):
     return np.linspace(lo + 0.02 * gap, hi - 0.02 * gap, 9)
 
 
-def _build_report(family, a, n_list, mode, rate, h, notes):
-    """Run the engine at threshold rate ``a`` over ``n_list``, fit once, report.
+def _build_report(family, thresholds, n_list, mode, rate, threads):
+    """One report per ``(a, h, notes)`` of ``thresholds``: the engine runs once per
+    block size for every threshold rate ``a``, then each report is fitted once.
 
     ``h`` is the anti-divergence at the report's ``r`` (``None`` for a plain
     threshold sweep).  In its linear tail each pair becomes that of the scaled
     test (see ``scaled_test``) and the predictions are ``(r - a_max, r)``;
     otherwise they are the polar pair ``(phi(a), phi(a) + a)``.  ``notes``
-    follow the builder's own.
+    follow the builder's own.  ``threads`` workers share the block sizes (with
+    one, the calling thread works them).
     """
     if mode not in ("np", "pinched"):
         raise ValueError(f"unknown mode {mode!r}")
     engine, provenance = _resolve_engine(family, mode)
     s = float(family.scaling_exponent)
+    as_ = [a for a, _, _ in thresholds]
+
+    def block(n):
+        return engine(n, [a * float(n) ** s for a in as_], as_)
+
     # largest block first: an engine refuses an over-limit block before any other is built
-    pairs = [engine(n, a * float(n) ** s, a) for n in sorted(n_list, reverse=True)][::-1]
-    pd = polar_detail(rate, a)
-    success_rate, beta_rate = pd.value, pd.value + float(a)
-    if h is not None and h.regime == "linear_tail":
-        gap = h.r - a - pd.value
-        pairs = [_shifted_pair(ep, gap * float(ep.n) ** s) for ep in pairs]
-        success_rate, beta_rate = h.r - rate.slope_at_infinity, h.r
-    ns = [ep.n for ep in pairs]
-    success_fit = fit_rate(ns, [ep.log_success for ep in pairs], scaling=s)
-    beta_fit = fit_rate(ns, [ep.log_beta for ep in pairs], scaling=s)
-    own = []
-    if pd.tail_dominated:
-        own.append("polar sup still climbing at the grid edge; phi(a) is a floor")
-    if not (success_fit.asymptotic and beta_fit.asymptotic):
-        own.append("not yet asymptotic: fit R^2 below 0.98")
-    return ExponentReport(
-        family=family,
-        mode=mode,
-        a=float(a),
-        per_n=pairs,
-        success_fit=success_fit,
-        beta_fit=beta_fit,
-        predicted_success_rate=success_rate,
-        predicted_beta_rate=beta_rate,
-        r=None if h is None else float(h.r),
-        predicted_H=None if h is None else h.value,
-        regime=None if h is None else h.regime,
-        provenance=provenance,
-        notes=tuple(own + notes),
-    )
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_n = list((pool.map if threads > 1 else map)(block, sorted(n_list, reverse=True)))[::-1]
+    reports = []
+    for j, (a, h, notes) in enumerate(thresholds):
+        pairs = [row[j] for row in per_n]
+        pd = polar_detail(rate, a)
+        success_rate, beta_rate = pd.value, pd.value + float(a)
+        if h is not None and h.regime == "linear_tail":
+            gap = h.r - a - pd.value
+            pairs = [_shifted_pair(ep, gap * float(ep.n) ** s) for ep in pairs]
+            success_rate, beta_rate = h.r - rate.slope_at_infinity, h.r
+        ns = [ep.n for ep in pairs]
+        success_fit = fit_rate(ns, [ep.log_success for ep in pairs], scaling=s)
+        beta_fit = fit_rate(ns, [ep.log_beta for ep in pairs], scaling=s)
+        own = []
+        if pd.tail_dominated:
+            own.append("polar sup still climbing at the grid edge; phi(a) is a floor")
+        if not (success_fit.asymptotic and beta_fit.asymptotic):
+            own.append("not yet asymptotic: fit R^2 below 0.98")
+        reports.append(ExponentReport(
+            family=family,
+            mode=mode,
+            a=float(a),
+            per_n=pairs,
+            success_fit=success_fit,
+            beta_fit=beta_fit,
+            predicted_success_rate=success_rate,
+            predicted_beta_rate=beta_rate,
+            r=None if h is None else float(h.r),
+            predicted_H=None if h is None else h.value,
+            regime=None if h is None else h.regime,
+            provenance=provenance,
+            notes=tuple(own + notes),
+        ))
+    return reports
 
 
-def exponent_sweep(family, a, n_list, mode="np", rate=None, variant="sandwiched"):
+def exponent_sweep(family, a, n_list, mode="np", rate=None, variant="sandwiched", threads=1):
     """Error pairs over ``n_list`` at fixed threshold rate ``a``, with fitted
-    decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``."""
+    decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``;
+    a sequence ``a`` gives one report per value, as in ``sc_report``."""
+    one = np.ndim(a) == 0
     if rate is None:
         rate = fam.asymptotic_rate(family, variant=variant)
-    return _build_report(family, a, n_list, mode, rate, None, [])
+    reports = _build_report(family, [(ai, None, []) for ai in ([a] if one else a)], n_list,
+                            mode, rate, threads)
+    return reports[0] if one else reports
 
 
 def _shifted_pair(ep, shift):
@@ -675,35 +698,43 @@ def _shifted_pair(ep, shift):
                                ep.log_beta - shift, None)
 
 
-def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched"):
+def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched", threads=1):
     """Full strong-converse report at success-vs-type-II tradeoff ``r``.
 
     Resolves the regime of the anti-divergence at ``r``, picks the matching
     threshold (``a = r`` in the zero regime, the interior optimizer, or the
     boundary slope with rescaled tests in the linear tail), sweeps, and
-    returns the report with the predicted exponent attached.
+    returns the report with the predicted exponent attached.  A sequence
+    ``r`` gives one report per value, each block size worked once for all of
+    them by one of ``threads`` workers, largest first.
     """
-    if r < 0:
+    one = np.ndim(r) == 0
+    grid = [r] if one else list(r)
+    if any(ri < 0 for ri in grid):
         raise ValueError("tradeoff rate r must be nonnegative")
     if rate is None:
         rate = fam.asymptotic_rate(family, variant=variant)
-    h = hoeffding_anti(rate, r)
-    notes = []
-    if h.regime == "zero":
-        a = r
-        notes.append("zero regime: success probability stays bounded away from 0")
-    elif h.regime == "interior":
-        a = h.a_r
-    else:  # linear tail: threshold just inside the boundary slope, then rescale
-        a_max = rate.slope_at_infinity
-        # exactly at a_max the strict threshold set can be empty (lattice
-        # families put their extreme class right on the boundary ratio), so
-        # back off by 1% of the slope gap; the rescale absorbs the rest
-        a = a_max - 0.01 * max(a_max - rate.right_derivative_at_1, 1e-6)
-        notes.append("linear-tail regime: rescaled sub-tests in effect")
-        if not rate.slope_is_exact:
-            notes.append("boundary slope estimated from the grid tail")
-    if family.kind == "quasifree" and not family.scalar_reference:
-        notes.append("reference symbol is not the scalar 1/2: prediction is a lower bound "
-                     "in a two-sided bracket, not claimed as an equality")
-    return _build_report(family, a, n_list, mode, rate, h, notes)
+    thresholds = []
+    for ri in grid:
+        h = hoeffding_anti(rate, ri)
+        notes = []
+        if h.regime == "zero":
+            a = ri
+            notes.append("zero regime: success probability stays bounded away from 0")
+        elif h.regime == "interior":
+            a = h.a_r
+        else:  # linear tail: threshold just inside the boundary slope, then rescale
+            a_max = rate.slope_at_infinity
+            # exactly at a_max the strict threshold set can be empty (lattice
+            # families put their extreme class right on the boundary ratio), so
+            # back off by 1% of the slope gap; the rescale absorbs the rest
+            a = a_max - 0.01 * max(a_max - rate.right_derivative_at_1, 1e-6)
+            notes.append("linear-tail regime: rescaled sub-tests in effect")
+            if not rate.slope_is_exact:
+                notes.append("boundary slope estimated from the grid tail")
+        if family.kind == "quasifree" and not family.scalar_reference:
+            notes.append("reference symbol is not the scalar 1/2: prediction is a lower "
+                         "bound in a two-sided bracket, not claimed as an equality")
+        thresholds.append((a, h, notes))
+    reports = _build_report(family, thresholds, n_list, mode, rate, threads)
+    return reports[0] if one else reports

@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .hoeffding import richardson
-from .hyptest import _pinched_sectors
+from .hyptest import _sector_spectra
 from .operators import logsumexp
 
 CAUCHY_TOL = 1e-3  # normalized log-MGF gap between the largest sizes that counts as converged
@@ -308,23 +308,24 @@ def pinched_pair_sequence(rho1, sigma1, n_list, under="sigma"):
 
     Support points are ``y = (1/n)(log lam - log mu)`` over joint eigenpairs
     of the pinched state and the reference ``sigma_n``, one Hamming sector of
-    ``hyptest._pinched_sectors`` at a time, one point per eigenvalue class;
+    ``hyptest._sector_spectra`` at a time, one point per eigenvalue class;
     weights are the class multiplicity times the ``sigma_n`` eigenvalue
     (``under='sigma'``) or the pinched-state eigenvalue
     (``under='rho_hat'``).  With sigma-weights, ``Lambda_n(n t) = psi(t)``
-    of the pinched pair; with rho-weights it is ``psi(1 + t)``.
+    of the pinched pair; with rho-weights it is ``psi(1 + t)``.  Every size's
+    points are built once, here, largest size first (so an over-cap size is
+    refused before any other), and the sequence reads them from its own dict.
     """
     if under not in ("sigma", "rho_hat"):
         raise ValueError(f"unknown weighting {under!r}")
-
-    def support(n):
+    points = {}
+    for n in sorted(set(n_list), reverse=True):
         ys, lws = [], []
-        for log_mult, log_lam, log_mu_k in _pinched_sectors(rho1, sigma1, n):
+        for log_mult, log_lam, log_mu_k in _sector_spectra(rho1, sigma1, n):
             live = log_lam > -np.inf
             log_mult, log_lam = log_mult[live], log_lam[live]
             ys.append((log_lam - log_mu_k) / n)
             lws.append(log_mult + (log_mu_k if under == "sigma" else log_lam))
-        return np.concatenate(ys), np.concatenate(lws)
-
-    return WeightedSampleSequence(support=support, c=lambda n: float(n),
+        points[n] = np.concatenate(ys), np.concatenate(lws)
+    return WeightedSampleSequence(support=points.__getitem__, c=lambda n: float(n),
                                   n_list=tuple(n_list))

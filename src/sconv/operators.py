@@ -229,27 +229,6 @@ def logsumexp_rows(a):
     return out[..., 0]
 
 
-def _memoised(cache, lock, key, build, budget, size=lambda value: 1):
-    """``cache[key]``, built by ``build()`` when it is missing.
-
-    ``lock`` is held from lookup to insertion, so one thread builds a missing
-    value while the others wait for it.  ``cache`` is a dict in insertion
-    order: entries leave oldest first until the ``size`` of those kept, the
-    new one included, is at most ``budget``.  A value whose own size exceeds
-    ``budget`` is returned but not kept.
-    """
-    with lock:
-        value = cache.get(key)
-        if value is None:
-            value = build()
-            need = size(value)
-            if need <= budget:
-                while sum(map(size, cache.values())) + need > budget:
-                    del cache[next(iter(cache))]
-                cache[key] = value
-    return value
-
-
 def _require_psd(op):
     floor = -(SUPPORT_TOL * max(op.norm, 1.0) + 1e-14)
     if op.min_eigenvalue < floor:
@@ -514,6 +493,15 @@ def finite_json_numbers(vals):
         return False
 
 
+def _check_json_object(d, what, keys):
+    """Refuse ``d`` unless it is a JSON object with no keys but ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValueError(f"a {what} takes no {unknown[0]!r}; it takes {keys}")
+
+
 def operator_to_json(op):
     """JSON-safe dict: dimension plus row-major real and imaginary parts."""
     return {
@@ -531,7 +519,9 @@ def _json_entries(vals, dim, key):
 
 def operator_from_json(data):
     """Operator from its JSON dict: ``dim`` a positive JSON integer, ``re`` and
-    ``im`` row-major lists of ``dim**2`` finite JSON numbers, ``im`` optional."""
+    ``im`` row-major lists of ``dim**2`` finite JSON numbers, ``im`` optional,
+    and no other key."""
+    _check_json_object(data, "operator", ("dim", "re", "im"))
     dim = data["dim"]
     if type(dim) is not int or dim < 1:  # not isinstance: true is an int too
         raise ValueError(f"operator dim must be a positive JSON integer, got {dim!r}")

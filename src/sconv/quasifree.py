@@ -10,7 +10,8 @@ explicit ``2^m``-dimensional Fock-space densities
 oracle.  That density is block-diagonal in particle number: sector ``k``
 (``C(m, k)`` occupation strings) is ``det(I-Q) wedge^k(...)``, built from
 sector ``k - 1`` by Laplace expansion, and nothing couples two sectors, so
-each block is diagonalised on its own.
+each block is diagonalised on its own.  Each call builds its density afresh:
+a threshold sweep asks for each block's pair once (see :mod:`sconv.hyptest`).
 Per-mode limits are Szego-type integrals of the symbols.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -26,18 +26,12 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .hoeffding import ConvexRate
-from .operators import DIM_CAP, HermitianOperator, StatePair, _memoised, finite_json_numbers
+from .operators import (DIM_CAP, HermitianOperator, StatePair, _check_json_object,
+                        finite_json_numbers)
 
 FOURIER_GRID_1D = 2**14
 FOURIER_GRID_2D = 2**11  # 2^14 per axis is beyond desk scale in two dimensions
 QUAD_GRID = 2**12
-# Bytes of Fock densities kept: both densities of the blocks m = 6..10 that an
-# sc-report sweep revisits for every r, entries plus eigenvectors in complex128,
-# are 2 * sum_m 2 * 16 * 4^m bytes = 89.4 MB; a 2^11 density (134 MB) is not kept.
-FOCK_CACHE_BYTES = 96 * 2**20
-
-_FOCK_CACHE = {}
-_FOCK_LOCK = threading.Lock()  # one thread builds a missing density, the others wait
 
 __all__ = [
     "TrigPolySymbol",
@@ -133,7 +127,7 @@ class QuasiFreePayload:
     def from_json(cls, d):
         """Payload from its JSON object; every number must be a finite JSON number,
         and the payload and each symbol take no keys but their own."""
-        _check_json_object(d, "payload", ("nu", "q_symbol", "r_symbol", "c_bound"))
+        _check_json_object(d, "quasi-free payload", ("nu", "q_symbol", "r_symbol", "c_bound"))
         if type(d["nu"]) is not int or d["nu"] != 1:  # not isinstance: true is an int too
             raise ValueError(f"quasi-free nu must be the JSON integer 1, got {d['nu']!r}: "
                              "JSON symbols are one-dimensional trig polynomials")
@@ -280,21 +274,9 @@ def fock_density(symbol):
     assembled by :meth:`HermitianOperator.block_diagonal`, one ``eigh`` per
     sector, and its ``sectors`` are ``(C(m, k))_{k=0..m}``.
 
-    Densities are memoised by the symbol's entries, so every caller that
-    asks for the same symbol shares one operator, whose ``entries``,
-    ``eigenvalues`` and ``eigenvectors`` are read-only.  The memo keeps at
-    most ``FOCK_CACHE_BYTES``, oldest out first; a larger density is built
-    on every call and not kept.
+    Every call builds a new density, whose ``entries``, ``eigenvalues`` and
+    ``eigenvectors`` are read-only.
     """
-    return _memoised(_FOCK_CACHE, _FOCK_LOCK, symbol.entries.tobytes(),
-                     lambda: _fock_density(symbol), FOCK_CACHE_BYTES, _density_bytes)
-
-
-def _density_bytes(op):
-    return op.entries.nbytes + op.eigenvalues.nbytes + op.eigenvectors.nbytes
-
-
-def _fock_density(symbol):
     m = symbol.dim
     if 2**m > DIM_CAP:
         raise ValueError(f"Fock dimension 2^{m} exceeds cap {DIM_CAP}")
@@ -436,17 +418,8 @@ def _symbol_to_json(sym):
     }
 
 
-def _check_json_object(d, name, keys):
-    """Refuse ``d`` unless it is a JSON object with no keys but ``keys``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"quasi-free {name} must be a JSON object, got {d!r}")
-    unknown = sorted(set(d) - set(keys))
-    if unknown:
-        raise ValueError(f"a quasi-free {name} takes no {unknown[0]!r}; it takes {keys}")
-
-
 def _symbol_from_json(d, name):
-    _check_json_object(d, name, ("constant", "cos_coeffs", "sin_coeffs"))
+    _check_json_object(d, f"quasi-free {name}", ("constant", "cos_coeffs", "sin_coeffs"))
     cos, sin = d.get("cos_coeffs", []), d.get("sin_coeffs", [])
     for key, vals in (("constant", [d["constant"]]), ("cos_coeffs", cos), ("sin_coeffs", sin)):
         if not (isinstance(vals, list) and finite_json_numbers(vals)):

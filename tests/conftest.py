@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sconv import hyptest, quasifree
+from sconv import hyptest
 from sconv.operators import HermitianOperator, rand_density
 
 
@@ -27,14 +27,6 @@ def classical_pair(p, q):
         HermitianOperator(np.diag(np.asarray(p, dtype=float))),
         HermitianOperator(np.diag(np.asarray(q, dtype=float))),
     )
-
-
-@pytest.fixture(autouse=True)
-def cold_sector_cache():
-    """Start every test without memoised Hamming-sector spectra or Fock
-    densities, so a count test never depends on which tests ran before it."""
-    hyptest._SECTOR_CACHE.clear()
-    quasifree._FOCK_CACHE.clear()
 
 
 @pytest.fixture

@@ -586,6 +586,28 @@ class TestMain:
         assert err["field"] == "$.parmas" and "parmas" in err["error"]
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("family, path, key", [
+        (binary_family, (), "payload_version"),
+        (binary_family, ("payload",), "tau"),
+        (qubit_family, ("payload", "rho"), "imag"),
+        (markov_family, ("payload",), "P2"),
+        (onsite_gibbs_family, ("payload",), "third"),
+        (onsite_gibbs_family, ("payload", "null"), "temperature"),
+    ], ids=["family", "iid-payload", "operator", "markov-payload", "gibbs-pair-payload",
+            "gibbs-payload"])
+    def test_unknown_family_key_exits_two(self, tmp_path, capsys, family, path, key):
+        # an operator's "im" spelled "imag" would otherwise drop its imaginary part
+        obj = family()
+        target = obj
+        for p in path:
+            target = target[p]
+        target[key] = target.pop("im") if key == "imag" else 1.0
+        scenario = write_scenario(tmp_path, {"task": "renyi", "family": obj})
+        assert main(["renyi", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "$.family" and repr(key) in err["error"]
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("out", ["ABSOLUTE", "../x.csv", "sub/x.csv", "", ".", ".."],
                              ids=["absolute", "parent", "subdir", "empty", "dot", "dotdot"])
     def test_out_must_be_a_bare_file_name(self, tmp_path, capsys, out):
@@ -868,6 +890,25 @@ class TestMain:
             "n_list": [64, 128, 256, 512, 1024], "x_grid": [0.6, 0.7, 0.8, 0.9]}})
         assert main(["ldp", "--scenario", scenario, "--out", str(tmp_path)]) == 0
         assert sorted(grid_calls) == sorted(2 * [64, 128, 256, 512, 1024])
+
+    @pytest.mark.parametrize("task, case, extra, owner, name, builds", [
+        ("sc-report", CATALOG / "markov-sc-report" / "s00", ["--threads", "2"],
+         ht, "_markov_run_classes", 4),
+        ("sc-report", CATALOG / "quasifree-sc-report" / "s00", [], fam, "family_states", 5),
+        ("np-sweep", SHORT_JOBS_CASE, [], ht, "iid_type_class_error_pair", 4),
+    ], ids=["markov-run-classes", "quasifree-states", "type-classes"])
+    def test_one_build_per_block_per_sweep(self, tmp_path, monkeypatch, task, case, extra,
+                                           owner, name, builds):
+        # every threshold of the grid is read off one class stream or state
+        # pair per block size: 4 sizes for Markov and np-sweep, 5 for quasi-free
+        calls = []
+        build = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or build(*args))
+        stem = task.replace("-", "_")
+        rc = main([task, "--scenario", str(case / f"{stem}.json"), "--out", str(tmp_path)]
+                  + extra)
+        assert rc == 0
+        assert len(calls) == builds
 
     def test_report_invariant_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("sconv.cli._report_invariant_failures",

@@ -3,8 +3,7 @@
 import itertools
 import json
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,13 +13,10 @@ from sconv import families as fam
 from sconv.cli import main
 from sconv.families import IIDPayload, MarkovPayload, markov_psi_n
 from sconv.hyptest import (
-    _SECTOR_CACHE,
     RUN_CLASS_CHUNK,
-    SECTOR_CACHE_ENTRIES,
     ErrorPair,
     _dense_error_pair,
     _markov_run_classes,
-    _pinched_sectors,
     _resolve_engine,
     _sector_spectra,
     default_a_grid,
@@ -404,46 +400,6 @@ class TestSectorCache:
         assert len(list(tmp_path.glob("sc_report_*.csv"))) == 4
         assert len(sector_calls) == sum(n + 1 for n in ns)
 
-    def test_cached_spectra_are_shared_and_read_only(self, sector_calls):
-        rho1, sigma1 = noncommuting_qubits()
-        sectors = _pinched_sectors(rho1, sigma1, 5)
-        assert _pinched_sectors(rho1, sigma1, 5) is sectors
-        assert len(sector_calls) == 6
-        log_mult, log_lam, log_mu_k = sectors[2]
-        for arr in (log_mult, log_lam):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        fresh = tuple(_sector_spectra(rho1, sigma1, 5))[2]
-        assert log_mult.tolist() == fresh[0].tolist()
-        assert log_lam.tolist() == fresh[1].tolist()
-        assert log_mu_k == fresh[2]
-
-    def test_concurrent_callers_share_one_computation(self, sector_calls):
-        rho1, sigma1 = noncommuting_qubits()
-        ns = [3, 4, 5, 6]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(_pinched_sectors, rho1, sigma1, n)
-                           for _ in range(8) for n in ns]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(sector_calls) == sum(n + 1 for n in ns)
-        for i in range(len(ns)):
-            assert all(r is results[i] for r in results[i::len(ns)])
-
-    def test_cache_is_bounded(self, rng):
-        pairs = [(rand_density(2, rng), rand_density(2, rng))
-                 for _ in range(SECTOR_CACHE_ENTRIES + 3)]
-        for rho1, sigma1 in pairs:
-            _pinched_sectors(rho1, sigma1, 2)
-        assert len(_SECTOR_CACHE) == SECTOR_CACHE_ENTRIES
-        newest = (pairs[-1][0].entries.tobytes(), pairs[-1][1].entries.tobytes(), 2)
-        oldest = (pairs[0][0].entries.tobytes(), pairs[0][1].entries.tobytes(), 2)
-        assert newest in _SECTOR_CACHE and oldest not in _SECTOR_CACHE
-
 
 def quasifree_spec():
     return QuasiFreePayload(
@@ -510,6 +466,57 @@ class TestDenseSectors:
         assert report.provenance == "dense"
         assert max(max(shape) for shape in eigh_shapes) <= math.comb(8, 4)
         assert (70, 70) in eigh_shapes  # the n = 8 middle sector
+
+
+def _markov_chain():
+    return MarkovPayload(pi0=[0.6, 0.4], pi1=[0.5, 0.5],
+                         P0=[[0.7, 0.3], [0.2, 0.8]], P1=[[0.5, 0.5], [0.4, 0.6]])
+
+
+class TestOnePassPerBlock:
+    # below every class, inside, and above every class (an empty test)
+    RATES = (-0.5, 0.02, 0.1, 0.3, 5.0)
+
+    @pytest.mark.parametrize("engine, n", [
+        (partial(iid_type_class_error_pair, np.array([0.5, 0.3, 0.2]),
+                 np.array([0.2, 0.3, 0.5])), 24),
+        (partial(markov_error_pair, _markov_chain()), 300),  # 300 run classes span chunks
+        (partial(qubit_sector_error_pair, *noncommuting_qubits()), 12),
+        (partial(_dense_error_pair, quasifree_spec(), "np"), 6),
+        (partial(_dense_error_pair, quasifree_spec(), "pinched"), 6),
+        (partial(_dense_error_pair, IIDPayload(*noncommuting_qubits()), "pinched"), 5),
+    ], ids=["type-classes", "run-classes", "sectors", "dense-np", "dense-sectors-pinched",
+            "dense-pinched"])
+    def test_batched_engine_equals_scalar_calls(self, engine, n):
+        cs = [a * n for a in self.RATES]
+        batched = engine(n, cs, list(self.RATES))
+        assert len(batched) == len(cs)
+        for got, c, a in zip(batched, cs, self.RATES):
+            assert got == engine(n, c, a)
+
+    def test_batched_engine_refuses_unequal_lengths(self):
+        with pytest.raises(ValueError, match="longer"):
+            markov_error_pair(_markov_chain(), 8, [0.1, 0.2], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sc_report_grid_equals_per_r_reports(self, threads):
+        spec = binary_spec()
+        rate = asymptotic_rate(spec)
+        d1, a_max = rate.right_derivative_at_1, rate.slope_at_infinity
+        rs = [0.5 * d1, 2.5 * d1, a_max + 0.4]
+        ns = [64, 128, 256, 512]
+        reports = sc_report(spec, rs, ns, rate=rate, threads=threads)
+        assert [rep.regime for rep in reports] == ["zero", "interior", "linear_tail"]
+        assert reports == [sc_report(spec, r, ns, rate=rate) for r in rs]
+
+    def test_exponent_sweep_grid_equals_per_a_reports(self):
+        spec = IIDPayload(*noncommuting_qubits())
+        rate = asymptotic_rate(spec)
+        grid = [float(a) for a in default_a_grid(rate)[:6:2]]  # the top third can empty a test
+        ns = [6, 8, 10, 12]
+        reports = exponent_sweep(spec, grid, ns, mode="pinched", rate=rate, threads=2)
+        assert reports == [exponent_sweep(spec, a, ns, mode="pinched", rate=rate)
+                           for a in grid]
 
 
 class TestFitting:

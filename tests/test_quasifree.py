@@ -3,8 +3,6 @@
 import itertools
 import json
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +162,7 @@ class TestFockOracle:
 def _lu_minor_sectors(symbol):
     """Oracle: the particle-number sectors ``det(I-Q) wedge^k A`` of the Fock
     density, each ``k x k`` minor of ``A = Q (I-Q)^{-1}`` by its own LU, with
-    the ``A`` of ``quasifree._fock_density``."""
+    the ``A`` of ``quasifree.fock_density``."""
     m = symbol.dim
     lam = symbol.eigenvalues
     c0 = math.exp(float(np.log1p(-lam).sum()))
@@ -209,15 +207,15 @@ def minor_tolerance(k, kappa):
 
 @pytest.fixture
 def fock_builds(monkeypatch):
-    """Symbol dimension of every Fock density actually built (memo misses)."""
+    """Symbol dimension of every Fock density built."""
     builds = []
-    build = quasifree._fock_density
+    build = quasifree.fock_density
 
     def counted(symbol):
         builds.append(symbol.dim)
         return build(symbol)
 
-    monkeypatch.setattr(quasifree, "_fock_density", counted)
+    monkeypatch.setattr(quasifree, "fock_density", counted)
     return builds
 
 
@@ -229,7 +227,7 @@ class TestSectorRecursion:
             p = QuasiFreePayload(1, _seeded_symbol(seed, c_bound), TrigPolySymbol(0.5), c_bound)
             q, _ = quasifree_block_symbol(p, m)
             ahat = q.eigenvalues / (1.0 - q.eigenvalues)
-            w = quasifree._fock_density(q)
+            w = fock_density(q)
             edges = np.cumsum((0,) + w.sectors)
             for k, (lo, hi, oracle) in enumerate(zip(edges, edges[1:], _lu_minor_sectors(q))):
                 scale = np.abs(oracle).max()
@@ -250,34 +248,20 @@ class TestSectorRecursion:
 
         monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-        quasifree._fock_density(q)
+        fock_density(q)
         assert calls == {"det": 0, "eigh": m + 1}
 
 
 class TestFockMemo:
-    def test_concurrent_callers_share_one_build(self, fock_builds):
-        p = payload_1d()
-        symbols = [s for m in (3, 4, 5, 6) for s in quasifree_block_symbol(p, m)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(fock_density, s) for _ in range(8) for s in symbols]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(fock_builds) == sorted(s.dim for s in symbols)
-        for i in range(len(symbols)):
-            assert all(r is results[i] for r in results[i::len(symbols)])
-
     def test_sc_report_builds_each_density_once(self, fock_builds):
         case = Path(__file__).resolve().parents[1] / "perfbench" / "catalog"
         scenario = json.loads(
             (case / "quasifree-sc-report" / "s00" / "sc_report.json").read_text())
         family = QuasiFreePayload.from_json(scenario["family"]["payload"])
         rate = quasifree_rate(family)
-        for r in scenario["params"]["r_grid"]:
-            sc_report(family, r, scenario["params"]["n_list"], rate=rate)
+        reports = sc_report(family, scenario["params"]["r_grid"], scenario["params"]["n_list"],
+                            rate=rate)
+        assert len(reports) == len(scenario["params"]["r_grid"])
         assert sorted(fock_builds) == sorted(2 * scenario["params"]["n_list"])
 
     @pytest.mark.parametrize("slot", ["entries", "eigenvalues", "eigenvectors"])
@@ -286,21 +270,6 @@ class TestFockMemo:
         arr = getattr(fock_density(qn), slot)
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-    def test_budget_evicts_oldest_and_skips_oversize(self, fock_builds, monkeypatch):
-        p = payload_1d()
-        q3, q4, q5 = (quasifree_block_symbol(p, m)[0] for m in (3, 4, 5))
-        size4 = quasifree._density_bytes(fock_density(q4))
-        monkeypatch.setattr(quasifree, "FOCK_CACHE_BYTES", size4)
-        quasifree._FOCK_CACHE.clear()
-        fock_density(q3)
-        fock_density(q4)  # fills the budget alone: q3 leaves
-        assert list(quasifree._FOCK_CACHE) == [q4.entries.tobytes()]
-        fock_density(q5)  # larger than the budget: returned, not kept
-        assert list(quasifree._FOCK_CACHE) == [q4.entries.tobytes()]
-        fock_density(q4)
-        fock_density(q5)
-        assert fock_builds == [4, 3, 4, 5, 5]
 
 
 class TestSingleParticleFormulas:
