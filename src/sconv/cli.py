@@ -127,7 +127,10 @@ def _check_param(task, name, v):
     if name == "n_list":
         return _check_n_list(v, path, task)
     if name.endswith("_grid"):
-        return _check_grid(v, path)
+        grid = _check_grid(v, path)
+        if name == "r_grid" and min(grid) < 0:
+            raise ScenarioError(path, "r_grid entries must be nonnegative tradeoff rates")
+        return grid
     if name == "n" and not _positive_int(v):
         raise ScenarioError(path, "n must be a positive integer")
     if name in ("prob", "window_hi"):
@@ -193,6 +196,8 @@ def load_scenario(path):
     scenario["params"] = {name: _check_param(task, name, v)
                           if name in params or v is not None else v
                           for name, v in {**PARAMS[task], **params}.items()}
+    if "family" in raw and "family" not in scenario:  # after the params: theirs are named first
+        raise ScenarioError("$.family", f"{task} takes no 'family'")
     return scenario
 
 

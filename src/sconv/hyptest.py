@@ -22,15 +22,17 @@ Engines, most specific first, each a module function that
 * everything else — ``_dense_error_pair``, dense matrices of at most
   ``operators.DIM_CAP`` rows.
 
-Every engine takes ``c`` and ``a`` as scalars (one ``ErrorPair``) or as
-equal-length sequences (one pair per threshold, from one pass over block
-``n``), so a sweep builds each block's classes or states once and keeps
-nothing between blocks.  The exact engines share one log-space reducer,
-``_log_terms_to_pair``, whose every sum is ``operators.logsumexp`` (an empty
-class set sums to ``-inf``); it reduces each class chunk for every threshold
-before it drops the chunk.  The dense engine builds the block's states once
-and diagonalises the (pinched) threshold operator once per ``(c, sector)``,
-reading both traces and the positive-part floor off it.  When both states of
+Every engine takes the total exponent ``c`` as a scalar (one ``ErrorPair``)
+or as a sequence (one pair per threshold, from one pass over block ``n``),
+so a sweep builds each block's classes or states once and keeps nothing
+between blocks; a pair carries its block size but no threshold label.  The
+exact engines share one log-space reducer, ``_log_terms_to_pair``: it
+reduces each class chunk for every threshold by ``operators.logsumexp`` (an
+empty class set sums to ``-inf``) before it drops the chunk, then the chunk
+sums of every threshold in one ``operators.logsumexp_rows`` call.  The dense
+engine builds the block's states once and diagonalises the (pinched)
+threshold operator once per ``(c, sector)``, reading both traces and the
+positive-part floor off it.  When both states of
 a pair are block-diagonal with the same ``sectors`` (the particle-number
 sectors of quasi-free Fock densities), each block of the threshold operator
 gets its own ``eigh`` and the three traces are summed over the blocks, so no
@@ -99,7 +101,6 @@ class ErrorPair:
     """
 
     n: int
-    a: float
     alpha_err: float
     beta_err: float
     success: float
@@ -126,13 +127,12 @@ class ErrorPair:
             self.log_beta = math.log(self.beta_err) if self.beta_err > 0 else -math.inf
 
     @classmethod
-    def from_logs(cls, n, a, log_success, log_alpha, log_beta, log_pos_part):
+    def from_logs(cls, n, log_success, log_alpha, log_beta, log_pos_part):
         """Pair from log-domain traces, a log of ``-inf`` being mass 0; with
         ``log_alpha = None`` the type-I error is ``1 - success``."""
         success = math.exp(log_success)
         return cls(
             n=n,
-            a=a,
             alpha_err=1.0 - success if log_alpha is None else math.exp(log_alpha),
             beta_err=math.exp(log_beta),
             success=success,
@@ -225,30 +225,24 @@ def scaled_test(t, n, r, a, phi_a, scaling=1.0):
     return t.scale(math.exp(-float(n) ** scaling * max(gap, 0.0)))
 
 
-def error_pair(pair, t, n=1, a=0.0):
+def error_pair(pair, t, n=1):
     """Evaluate the three traces of a test against a state pair."""
     success = float(np.trace(pair.rho.entries @ t.op.entries).real)
     beta = float(np.trace(pair.sigma.entries @ t.op.entries).real)
-    return ErrorPair(
-        n=n,
-        a=a,
-        alpha_err=1.0 - success,
-        beta_err=beta,
-        success=success,
-    )
+    return ErrorPair(n=n, alpha_err=1.0 - success, beta_err=beta, success=success)
 
 
 # -- exact classical engines ----------------------------------------------
 
 
-def _thresholds(c, a):
-    """An engine's ``(c, a)`` pairs as a list, and whether ``c`` and ``a`` are
-    scalars rather than equal-length sequences."""
+def _thresholds(c):
+    """An engine's thresholds ``c`` as a list, and whether ``c`` is a scalar
+    rather than a sequence."""
     one = np.ndim(c) == 0
-    return ([(c, a)] if one else list(zip(c, a, strict=True))), one
+    return ([c] if one else list(c)), one
 
 
-def _log_terms_to_pair(n, a, chunks, c):
+def _log_terms_to_pair(n, chunks, c):
     """Assemble error pairs from per-class exact log-weights.
 
     ``chunks`` yields ``(log_mult, lp, lq)`` arrays: classes of multiplicity
@@ -256,11 +250,12 @@ def _log_terms_to_pair(n, a, chunks, c):
     the strict comparison ``lp - lq > c``; the positive part accumulates
     ``log1p(-e^{-(lp - lq - c)})`` per included class, all in log space.
     Each chunk is reduced to four partial log-sums per threshold as it
-    arrives and then dropped, so one chunk is held at a time; a single chunk
-    reduces exactly as one array would.  ``c``/``a`` are scalars (one pair)
-    or sequences (one pair per threshold, each summed in the scalar order).
+    arrives and then dropped, so one chunk is held at a time; the partial
+    sums of every threshold are then reduced in one ``logsumexp_rows`` call,
+    each row as one array of a single threshold would be.  ``c`` is a scalar
+    (one pair) or a sequence (one pair per threshold).
     """
-    thresholds, one = _thresholds(c, a)
+    thresholds, one = _thresholds(c)
 
     def _chunk_sums(chunk):
         log_mult, lp, lq = chunk
@@ -269,7 +264,7 @@ def _log_terms_to_pair(n, a, chunks, c):
             ratio = lp - lq
         lsp, lsq = log_mult + lp, log_mult + lq
         out = []
-        for ci, _ in thresholds:
+        for ci in thresholds:
             inc = alive & (ratio > ci)
             d = ratio[inc] - ci  # > 0 strictly
             out.append((
@@ -281,15 +276,14 @@ def _log_terms_to_pair(n, a, chunks, c):
         return out
 
     # map() lets go of each chunk before the next one is built
-    sums = list(map(_chunk_sums, chunks))
+    sums = np.array(list(map(_chunk_sums, chunks)))  # (chunk, threshold, sum)
     pairs = []
-    for j, (_, ai) in enumerate(thresholds):
-        per_chunk = np.array([chunk[j] for chunk in sums])
-        log_success, log_alpha, log_beta, log_pos = map(logsumexp, per_chunk.T)
+    for log_success, log_alpha, log_beta, log_pos in logsumexp_rows(
+            sums.transpose(1, 2, 0)).tolist():
         total = np.logaddexp(log_success, log_alpha)
         if abs(total) > 1e-9:
             raise AssertionError(f"class masses sum to e^{total}, not 1")
-        pairs.append(ErrorPair.from_logs(n, ai, log_success, log_alpha, log_beta, log_pos))
+        pairs.append(ErrorPair.from_logs(n, log_success, log_alpha, log_beta, log_pos))
     return pairs[0] if one else pairs
 
 
@@ -300,7 +294,7 @@ def _safe_log(x):
     return out
 
 
-def iid_type_class_error_pair(p, q, n, c, a=0.0):
+def iid_type_class_error_pair(p, q, n, c):
     """Exact error pair for a commuting i.i.d. pair via type classes.
 
     The classes are the ``C(n + d - 1, d - 1)`` compositions of ``n`` into
@@ -328,7 +322,7 @@ def iid_type_class_error_pair(p, q, n, c, a=0.0):
     with np.errstate(invalid="ignore"):
         lp = np.where(counts > 0, counts * logp[None, :], 0.0).sum(axis=1)
         lq = np.where(counts > 0, counts * logq[None, :], 0.0).sum(axis=1)
-    return _log_terms_to_pair(n, a, [(log_mult, lp, lq)], c)
+    return _log_terms_to_pair(n, [(log_mult, lp, lq)], c)
 
 
 def _markov_run_classes(payload, n):
@@ -389,7 +383,7 @@ def _markov_run_classes(payload, n):
                 yield _mixed(s, e, j_lo, offsets, k0)
 
 
-def markov_error_pair(payload, n, c, a=0.0):
+def markov_error_pair(payload, n, c):
     """Exact error pair for a two-state Markov chain test.
 
     The ``2^n`` strings fall into O(n^2) run classes of equal likelihood
@@ -402,7 +396,7 @@ def markov_error_pair(payload, n, c, a=0.0):
         raise ValueError("exact run combinatorics requires a two-state chain")
     if n < 1:
         raise ValueError("block size must be positive")
-    return _log_terms_to_pair(n, a, _markov_run_classes(payload, n), c)
+    return _log_terms_to_pair(n, _markov_run_classes(payload, n), c)
 
 
 # -- pinched qubit i.i.d. sector engine ------------------------------------
@@ -497,7 +491,7 @@ def _sector_spectrum(coeffs, log_binom, n, k):
     return xlogy(j[:, 0], det) + logsumexp_rows(terms)
 
 
-def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
+def qubit_sector_error_pair(rho1, sigma1, n, c):
     """Exact pinched-test error pair for a qubit i.i.d. pair.
 
     The pinched threshold comparison is a scalar test per eigenvalue, so each
@@ -505,7 +499,7 @@ def qubit_sector_error_pair(rho1, sigma1, n, c, a=0.0):
     chunk of ``_log_terms_to_pair``; a zero eigenvalue carries no mass.  Block
     ``n`` has ``O(n^2)`` eigenvalue classes and no matrix is built.
     """
-    return _log_terms_to_pair(n, a, _sector_spectra(rho1, sigma1, n), c)
+    return _log_terms_to_pair(n, _sector_spectra(rho1, sigma1, n), c)
 
 
 # -- engine dispatch -------------------------------------------------------
@@ -523,7 +517,7 @@ def _commuting_iid_probs(payload):
     return p, sigma.eigenvalues.copy()
 
 
-def _dense_error_pair(family, mode, n, c, a):
+def _dense_error_pair(family, mode, n, c):
     """Error pairs of the (pinched) threshold tests from dense matrices.
 
     The block's states are built once; then one eigh of the threshold
@@ -534,7 +528,7 @@ def _dense_error_pair(family, mode, n, c, a):
     pinched by the eigenvectors of sigma supported on it, which stay on their
     own block.
     """
-    thresholds, one = _thresholds(c, a)
+    thresholds, one = _thresholds(c)
     pair = fam.family_states(family, n)
     rho, sigma = pair.rho.entries, pair.sigma.entries
     sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
@@ -549,15 +543,14 @@ def _dense_error_pair(family, mode, n, c, a):
             rho_hat = _pinch_slice(rho_hat, basis[blk, cols], labels[cols])
         slices.append((rho[blk, blk], rho_hat, sigma[blk, blk]))
     pairs = []
-    for ci, ai in thresholds:
+    for ci in thresholds:
         success = beta = lp = 0.0
         for rho_b, rho_hat, sigma_b in slices:
             diff, v = _threshold_split(rho_hat, sigma_b, ci)
             success += float(np.vdot(v, rho_b @ v).real)
             beta += float(np.vdot(v, sigma_b @ v).real)
             lp += positive_part_trace(diff)
-        pairs.append(ErrorPair(n=n, a=ai, alpha_err=1.0 - success, beta_err=beta,
-                               success=success,
+        pairs.append(ErrorPair(n=n, alpha_err=1.0 - success, beta_err=beta, success=success,
                                log_pos_part=math.log(lp) if lp > 0 else -math.inf))
     return pairs[0] if one else pairs
 
@@ -565,9 +558,9 @@ def _dense_error_pair(family, mode, n, c, a):
 def _resolve_engine(family, mode):
     """Pick the cheapest exact engine; fall back to dense matrices.
 
-    Returns ``(engine, provenance)``: ``engine(n, c, a)`` is one of the four
-    engine functions with the family's data bound, ``c``/``a`` scalars or
-    equal-length sequences.
+    Returns ``(engine, provenance)``: ``engine(n, c)`` is one of the four
+    engine functions with the family's data bound, ``c`` a scalar or a
+    sequence.
     """
     if family.kind == "iid":
         tables = _commuting_iid_probs(family)
@@ -637,14 +630,11 @@ def _build_report(family, thresholds, n_list, mode, rate, threads):
         raise ValueError(f"unknown mode {mode!r}")
     engine, provenance = _resolve_engine(family, mode)
     s = float(family.scaling_exponent)
-    as_ = [a for a, _, _ in thresholds]
-
-    def block(n):
-        return engine(n, [a * float(n) ** s for a in as_], as_)
-
+    ns = sorted(n_list, reverse=True)
+    cs = [[a * float(n) ** s for a, _, _ in thresholds] for n in ns]
     # largest block first: an engine refuses an over-limit block before any other is built
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_n = list((pool.map if threads > 1 else map)(block, sorted(n_list, reverse=True)))[::-1]
+        per_n = list((pool.map if threads > 1 else map)(engine, ns, cs))[::-1]
     reports = []
     for j, (a, h, notes) in enumerate(thresholds):
         pairs = [row[j] for row in per_n]
@@ -694,8 +684,7 @@ def exponent_sweep(family, a, n_list, mode="np", rate=None, variant="sandwiched"
 
 def _shifted_pair(ep, shift):
     """Error pair of the scaled test: both traces shrink by ``e^{-shift}``."""
-    return ErrorPair.from_logs(ep.n, ep.a, ep.log_success - shift, None,
-                               ep.log_beta - shift, None)
+    return ErrorPair.from_logs(ep.n, ep.log_success - shift, None, ep.log_beta - shift, None)
 
 
 def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched", threads=1):

@@ -355,9 +355,7 @@ def tensor_power(op, n):
         raise ValueError("tensor power requires n >= 1")
     if op.dim ** n > DIM_CAP:
         raise ValueError(f"dim {op.dim}^{n} exceeds cap {DIM_CAP}")
-    cluster_of = np.empty(op.dim, dtype=int)
-    for ci, ix in enumerate(eigenvalue_clusters(op)):
-        cluster_of[ix] = ci
+    cluster_of = _cluster_labels(op)
     labels = [
         tuple(sorted(cluster_of[i] for i in digits))
         for digits in itertools.product(range(op.dim), repeat=n)

@@ -12,7 +12,9 @@ oracle.  That density is block-diagonal in particle number: sector ``k``
 sector ``k - 1`` by Laplace expansion, and nothing couples two sectors, so
 each block is diagonalised on its own.  Each call builds its density afresh:
 a threshold sweep asks for each block's pair once (see :mod:`sconv.hyptest`).
-Per-mode limits are Szego-type integrals of the symbols.
+Per-mode limits are Szego-type integrals of the symbols: one sampler,
+``_sample_symbol``, evaluates them on the torus grid for both ``nu``, and one
+mean, ``_symbol_mean``, averages each integrand over the samples.
 """
 
 from __future__ import annotations
@@ -138,14 +140,20 @@ class QuasiFreePayload:
                    _symbol_from_json(d["r_symbol"], "r_symbol"), float(d["c_bound"]))
 
 
-def _sample_symbol(sym, nu, grid):
-    # broadcast so that symbols ignoring an argument (constants, or functions
-    # of one coordinate only) still sample the full torus grid
+def _sample_symbol(sym, nu, grid, rows=slice(None)):
+    """``sym`` on the periodic grid of ``grid`` points per axis: the whole circle
+    for ``nu = 1``, the ``rows`` slice of the first axis for ``nu = 2``.
+
+    The values are broadcast to the grid's shape, so that symbols ignoring an
+    argument (constants, or functions of one coordinate only) still sample
+    every point.
+    """
     x = 2.0 * np.pi * np.arange(grid) / grid
     if nu == 1:
         return np.broadcast_to(np.asarray(sym(x), dtype=float), (grid,))
-    vals = np.asarray(sym(x[:, None], x[None, :]), dtype=float)
-    return np.broadcast_to(vals, (grid, grid))
+    xi = x[rows, None]
+    vals = np.asarray(sym(xi, x[None, :]), dtype=float)
+    return np.broadcast_to(vals, (xi.shape[0], grid))
 
 
 def quasifree_block_symbol(payload, n):
@@ -324,40 +332,31 @@ class _LogSamples:
     log1m_r: np.ndarray
 
     @classmethod
-    def of(cls, q, r):
-        return cls(q, r, np.log(q), np.log(r), np.log1p(-q), np.log1p(-r))
-
-    @classmethod
-    def on_circle(cls, payload, grid):
-        """Samples of a ``nu = 1`` payload on the periodic grid of ``grid`` points."""
-        x = 2.0 * np.pi * np.arange(grid) / grid
-        return cls.of(
-            np.asarray(payload.q_symbol(x), dtype=float),
-            np.asarray(payload.r_symbol(x), dtype=float),
-        )
+    def chunks(cls, payload, grid):
+        """Yield the samples of ``payload`` on the torus grid of ``grid`` points
+        per axis: the whole circle for ``nu = 1``, 256 rows at a time for
+        ``nu = 2``."""
+        rows = 256 if payload.nu == 2 else grid
+        for i0 in range(0, grid, rows):
+            q, r = (_sample_symbol(sym, payload.nu, grid, slice(i0, i0 + rows))
+                    for sym in (payload.q_symbol, payload.r_symbol))
+            yield cls(q, r, np.log(q), np.log(r), np.log1p(-q), np.log1p(-r))
 
 
 def _symbol_mean(payload, integrand, grid=QUAD_GRID):
-    """Torus average of ``integrand(samples)`` on a periodic grid.
+    """Torus average of ``integrand(samples)`` on a periodic grid: the sum of
+    its sums over the chunks of ``_LogSamples.chunks``, divided by the number
+    of points.
 
-    ``payload`` may also be the ``_LogSamples`` of a ``nu = 1`` payload on
-    ``grid``, which :func:`quasifree_rate` takes once for all its quadratures;
-    ``nu = 2`` grids are sampled 256 rows at a time.
+    ``payload`` may also be a tuple of such chunks, which
+    :func:`quasifree_rate` samples once for all its quadratures.
     """
-    if isinstance(payload, _LogSamples):
-        return float(np.mean(integrand(payload)))
-    if payload.nu == 1:
-        return float(np.mean(integrand(_LogSamples.on_circle(payload, grid))))
-    x = 2.0 * np.pi * np.arange(grid) / grid
-    total = 0.0
-    rows = 256
-    for i0 in range(0, grid, rows):
-        xi = x[i0 : i0 + rows, None]
-        shape = (xi.shape[0], grid)
-        qv = np.broadcast_to(np.asarray(payload.q_symbol(xi, x[None, :]), dtype=float), shape)
-        rv = np.broadcast_to(np.asarray(payload.r_symbol(xi, x[None, :]), dtype=float), shape)
-        total += float(integrand(_LogSamples.of(qv, rv)).sum())
-    return total / grid**2
+    total, count = 0.0, 0
+    for s in payload if isinstance(payload, tuple) else _LogSamples.chunks(payload, grid):
+        vals = integrand(s)
+        total += float(vals.sum())
+        count += vals.size
+    return total / count
 
 
 def szego_limit(payload, alpha, grid=QUAD_GRID):
@@ -397,7 +396,7 @@ def quasifree_slope_at_infinity(payload, grid=QUAD_GRID):
 def quasifree_rate(payload, grid=QUAD_GRID):
     """Asymptotic rate curve of the family from the Szego limits."""
     if payload.nu == 1:  # sample the symbols and their logs once for every order
-        payload = _LogSamples.on_circle(payload, grid)
+        payload = tuple(_LogSamples.chunks(payload, grid))
     return ConvexRate.from_callable(
         lambda t: szego_limit(payload, t, grid),
         right_derivative_at_1=quasifree_relent_limit(payload, grid),

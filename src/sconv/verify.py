@@ -21,6 +21,7 @@ from .hoeffding import ConvexRate, hoeffding_anti, polar
 from .operators import (
     StatePair,
     pinch,
+    positive_part_trace,
     power_on_support,
     rand_density,
     tensor_power,
@@ -158,9 +159,7 @@ def _check_np_sandwich(rng):
     for a in (-0.2, 0.1, 0.4):
         c = 4.0 * a
         t = ht.np_test(pair, c)
-        ep = ht.error_pair(pair, t, n=4, a=a)
-        from .operators import positive_part_trace
-
+        ep = ht.error_pair(pair, t, n=4)
         lower = positive_part_trace(
             pair.rho.entries - math.exp(c) * pair.sigma.entries
         )
@@ -175,8 +174,7 @@ def _check_beta_monotone(rng):
     p = np.array([0.5, 0.5])
     q = np.array([0.25, 0.75])
     last = math.inf
-    for a in np.linspace(0.0, 0.6, 7):
-        ep = ht.iid_type_class_error_pair(p, q, 64, 64 * a)
+    for ep in ht.iid_type_class_error_pair(p, q, 64, 64 * np.linspace(0.0, 0.6, 7)):
         if ep.beta_err > last + 1e-15:
             raise AssertionError("beta error must be nonincreasing in the threshold")
         last = ep.beta_err

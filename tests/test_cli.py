@@ -164,7 +164,10 @@ class TestLoadScenario:
         ("renyi", "alpha_grid", [True, 2.0]),
         ("sc-report", "r_grid", [0.1, "0.2"]),
         ("np-sweep", "a_grid", None),  # null is not a request for the default grid
-    ], ids=["string", "nan", "infinity", "bool", "numeric-string", "null"])
+        ("hoeffding", "r_grid", [-0.5, 0.1]),
+        ("sc-report", "r_grid", [-0.5, 0.1]),
+    ], ids=["string", "nan", "infinity", "bool", "numeric-string", "null",
+            "hoeffding-negative-r", "sc-report-negative-r"])
     def test_bad_grid_entry(self, tmp_path, task, grid, entries):
         obj = {
             "task": task,
@@ -369,6 +372,15 @@ class TestLoadScenario:
         obj = {"task": "ldp", "params": {"n_list": [256, 512, 1024]}}
         scenario = load_scenario(write_scenario(tmp_path, obj))
         assert "family" not in scenario
+
+    @pytest.mark.parametrize("task", ["ldp", "verify"])
+    def test_task_without_family_refuses_one(self, tmp_path, capsys, task):
+        scenario = write_scenario(tmp_path, {"task": task, "family": {"kind": "nonsense"}})
+        out = tmp_path / "out"
+        assert main([task, "--scenario", scenario, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["field"] == "$.family" and "family" in err["error"]
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

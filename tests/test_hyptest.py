@@ -82,29 +82,29 @@ def _reference_frame(rho1, sigma1):
 
 class TestErrorPair:
     def test_boundary_clamps(self):
-        ep = ErrorPair(n=1, a=0.0, alpha_err=-5e-11, beta_err=1.0 + 5e-11,
+        ep = ErrorPair(n=1, alpha_err=-5e-11, beta_err=1.0 + 5e-11,
                        success=1.0 + 5e-11)
         assert ep.alpha_err == 0.0 and ep.success == 1.0 and ep.beta_err == 1.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            ErrorPair(n=1, a=0.0, alpha_err=0.3, beta_err=1.5, success=0.7)
+            ErrorPair(n=1, alpha_err=0.3, beta_err=1.5, success=0.7)
 
     def test_rejects_mass_leak(self):
         with pytest.raises(ValueError, match="!= 1"):
-            ErrorPair(n=1, a=0.0, alpha_err=0.5, beta_err=0.1, success=0.4)
+            ErrorPair(n=1, alpha_err=0.5, beta_err=0.1, success=0.4)
 
     def test_log_fields_derived(self):
-        ep = ErrorPair(n=2, a=0.1, alpha_err=0.75, beta_err=0.0, success=0.25)
+        ep = ErrorPair(n=2, alpha_err=0.75, beta_err=0.0, success=0.25)
         assert ep.log_success == pytest.approx(math.log(0.25))
         assert ep.log_beta == -math.inf
 
     def test_from_logs(self):
-        empty = ErrorPair.from_logs(3, 0.1, -math.inf, 0.0, -math.inf, None)
+        empty = ErrorPair.from_logs(3, -math.inf, 0.0, -math.inf, None)
         assert (empty.success, empty.alpha_err, empty.beta_err) == (0.0, 1.0, 0.0)
         assert empty.log_success == -math.inf and empty.log_beta == -math.inf
         # no log_alpha: the type-I error is the complement of success
-        scaled = ErrorPair.from_logs(3, 0.1, math.log(0.25), None, math.log(0.5), -2.0)
+        scaled = ErrorPair.from_logs(3, math.log(0.25), None, math.log(0.5), -2.0)
         assert scaled.alpha_err == 1.0 - scaled.success
         assert scaled.beta_err == pytest.approx(0.5) and scaled.log_pos_part == -2.0
 
@@ -212,7 +212,7 @@ class TestExactClassicalEngines:
         sizes = []
         engine = iid_type_class_error_pair
         monkeypatch.setattr("sconv.hyptest.iid_type_class_error_pair",
-                            lambda p, q, n, c, a=0.0: sizes.append(n) or engine(p, q, n, c, a))
+                            lambda p, q, n, c: sizes.append(n) or engine(p, q, n, c))
         qutrit = IIDPayload(
             HermitianOperator(np.diag([0.5, 0.3, 0.2])),
             HermitianOperator(np.diag([0.2, 0.3, 0.5])),
@@ -371,8 +371,8 @@ class TestSectorClosedForm:
         sigma1 = HermitianOperator(np.diag([0.35, 0.65]))
         p, q = np.diag(_reference_frame(rho1, sigma1)).real, sigma1.eigenvalues
         for a in (-0.4, 0.1, 0.6, 1.1):
-            got = qubit_sector_error_pair(rho1, sigma1, n, a * n, a)
-            want = iid_type_class_error_pair(p, q, n, a * n, a)
+            got = qubit_sector_error_pair(rho1, sigma1, n, a * n)
+            want = iid_type_class_error_pair(p, q, n, a * n)
             for name in ("log_success", "log_beta", "log_pos_part"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
             assert got.success == pytest.approx(want.success, abs=1e-12)
@@ -420,7 +420,7 @@ class TestDenseSectors:
         states = fam.family_states
         assert states(spec, n).rho.sectors == tuple(math.comb(n, k) for k in range(n + 1))
         thresholds = (0.02, 0.1, 0.3)
-        split = [engine(n, a * n, a) for a in thresholds]
+        split = [engine(n, a * n) for a in thresholds]
 
         def one_sector(spec, n):
             pair = states(spec, n)
@@ -428,7 +428,7 @@ class TestDenseSectors:
                              HermitianOperator(pair.sigma.entries))
 
         monkeypatch.setattr(fam, "family_states", one_sector)
-        whole = [engine(n, a * n, a) for a in thresholds]
+        whole = [engine(n, a * n) for a in thresholds]
         for got, want in zip(split, whole):
             assert 0.0 < want.success < 1.0
             assert got.success == pytest.approx(want.success, abs=1e-12)
@@ -444,8 +444,8 @@ class TestDenseSectors:
         pair = fam.family_states(spec, n)
         rho_hat = pinch(pair.rho, pair.sigma).entries
         for a in (0.02, 0.1, 0.3):
-            got = _dense_error_pair(spec, "pinched", n, a * n, a)
-            want = error_pair(pair, pinched_np_test(pair, a * n), n=n, a=a)
+            got = _dense_error_pair(spec, "pinched", n, a * n)
+            want = error_pair(pair, pinched_np_test(pair, a * n), n=n)
             floor = positive_part_trace(rho_hat - math.exp(a * n) * pair.sigma.entries)
             assert 0.0 < want.success < 1.0
             assert got.success == pytest.approx(want.success, abs=1e-12)
@@ -458,8 +458,8 @@ class TestDenseSectors:
         engine, provenance = _resolve_engine(spec, mode)
         assert provenance == "dense"
         for n, a in ((5, 0.05), (6, 0.2)):
-            assert engine(n, a * n, a) == _dense_error_pair(spec, mode,
-                                                            n, a * n, a)
+            assert engine(n, a * n) == _dense_error_pair(spec, mode,
+                                                         n, a * n)
 
     def test_sc_report_eigh_fits_largest_sector(self, eigh_shapes):
         report = sc_report(quasifree_spec(), 0.2, [5, 6, 7, 8])
@@ -489,14 +489,10 @@ class TestOnePassPerBlock:
             "dense-pinched"])
     def test_batched_engine_equals_scalar_calls(self, engine, n):
         cs = [a * n for a in self.RATES]
-        batched = engine(n, cs, list(self.RATES))
+        batched = engine(n, cs)
         assert len(batched) == len(cs)
-        for got, c, a in zip(batched, cs, self.RATES):
-            assert got == engine(n, c, a)
-
-    def test_batched_engine_refuses_unequal_lengths(self):
-        with pytest.raises(ValueError, match="longer"):
-            markov_error_pair(_markov_chain(), 8, [0.1, 0.2], [0.1, 0.2, 0.3])
+        for got, c in zip(batched, cs):
+            assert got == engine(n, c)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sc_report_grid_equals_per_r_reports(self, threads):
@@ -614,7 +610,7 @@ class TestSweepAndReport:
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
         for n, c in ((3, 0.15), (4, 0.2), (4, -0.4)):
-            engine(n, c, c / n)
+            engine(n, c)
         assert shapes == [(27, 27), (81, 81), (81, 81)]
 
     def test_dense_pinched_floor_is_pinched_positive_part(self, qutrit_pair):

@@ -369,6 +369,35 @@ class TestLimits:
         assert f.right_derivative_at_1 == quasifree_relent_limit(p, grid=1024)
         assert f.slope_at_infinity == quasifree_slope_at_infinity(p, grid=1024)
 
+    def test_2d_limits_match_row_loop_oracle(self):
+        # grid 512 is two blocks of 256 rows; every limit must keep the floats of
+        # a plain row-by-row sum with the same integrands
+        p, grid = payload_2d(), 512
+
+        def row_mean(integrand):
+            x = 2.0 * np.pi * np.arange(grid) / grid
+            total = 0.0
+            rows = 256
+            for i0 in range(0, grid, rows):
+                xi = x[i0 : i0 + rows, None]
+                shape = (xi.shape[0], grid)
+                qv = np.broadcast_to(np.asarray(p.q_symbol(xi, x[None, :]), dtype=float), shape)
+                rv = np.broadcast_to(np.asarray(p.r_symbol(xi, x[None, :]), dtype=float), shape)
+                total += float(integrand(qv, rv, np.log(qv), np.log(rv), np.log1p(-qv),
+                                         np.log1p(-rv)).sum())
+            return total / grid**2
+
+        def szego(alpha):
+            return lambda q, r, lq, lr, l1q, l1r: np.logaddexp(
+                alpha * lq + (1.0 - alpha) * lr, alpha * l1q + (1.0 - alpha) * l1r)
+
+        for alpha in (2.0, 30.0):
+            assert szego_limit(p, alpha, grid=grid) == row_mean(szego(alpha))
+        assert quasifree_relent_limit(p, grid=grid) == row_mean(
+            lambda q, r, lq, lr, l1q, l1r: q * (lq - lr) + (1.0 - q) * (l1q - l1r))
+        assert quasifree_slope_at_infinity(p, grid=grid) == row_mean(
+            lambda q, r, lq, lr, l1q, l1r: np.maximum(lq - lr, l1q - l1r))
+
     def test_2d_limits_consistent(self):
         p = payload_2d()
         n = 6

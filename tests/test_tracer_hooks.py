@@ -61,8 +61,12 @@ def test_engine_calls_sit_directly_under_the_sweep(tracer_module):
     finally:
         tracer.uninstall()
     assert report.regime == "linear_tail"
-    metrics = tracer_module.layer_metrics(tracer.dump())
+    spans = tracer.dump()
+    metrics = tracer_module.layer_metrics(spans)
     assert metrics["hyptest.engine_calls"] == 7
+    # each engine span records the block size it ran
+    assert sorted(n for _, n in tracer_module._engine_spans(spans)) == sorted(
+        [8, 16, 32] + [8, 16, 32, 64])
     # the sweep's polar, then hoeffding_anti's boundary polar and one polar
     # at the report's threshold
     assert metrics["hoeffding.polar_calls"] == 3
