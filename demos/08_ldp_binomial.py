@@ -51,4 +51,4 @@ print(f"tilt point t_x = {verdict.t_x:.6f},"
       f" tilted mass in window = {verdict.tilted_mass:.5f}")
 print(f"Legendre value at x = {verdict.curve.legendre(x):.8f}"
       f"   (KL = {kl:.8f})")
-print(f"converged: {verdict.converged},  final margin = {verdict.final_margin:.6f}")
+print(f"final margin = {verdict.final_margin:.6f}")

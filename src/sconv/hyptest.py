@@ -675,10 +675,13 @@ def exponent_sweep(family, a, n_list, mode="np", rate=None, variant="sandwiched"
     decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``;
     a sequence ``a`` gives one report per value, as in ``sc_report``."""
     one = np.ndim(a) == 0
+    grid = [a] if one else list(a)
+    if not grid:
+        raise ValueError("empty threshold grid a")
     if rate is None:
         rate = fam.asymptotic_rate(family, variant=variant)
-    reports = _build_report(family, [(ai, None, []) for ai in ([a] if one else a)], n_list,
-                            mode, rate, threads)
+    reports = _build_report(family, [(ai, None, []) for ai in grid], n_list, mode, rate,
+                            threads)
     return reports[0] if one else reports
 
 
@@ -699,6 +702,8 @@ def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched", thr
     """
     one = np.ndim(r) == 0
     grid = [r] if one else list(r)
+    if not grid:
+        raise ValueError("empty tradeoff grid r")
     if any(ri < 0 for ri in grid):
         raise ValueError("tradeoff rate r must be nonnegative")
     if rate is None:

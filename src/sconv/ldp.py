@@ -57,30 +57,36 @@ __all__ = [
 class WeightedSampleSequence:
     """Finite positive measures ``mu_n`` with scales ``c_n``.
 
-    ``support(n)`` returns ``(y, log_w)`` arrays; weights are positive by
-    construction (log-space) and supports finite.
+    ``points`` maps each size ``n`` to its ``(y, log_w)`` arrays; the sizes are
+    the keys.  Every size is converted and checked here, once: weights are
+    positive by construction (log-space) and supports finite and non-empty.
     """
 
-    support: Callable[[int], tuple]
+    points: dict
     c: Callable[[int], float]
-    n_list: tuple
 
     def __post_init__(self):
-        self.n_list = tuple(sorted(int(n) for n in self.n_list))
-        if not self.n_list:
+        if not self.points:
             raise ValueError("need at least one sample size")
-        y, lw = self.support(self.n_list[-1])  # the largest: an over-cap size fails here
-        if np.asarray(y).size == 0:
-            raise ValueError("empty support")
-        if np.asarray(y).shape != np.asarray(lw).shape:
-            raise ValueError("support points and log-weights must align")
+        self.points = {n: (np.asarray(y, dtype=float), np.asarray(lw, dtype=float))
+                       for n, (y, lw) in self.points.items()}
+        for n, (y, lw) in self.points.items():
+            if y.size == 0:
+                raise ValueError(f"empty support at n = {n}")
+            if y.shape != lw.shape:
+                raise ValueError(f"support points and log-weights must align at n = {n}")
         if any(self.c(n) <= 0 for n in self.n_list):
             raise ValueError("scales c_n must be positive")
 
+    @property
+    def n_list(self):
+        return tuple(sorted(self.points))
 
-def _support(seq, n):
-    y, lw = seq.support(n)
-    return np.asarray(y, dtype=float), np.asarray(lw, dtype=float)
+    def support(self, n):
+        """The ``(y, log_w)`` arrays of size ``n``."""
+        if n not in self.points:
+            raise ValueError(f"n = {n} is not a size of this sequence {self.n_list}")
+        return self.points[n]
 
 
 def log_mgf(seq, n, t):
@@ -89,9 +95,7 @@ def log_mgf(seq, n, t):
     A 1-d ``t`` gives the array of values over the grid from one fetch of the
     support.
     """
-    y, lw = _support(seq, n)
-    if y.size == 0:
-        raise ValueError("empty support")
+    y, lw = seq.support(n)
     if np.ndim(t) == 0:
         return logsumexp(lw + t * y)
     return np.array([logsumexp(lw + ti * y) for ti in t])
@@ -189,14 +193,14 @@ def exact_tail_rate(seq, n, x, side="ge"):
     """``(1/c_n) log mu_n`` of the closed tail at ``x`` (exact log-space sum)."""
     if side not in ("ge", "le"):
         raise ValueError(f"unknown side {side!r}")
-    y, lw = _support(seq, n)
+    y, lw = seq.support(n)
     mask = y >= x if side == "ge" else y <= x
     return logsumexp(lw[mask]) / float(seq.c(n))
 
 
 def windowed_rate(seq, n, x0, x1):
     """``(1/c_n) log mu_n((x0, x1))`` over the open window."""
-    y, lw = _support(seq, n)
+    y, lw = seq.support(n)
     mask = (y > x0) & (y < x1)
     return logsumexp(lw[mask]) / float(seq.c(n))
 
@@ -212,7 +216,6 @@ class GELowerVerdict:
     margins: list  # per-n: windowed rate + Lambda_bar*(x); -> 0 from below
     tilted_mass: float
     delta: float
-    converged: bool
     curve: RateCurve
     notes: tuple = ()
 
@@ -253,7 +256,7 @@ def gartner_ellis_lower_check(curve, x, window, delta_fraction=TILT_WINDOW_FRACT
     except ValueError:
         t_y = t_x
     n_big = seq.n_list[-1]
-    y, lw = _support(seq, n_big)
+    y, lw = seq.support(n_big)
     cn = float(seq.c(n_big))
     log_tilt = lw + cn * t_y * y
     log_tilt -= logsumexp(log_tilt)
@@ -273,7 +276,6 @@ def gartner_ellis_lower_check(curve, x, window, delta_fraction=TILT_WINDOW_FRACT
         margins=margins,
         tilted_mass=mass,
         delta=delta,
-        converged=True,
         curve=curve,
         notes=tuple(notes),
     )
@@ -287,8 +289,8 @@ def binomial_sequence(n_list, prob=0.5):
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie in (0, 1)")
     lp, lq = math.log(prob), math.log1p(-prob)
-
-    def support(n):
+    points = {}
+    for n in n_list:
         k = np.arange(n + 1, dtype=float)
         lw = (
             gammaln(n + 1)
@@ -297,10 +299,8 @@ def binomial_sequence(n_list, prob=0.5):
             + k * lp
             + (n - k) * lq
         )
-        return k / n, lw
-
-    return WeightedSampleSequence(support=support, c=lambda n: float(n),
-                                  n_list=tuple(n_list))
+        points[n] = k / n, lw
+    return WeightedSampleSequence(points, c=lambda n: float(n))
 
 
 def pinched_pair_sequence(rho1, sigma1, n_list, under="sigma"):
@@ -314,7 +314,7 @@ def pinched_pair_sequence(rho1, sigma1, n_list, under="sigma"):
     (``under='rho_hat'``).  With sigma-weights, ``Lambda_n(n t) = psi(t)``
     of the pinched pair; with rho-weights it is ``psi(1 + t)``.  Every size's
     points are built once, here, largest size first (so an over-cap size is
-    refused before any other), and the sequence reads them from its own dict.
+    refused before any other).
     """
     if under not in ("sigma", "rho_hat"):
         raise ValueError(f"unknown weighting {under!r}")
@@ -327,5 +327,4 @@ def pinched_pair_sequence(rho1, sigma1, n_list, under="sigma"):
             ys.append((log_lam - log_mu_k) / n)
             lws.append(log_mult + (log_mu_k if under == "sigma" else log_lam))
         points[n] = np.concatenate(ys), np.concatenate(lws)
-    return WeightedSampleSequence(support=points.__getitem__, c=lambda n: float(n),
-                                  n_list=tuple(n_list))
+    return WeightedSampleSequence(points, c=lambda n: float(n))

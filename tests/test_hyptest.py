@@ -671,3 +671,14 @@ class TestSweepAndReport:
     def test_sc_report_rejects_negative_r(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sc_report(binary_spec(), -0.1, [4, 8])
+
+    # an empty grid is refused before any rate is built (the rate builder is gone)
+    def test_sc_report_rejects_empty_grid(self, monkeypatch):
+        monkeypatch.setattr(fam, "asymptotic_rate", None)
+        with pytest.raises(ValueError, match="empty tradeoff grid r"):
+            sc_report(binary_spec(), [], [4, 8])
+
+    def test_exponent_sweep_rejects_empty_grid(self, monkeypatch):
+        monkeypatch.setattr(fam, "asymptotic_rate", None)
+        with pytest.raises(ValueError, match="empty threshold grid a"):
+            exponent_sweep(binary_spec(), [], [4, 8])

@@ -1,11 +1,14 @@
 """Unit tests for the large-deviation machinery."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sconv import ldp
+from sconv.cli import main
 from sconv.ldp import (
     WeightedSampleSequence,
     binomial_sequence,
@@ -21,6 +24,10 @@ from sconv.ldp import (
 from sconv.operators import HermitianOperator, rand_density, tensor_power
 from sconv.renyi import psi
 from sconv.operators import pinch
+
+
+SHORT_JOBS_CASE = (Path(__file__).resolve().parents[1] / "perfbench" / "catalog"
+                   / "pinched-and-short-jobs" / "s00")
 
 
 def fair_coin_lambda(t):
@@ -40,17 +47,54 @@ class TestSequences:
         assert float(np.exp(lw).sum()) == pytest.approx(1.0, abs=1e-12)
         assert y[0] == 0.0 and y[-1] == 1.0
 
+    def test_ldp_run_builds_each_binomial_size_once(self, tmp_path, monkeypatch):
+        # a binomial size's points start with one scalar gammaln(n + 1)
+        built = []
+        gammaln = ldp.gammaln
+
+        def counted(x):
+            if np.ndim(x) == 0:
+                built.append(int(x) - 1)
+            return gammaln(x)
+
+        monkeypatch.setattr(ldp, "gammaln", counted)
+        scenario = SHORT_JOBS_CASE / "ldp.json"
+        assert main(["ldp", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+        sizes = json.loads(scenario.read_text(encoding="utf-8"))["params"]["n_list"]
+        assert sorted(built) == sorted(sizes)
+
     def test_binomial_rejects_degenerate_prob(self):
         with pytest.raises(ValueError, match="prob"):
             binomial_sequence([4], prob=0.0)
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError, match="at least one"):
-            WeightedSampleSequence(lambda n: (np.ones(1), np.zeros(1)),
-                                   lambda n: 1.0, ())
+            WeightedSampleSequence({}, lambda n: 1.0)
         with pytest.raises(ValueError, match="positive"):
-            WeightedSampleSequence(lambda n: (np.ones(1), np.zeros(1)),
-                                   lambda n: 0.0, (4,))
+            WeightedSampleSequence({4: (np.ones(1), np.zeros(1))}, lambda n: 0.0)
+
+    # every size is checked at construction, not only the largest
+    def test_smaller_size_with_misaligned_points_refused(self):
+        points = {4: (np.ones(3), np.zeros(1)), 8: (np.ones(2), np.zeros(2))}
+        with pytest.raises(ValueError, match="align at n = 4"):
+            WeightedSampleSequence(points, lambda n: float(n))
+
+    def test_empty_smaller_size_refused(self):
+        points = {4: (np.ones(0), np.zeros(0)), 8: (np.ones(2), np.zeros(2))}
+        with pytest.raises(ValueError, match="empty support at n = 4"):
+            WeightedSampleSequence(points, lambda n: float(n))
+
+    def test_duplicate_sizes_collapse(self):
+        assert binomial_sequence([64, 128, 128]).n_list == (64, 128)
+
+    @pytest.mark.parametrize("build", [
+        lambda: binomial_sequence([8, 16]),
+        lambda: pinched_pair_sequence(HermitianOperator(np.diag([0.4, 0.6])),
+                                      HermitianOperator(np.diag([0.7, 0.3])), [8, 16]),
+    ], ids=["binomial", "pinched"])
+    def test_log_mgf_refuses_size_outside_n_list(self, build):
+        with pytest.raises(ValueError, match="n = 12 is not a size"):
+            log_mgf(build(), 12, 0.5)
 
 
 class TestLogMgf:
@@ -79,11 +123,8 @@ class TestLogMgf:
         base = binomial_sequence([32, 64, 128])
         g0 = 0.37
 
-        def support(n):
-            y, lw = base.support(n)
-            return y, lw + g0
-
-        seq = WeightedSampleSequence(support, lambda n: float(n), (32, 64, 128))
+        seq = WeightedSampleSequence({n: (y, lw + g0) for n, (y, lw) in base.points.items()},
+                                     lambda n: float(n))
         t = 0.8
         plain = log_mgf(seq, 128, 128 * t) / 128
         exact = fair_coin_lambda(t)
@@ -207,7 +248,6 @@ class TestGartnerEllisLower:
             build_rate_curve(seq, np.linspace(-1.0, 4.0, 201)), 0.7, (0.7, 1.0),
             delta_fraction=1.0 / 6.0
         )
-        assert verdict.converged
         assert verdict.t_x == pytest.approx(math.log(7.0 / 3.0), abs=1e-6)
         assert verdict.legendre_value == pytest.approx(binary_kl(0.7), abs=1e-7)
         margins = [m for _, m in verdict.margins]
@@ -248,12 +288,10 @@ class TestGartnerEllisLower:
 
     def test_convergence_gate(self):
         # log-weights drifting with n at O(1) per point break the Cauchy gate
-        def support(n):
-            y = np.array([0.0, 1.0])
-            lw = np.array([math.log(0.5) + 0.5 * math.sqrt(n), math.log(0.5)])
-            return y, lw
-
-        seq = WeightedSampleSequence(support, lambda n: float(n), (64, 128, 256))
+        points = {n: (np.array([0.0, 1.0]),
+                      np.array([math.log(0.5) + 0.5 * math.sqrt(n), math.log(0.5)]))
+                  for n in (64, 128, 256)}
+        seq = WeightedSampleSequence(points, lambda n: float(n))
         with pytest.raises(ValueError, match="Cauchy"):
             # from t = 0.5 on the extrapolated curve is the line t, so the
             # convexity gate of the build passes and the Cauchy gate refuses
@@ -278,7 +316,6 @@ class TestGartnerEllisLower:
         seq = pinched_pair_sequence(rho1, sigma1, (6, 8, 10))
         verdict = gartner_ellis_lower_check(
             build_rate_curve(seq, np.linspace(-1.0, 2.0, 201)), 0.3, (0.3, 1.0))
-        assert verdict.converged
         assert len(sector_calls) == sum(n + 1 for n in seq.n_list)
 
 

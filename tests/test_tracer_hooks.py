@@ -11,7 +11,7 @@ import pytest
 
 import sconv.cli  # noqa: F401  (imports every module the tracer patches)
 from sconv import hyptest as ht
-from sconv.families import IIDPayload, asymptotic_rate
+from sconv.families import IIDPayload, MarkovPayload, asymptotic_rate
 from sconv.operators import HermitianOperator
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -70,3 +70,27 @@ def test_engine_calls_sit_directly_under_the_sweep(tracer_module):
     # the sweep's polar, then hoeffding_anti's boundary polar and one polar
     # at the report's threshold
     assert metrics["hoeffding.polar_calls"] == 3
+
+
+@pytest.mark.parametrize("family, mode, engine", [
+    (MarkovPayload(pi0=[0.6, 0.4], pi1=[0.5, 0.5],
+                   P0=[[0.7, 0.3], [0.2, 0.8]], P1=[[0.5, 0.5], [0.4, 0.6]]),
+     "np", "hyptest.markov_error_pair"),
+    (IIDPayload(HermitianOperator(np.diag([0.85, 0.15])),
+                HermitianOperator(np.array([[0.6, 0.2], [0.2, 0.4]]))),
+     "pinched", "hyptest.qubit_sector_error_pair"),
+], ids=["run-classes", "hamming-sectors"])
+def test_exact_engine_spans_record_their_block_size(tracer_module, family, mode, engine):
+    # the tracer reads n by position: a reordered engine signature zeroes the
+    # per-size engine metrics
+    ns = [4, 6, 8]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        ht.exponent_sweep(family, 0.1, ns, mode=mode, threads=1)
+    finally:
+        tracer.uninstall()
+    spans = tracer.dump()
+    engine_spans = tracer_module._engine_spans(spans)
+    assert {spans[i][0] for i, _ in engine_spans} == {engine}
+    assert sorted(n for _, n in engine_spans) == ns
