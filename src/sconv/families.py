@@ -482,16 +482,17 @@ def iid_rate(rho1, sigma1, variant="sandwiched"):
 
 
 _GIBBS_GRID = np.concatenate([np.linspace(1.0, 2.0, 21), np.linspace(2.1, 8.0, 60)])
+_GIBBS_SIZES = (4, 5, 6, 7, 8)
 
 
-def gibbs_rate(pair_payload, n_list=(4, 5, 6, 7, 8), variant="sandwiched"):
-    """Extrapolated rate curve for a Gibbs pair from finite-volume samples; the
-    largest block is built first, so an over-cap one is refused before any other."""
-    pairs = [pair_payload.states(n) for n in sorted(n_list, reverse=True)][::-1]
+def gibbs_rate(pair_payload, variant="sandwiched"):
+    """Extrapolated rate curve for a Gibbs pair from its ``_GIBBS_SIZES`` blocks;
+    the largest is built first, so an over-cap one is refused before any other."""
+    pairs = [pair_payload.states(n) for n in sorted(_GIBBS_SIZES, reverse=True)][::-1]
     mat = np.array(
         [[psi(p.rho, p.sigma, a, variant) for a in _GIBBS_GRID] for p in pairs]
     )
-    return rate_from_samples(list(n_list), _GIBBS_GRID, mat)
+    return rate_from_samples(list(_GIBBS_SIZES), _GIBBS_GRID, mat)
 
 
 def asymptotic_rate(family, variant="sandwiched"):

@@ -590,6 +590,8 @@ def fit_rate(n_list, log_errors, scaling=1.0):
     x, y = x[keep], y[keep]
     if x.size < 2:
         raise ValueError("fewer than two finite log-errors in the fit window")
+    if np.unique(x).size < 2:
+        raise ValueError("fewer than two distinct sizes in the fit window")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -674,6 +676,8 @@ def exponent_sweep(family, a, n_list, mode="np", rate=None, variant="sandwiched"
     """Error pairs over ``n_list`` at fixed threshold rate ``a``, with fitted
     decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``;
     a sequence ``a`` gives one report per value, as in ``sc_report``."""
+    if len(set(n_list)) < 2:  # no fit can use it; refused before any rate or block
+        raise ValueError(f"n_list needs at least two distinct sizes, got {list(n_list)!r}")
     one = np.ndim(a) == 0
     grid = [a] if one else list(a)
     if not grid:
@@ -700,6 +704,8 @@ def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched", thr
     ``r`` gives one report per value, each block size worked once for all of
     them by one of ``threads`` workers, largest first.
     """
+    if len(set(n_list)) < 2:  # no fit can use it; refused before any rate or block
+        raise ValueError(f"n_list needs at least two distinct sizes, got {list(n_list)!r}")
     one = np.ndim(r) == 0
     grid = [r] if one else list(r)
     if not grid:

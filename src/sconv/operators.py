@@ -54,10 +54,8 @@ class HermitianOperator:
     Parameters
     ----------
     entries : array_like
-        Square complex matrix; Hermitian up to ``hermiticity_tol`` relative to
+        Square complex matrix; Hermitian up to ``HERMITICITY_TOL`` relative to
         its largest entry.
-    hermiticity_tol : float
-        Relative deviation allowed between ``A`` and ``A^\\dagger``.
 
     Attributes
     ----------
@@ -68,9 +66,9 @@ class HermitianOperator:
     eigenvectors : ndarray
         Orthonormal eigenvectors as columns, aligned with ``eigenvalues``.
     eig_labels : tuple or None
-        Hashable label per eigenvalue, set only by :func:`tensor_power`: the
-        multiset of base-spectrum clusters, so that exact degeneracies are
-        recognized symbolically instead of by floating-point coincidence.
+        Hashable label per eigenvalue, set only by :func:`tensor_power`: its
+        type, the multiset of base-spectrum clusters it came from, so that
+        type classes are recognized without floating-point comparisons.
         Every spectral map (:meth:`map_eigenvalues`, :func:`power_on_support`,
         :func:`log_on_support`, :meth:`support_projection`) drops them, since
         a map can merge levels that the labels keep apart.
@@ -82,8 +80,8 @@ class HermitianOperator:
 
     __slots__ = ("entries", "dim", "eigenvalues", "eigenvectors", "eig_labels", "sectors")
 
-    def __init__(self, entries, hermiticity_tol=HERMITICITY_TOL):
-        (a,) = _hermitian_parts([entries], hermiticity_tol)
+    def __init__(self, entries):
+        (a,) = _hermitian_parts([entries])
         w, v = np.linalg.eigh(a)
         self._fill(a, w, v, None, (a.shape[0],))
 
@@ -98,16 +96,16 @@ class HermitianOperator:
         return self
 
     @classmethod
-    def block_diagonal(cls, blocks, hermiticity_tol=HERMITICITY_TOL):
+    def block_diagonal(cls, blocks):
         """Direct sum of square blocks, diagonalised one block at a time.
 
-        The blocks must be Hermitian up to ``hermiticity_tol`` relative to the
+        The blocks must be Hermitian up to ``HERMITICITY_TOL`` relative to the
         largest entry over all of them.  The joined spectrum is stable-sorted
         into ascending order and every eigenvector stays supported on its own
         block, so ``sectors`` (the block sizes) splits any operator that
         shares them into independent slices.
         """
-        blocks = _hermitian_parts(blocks, hermiticity_tol)
+        blocks = _hermitian_parts(blocks)
         w, v = zip(*map(np.linalg.eigh, blocks))
         w = np.concatenate(w)
         order = np.argsort(w, kind="stable")
@@ -174,19 +172,19 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim}, trace={self.trace:.6g})"
 
 
-def _hermitian_parts(blocks, hermiticity_tol):
+def _hermitian_parts(blocks):
     """``(A + A^\\dagger)/2`` of each square block, once the blocks are checked
-    Hermitian to ``hermiticity_tol`` relative to their largest entry."""
+    Hermitian to ``HERMITICITY_TOL`` relative to their largest entry."""
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
     for b in blocks:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {b.shape}")
     scale = max(max(np.abs(b).max() for b in blocks), 1e-300)
     dev = max(np.abs(b - b.conj().T).max() for b in blocks)
-    if dev > hermiticity_tol * scale:
+    if dev > HERMITICITY_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: relative deviation {dev / scale:.3e} "
-            f"exceeds {hermiticity_tol:.1e}"
+            f"exceeds {HERMITICITY_TOL:.1e}"
         )
     return [0.5 * (b + b.conj().T) for b in blocks]
 
@@ -273,11 +271,11 @@ def positive_part_trace(op):
 
 
 def eigenvalue_clusters(op):
-    """Group eigenvalue indices into degenerate clusters.
+    """Group eigenvalue indices into clusters.
 
-    Operators carrying symbolic ``eig_labels`` (tensor powers) are grouped by
-    exact label; otherwise clusters are maximal runs of the sorted spectrum
-    with consecutive gaps at most ``CLUSTER_TOL`` relative to the norm.
+    Tensor powers are grouped by ``eig_labels``, one cluster per type class
+    (see :func:`tensor_power`); otherwise clusters are maximal runs of the
+    sorted spectrum with gaps at most ``CLUSTER_TOL`` relative to the norm.
     """
     if op.eig_labels is not None:
         groups = {}
@@ -297,15 +295,15 @@ def eigenvalue_clusters(op):
 
 
 def distinct_eigenvalue_count(op):
-    """Number of distinct eigenvalues (pinching constant ``v``)."""
+    """Pinching constant ``v``: the number of :func:`eigenvalue_clusters`."""
     return len(eigenvalue_clusters(op))
 
 
 def pinch(x, sigma):
-    """Pinching of ``x`` by the spectral projections of ``sigma``.
-
-    Returns ``sum_i P_i x P_i`` over sigma's distinct-eigenvalue projections;
-    the result commutes with ``sigma`` and has the same trace as ``x``.
+    """``sum_i P_i x P_i`` over the projections onto sigma's
+    :func:`eigenvalue_clusters` (type classes for a tensor power); the result
+    commutes with ``sigma``, has the same trace as ``x``, and satisfies
+    ``x <= v pinch(x, sigma)`` for PSD ``x``, ``v = distinct_eigenvalue_count``.
     """
     return HermitianOperator(_pinch_matrix(x, sigma))
 
@@ -346,10 +344,10 @@ def tensor_power(op, n):
     """``op^{\\otimes n}`` with a symbolically labelled spectrum.
 
     The eigenvectors are Kronecker products of the base eigenvectors and each
-    eigenvalue carries the multiset of base cluster indices it came from, so
-    exact degeneracies of the power are available without floating-point
-    comparisons (a qubit ``sigma^{\\otimes n}`` has exactly ``n+1`` distinct
-    eigenvalues).
+    eigenvalue carries its type, the multiset of base cluster indices it came
+    from.  Type classes are spectral projections only if no two types share
+    an eigenvalue: true for a qubit with two levels (``n+1`` classes), not for
+    ``diag(1/7, 2/7, 4/7)^{\\otimes 2}`` (6 classes, 5 eigenvalues).
     """
     if n < 1:
         raise ValueError("tensor power requires n >= 1")

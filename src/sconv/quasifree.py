@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .hoeffding import ConvexRate
 from .operators import (DIM_CAP, HermitianOperator, StatePair, _check_json_object,
@@ -170,8 +169,7 @@ def quasifree_block_symbol(payload, n):
         raise ValueError(f"single-particle dimension {n}^{payload.nu} exceeds cap")
     out = []
     for sym in (payload.q_symbol, payload.r_symbol):
-        t = _toeplitz_compression(sym, payload.nu, n)
-        op = HermitianOperator(t, hermiticity_tol=1e-10)
+        op = HermitianOperator(_toeplitz_compression(sym, payload.nu, n))
         lo, hi = op.min_eigenvalue, op.max_eigenvalue
         if lo < payload.c_bound - 1e-8 or hi > 1.0 - payload.c_bound + 1e-8:
             raise ValueError(
@@ -182,21 +180,15 @@ def quasifree_block_symbol(payload, n):
 
 
 def _toeplitz_compression(sym, nu, n):
-    if nu == 1:
-        grid = FOURIER_GRID_1D
-        vals = _sample_symbol(sym, 1, grid)
-        coeffs = np.fft.fft(vals) / grid
-        col = coeffs[:n].copy()
-        col[0] = col[0].real
-        return toeplitz(col)  # row defaults to the conjugate: Hermitian
-    grid = FOURIER_GRID_2D
-    vals = _sample_symbol(sym, 2, grid)
-    coeffs = np.fft.fft2(vals) / grid**2
-    idx = np.arange(n)
-    diff = np.mod(idx[:, None] - idx[None, :], grid)
-    block = coeffs[diff[:, None, :, None], diff[None, :, None, :]]
-    t = block.reshape(n * n, n * n)
-    return 0.5 * (t + t.conj().T)
+    """``T[i, j] = c[i - j]`` on and below the diagonal, over the ``n^nu`` sites in
+    lexicographic order (``c``: the symbol's Fourier coefficients, constant term
+    real), and conjugates above it: exactly Hermitian for both ``nu``."""
+    grid = FOURIER_GRID_1D if nu == 1 else FOURIER_GRID_2D
+    coeffs = np.fft.fftn(_sample_symbol(sym, nu, grid)) / grid**nu
+    coeffs.flat[0] = coeffs.flat[0].real
+    sites = np.indices((n,) * nu).reshape(nu, -1)
+    t = coeffs[tuple(np.mod(k[:, None] - k[None, :], grid) for k in sites)]
+    return np.where(np.tri(n**nu, dtype=bool), t, t.conj().T)
 
 
 def _strict_unit_interval(op, what):
@@ -309,7 +301,7 @@ def fock_density(symbol):
             term = rows[:, subs[:, p]] * rest[:, rank[masks - bits[:, p]]]
             minors += -term if p % 2 else term
         blocks.append(c0 * minors)
-    op = HermitianOperator.block_diagonal(blocks, hermiticity_tol=1e-9)
+    op = HermitianOperator.block_diagonal(blocks)
     if abs(op.trace - 1.0) > 1e-10:
         raise ValueError(f"Fock density trace {op.trace!r} deviates from 1")
     for arr in (op.entries, op.eigenvalues, op.eigenvectors):

@@ -324,7 +324,7 @@ class TestRateCurves:
 
     def test_onsite_gibbs_rate_reduces_to_iid(self):
         pair = GibbsPairPayload(onsite_gibbs(0.5), onsite_gibbs(1.2))
-        f = gibbs_rate(pair, n_list=(3, 4, 5, 6))
+        f = gibbs_rate(pair)
         w_null, w_alt = gibbs_state(pair.null, 1), gibbs_state(pair.alt, 1)
         for a in (1.5, 2.0, 4.0):
             assert f(a) == pytest.approx(psi(w_null, w_alt, a, "sandwiched"), abs=1e-9)

@@ -544,6 +544,11 @@ class TestFitting:
         with pytest.raises(ValueError, match="two"):
             fit_rate([4], [-1.0])
 
+    def test_needs_two_distinct_sizes(self):
+        # one size twice is a rank-deficient fit that would claim r_squared = 1.0
+        with pytest.raises(ValueError, match="fewer than two distinct sizes in the fit window"):
+            fit_rate([16, 16], [-1.0, -1.1])
+
     def test_square_root_scaling(self):
         ns = [16, 64, 256, 1024]
         ys = [-0.5 * math.sqrt(n) for n in ns]
@@ -682,3 +687,11 @@ class TestSweepAndReport:
         monkeypatch.setattr(fam, "asymptotic_rate", None)
         with pytest.raises(ValueError, match="empty threshold grid a"):
             exponent_sweep(binary_spec(), [], [4, 8])
+
+    # so is an n_list that no fit can use: fewer than two distinct sizes
+    @pytest.mark.parametrize("sweep", [sc_report, exponent_sweep])
+    @pytest.mark.parametrize("n_list", [[], [16], [16, 16]])
+    def test_sweeps_reject_fewer_than_two_distinct_sizes(self, monkeypatch, sweep, n_list):
+        monkeypatch.setattr(fam, "asymptotic_rate", None)
+        with pytest.raises(ValueError, match="n_list needs at least two distinct sizes"):
+            sweep(binary_spec(), 0.5, n_list)

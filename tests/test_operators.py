@@ -47,6 +47,16 @@ class TestHermitianOperator:
         with pytest.raises(ValueError, match="square"):
             HermitianOperator(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("build", [HermitianOperator,
+                                       lambda a: HermitianOperator.block_diagonal([a])])
+    def test_hermiticity_gate_is_the_module_constant(self, build):
+        # both constructors check against HERMITICITY_TOL (1e-12) and take no other
+        msg = "matrix is not Hermitian: relative deviation 1.000e-11 exceeds 1.0e-12"
+        with pytest.raises(ValueError) as err:
+            build(np.array([[1.0, 0.5], [0.5 + 1e-11, 1.0]]))
+        assert str(err.value) == msg
+        assert build(np.array([[1.0, 0.5], [0.5 + 5e-13, 1.0]])).dim == 2
+
     def test_from_spectral_round_trip(self, rng):
         op = rand_hermitian(5, rng)
         rebuilt = HermitianOperator.from_spectral(op.eigenvalues, op.eigenvectors)
@@ -195,6 +205,17 @@ class TestClustersAndTensors:
         for n in (2, 3, 4, 5):
             sn = tensor_power(sigma, n)
             assert distinct_eigenvalue_count(sn) == n + 1
+
+    def test_tensor_power_clusters_are_type_classes(self, rng):
+        # mu0 mu2 = mu1^2, so two types share an eigenvalue: sigma^{(x)2} has 6 type
+        # classes but 5 distinct eigenvalues, and pinching by the classes still commutes
+        sigma = tensor_power(HermitianOperator(np.diag([1.0, 2.0, 4.0]) / 7.0), 2)
+        assert distinct_eigenvalue_count(sigma) == 6
+        assert distinct_eigenvalue_count(HermitianOperator(sigma.entries)) == 5
+        x = rand_density(9, rng)
+        px = pinch(x, sigma)
+        assert np.abs(px.entries @ sigma.entries - sigma.entries @ px.entries).max() < 1e-15
+        assert psd_dominates(HermitianOperator(6 * px.entries), x)
 
     def test_spectral_maps_drop_tensor_labels(self):
         # a map can merge levels the labels keep apart: the support projection

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sconv import quasifree
 from sconv.hyptest import sc_report
@@ -40,6 +41,13 @@ def payload_2d():
     q = lambda x, y: 0.5 + 0.1 * np.cos(x) + 0.05 * np.sin(y)
     r = lambda x, y: 0.45 - 0.08 * np.cos(y)
     return QuasiFreePayload(nu=2, q_symbol=q, r_symbol=r, c_bound=0.25)
+
+
+def draw0_payload():
+    """The quasi-free pair of the benchmark's draw 0."""
+    case = Path(__file__).resolve().parents[1] / "perfbench" / "catalog"
+    scenario = json.loads((case / "quasifree-sc-report" / "s00" / "sc_report.json").read_text())
+    return QuasiFreePayload.from_json(scenario["family"]["payload"])
 
 
 class TestSymbolsAndPayload:
@@ -110,6 +118,36 @@ class TestToeplitzCompression:
     def test_dim_cap(self):
         with pytest.raises(ValueError, match="cap"):
             quasifree_block_symbol(payload_2d(), 100)
+
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_1d_is_scipy_toeplitz_bit_for_bit(self, n):
+        # oracle: scipy's toeplitz of the first column, constant term real
+        grid = quasifree.FOURIER_GRID_1D
+        x = 2.0 * np.pi * np.arange(grid) / grid
+        p = draw0_payload()
+        for sym in (p.q_symbol, p.r_symbol):
+            col = (np.fft.fft(sym(x)) / grid)[:n]
+            col[0] = col[0].real
+            t = quasifree._toeplitz_compression(sym, 1, n)
+            assert t.tobytes() == scipy.linalg.toeplitz(col).tobytes()
+
+    @pytest.mark.parametrize("payload", [payload_1d, payload_2d, draw0_payload])
+    def test_exactly_hermitian(self, payload):
+        p = payload()
+        for sym in (p.q_symbol, p.r_symbol):
+            t = quasifree._toeplitz_compression(sym, p.nu, 4)
+            assert np.array_equal(t, t.conj().T)
+
+    def test_2d_within_rounding_of_averaged_construction(self):
+        # oracle: index arithmetic over the 2-D coefficients, then (t + t^+)/2
+        n, grid = 8, quasifree.FOURIER_GRID_2D
+        mixed = lambda x, y: 0.5 + 0.2 * np.cos(x) + 0.1 * np.sin(y) + 0.03 * np.sin(x + 2 * y)
+        for sym in (payload_2d().q_symbol, mixed):
+            coeffs = np.fft.fft2(quasifree._sample_symbol(sym, 2, grid)) / grid**2
+            diff = np.mod(np.arange(n)[:, None] - np.arange(n)[None, :], grid)
+            t = coeffs[diff[:, None, :, None], diff[None, :, None, :]].reshape(n * n, n * n)
+            oracle = 0.5 * (t + t.conj().T)
+            assert np.abs(quasifree._toeplitz_compression(sym, 2, n) - oracle).max() <= 1e-17
 
 
 class TestFockOracle:
@@ -234,6 +272,14 @@ class TestSectorRecursion:
                 err = np.abs(w.entries[lo:hi, lo:hi] - oracle).max()
                 assert err <= minor_tolerance(max(k, 1), ahat.max() / ahat.min()) * scale, \
                     (seed, k, err / scale)
+
+    def test_default_gate_accepts_density_at_c_bound(self):
+        # q = 0.5 + 0.449 cos x has range [0.051, 0.949], against c_bound = 0.05
+        p = QuasiFreePayload(1, TrigPolySymbol(0.5, (0.449,)), TrigPolySymbol(0.5), 0.05)
+        q, _ = quasifree_block_symbol(p, 10)
+        w = fock_density(q)
+        assert w.sectors == tuple(math.comb(10, k) for k in range(11))
+        assert w.trace == pytest.approx(1.0, abs=1e-10)
 
     def test_builds_no_determinant_and_one_eigh_per_sector(self, monkeypatch):
         m = 6
