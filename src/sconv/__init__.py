@@ -38,7 +38,6 @@ from .hyptest import (
     np_test,
     pinched_np_test,
     sc_report,
-    scaled_test,
 )
 from .ldp import (
     GELowerVerdict,
@@ -116,7 +115,6 @@ __all__ = [
     "ExponentReport",
     "np_test",
     "pinched_np_test",
-    "scaled_test",
     "error_pair",
     "fit_rate",
     "default_a_grid",

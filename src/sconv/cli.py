@@ -196,6 +196,10 @@ def load_scenario(path):
     scenario["params"] = {name: _check_param(task, name, v)
                           if name in params or v is not None else v
                           for name, v in {**PARAMS[task], **params}.items()}
+    checked = scenario["params"]  # renyi writes both variants; family, the one it names
+    if "alpha_grid" in checked and min(checked["alpha_grid"]) <= 0 and (
+            task == "renyi" or checked["variant"] == "sandwiched"):
+        raise ScenarioError("$.params.alpha_grid", "sandwiched orders need alpha > 0")
     if "family" in raw and "family" not in scenario:  # after the params: theirs are named first
         raise ScenarioError("$.family", f"{task} takes no 'family'")
     return scenario
@@ -354,7 +358,7 @@ def _emit_reports(run, grid_name, scenario, out_dir, threads):
     if grid is None:
         grid = [float(v) for v in ht.default_a_grid(rate)]
     reports = run(scenario["family"], grid, params["n_list"], mode=params["mode"], rate=rate,
-                  variant=params["variant"], threads=threads)
+                  threads=threads)
     base, ext = os.path.splitext(params["out"])
     paths, failures = [], []
     for idx, report in enumerate(reports):

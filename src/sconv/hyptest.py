@@ -1,11 +1,12 @@
 """Finite-size Neyman–Pearson testing and strong-converse exponent reports.
 
 Tests are thresholded likelihood comparisons ``{rho_n - e^c sigma_n > 0}``
-(``c`` the *total* exponent, i.e. ``a * n^scaling``), their pinched variants,
-and the rescaled sub-tests used in the linear-tail regime.  Error pairs carry
-log-domain fields alongside the plain traces: at block sizes in the thousands
-the classical engines below work entirely with exact log-space tail algebra,
-where the float error probabilities underflow long before the rates converge.
+(``c`` the *total* exponent, i.e. ``a * n^scaling``) and their pinched
+variants; a linear-tail report shifts their error pairs (``_shifted_pair``).
+Error pairs carry log-domain fields alongside the plain traces: at block
+sizes in the thousands the classical engines below work entirely with exact
+log-space tail algebra, where the float error probabilities underflow long
+before the rates converge.
 
 Engines, most specific first, each a module function that
 ``_resolve_engine`` binds to the family's data:
@@ -77,7 +78,6 @@ __all__ = [
     "ExponentReport",
     "np_test",
     "pinched_np_test",
-    "scaled_test",
     "error_pair",
     "fit_rate",
     "exponent_sweep",
@@ -215,14 +215,6 @@ def pinched_np_test(pair, n_scaled_a):
     """Threshold test of the pinched pair; commutes with sigma by construction."""
     rho_hat = _pinch_matrix(pair.rho, pair.sigma)
     return _threshold_projection(rho_hat, pair.sigma.entries, n_scaled_a)
-
-
-def scaled_test(t, n, r, a, phi_a, scaling=1.0):
-    """Shrink ``t`` by ``e^{-n^scaling (r - a - phi_a)}`` (linear-tail device)."""
-    gap = r - a - phi_a
-    if gap < -1e-12:
-        raise ValueError(f"r - a - phi(a) = {gap!r} < 0: not in the linear-tail regime")
-    return t.scale(math.exp(-float(n) ** scaling * max(gap, 0.0)))
 
 
 def error_pair(pair, t, n=1):
@@ -623,13 +615,11 @@ def _build_report(family, thresholds, n_list, mode, rate, threads):
 
     ``h`` is the anti-divergence at the report's ``r`` (``None`` for a plain
     threshold sweep).  In its linear tail each pair becomes that of the scaled
-    test (see ``scaled_test``) and the predictions are ``(r - a_max, r)``;
+    test (see ``_shifted_pair``) and the predictions are ``(r - a_max, r)``;
     otherwise they are the polar pair ``(phi(a), phi(a) + a)``.  ``notes``
     follow the builder's own.  ``threads`` workers share the block sizes (with
     one, the calling thread works them).
     """
-    if mode not in ("np", "pinched"):
-        raise ValueError(f"unknown mode {mode!r}")
     engine, provenance = _resolve_engine(family, mode)
     s = float(family.scaling_exponent)
     ns = sorted(n_list, reverse=True)
@@ -672,18 +662,29 @@ def _build_report(family, thresholds, n_list, mode, rate, threads):
     return reports
 
 
-def exponent_sweep(family, a, n_list, mode="np", rate=None, variant="sandwiched", threads=1):
+def _check_sweep(n_list, mode, threads):
+    """Refuse a sweep's ``n_list``, ``mode`` or ``threads`` before any rate or
+    block is built."""
+    if len(set(n_list)) < 2:  # no fit can use it
+        raise ValueError(f"n_list needs at least two distinct sizes, got {list(n_list)!r}")
+    if mode not in ("np", "pinched"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if type(threads) is not int or threads < 1:  # a bool is no worker count
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+
+
+def exponent_sweep(family, a, n_list, mode="np", rate=None, threads=1):
     """Error pairs over ``n_list`` at fixed threshold rate ``a``, with fitted
     decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``;
-    a sequence ``a`` gives one report per value, as in ``sc_report``."""
-    if len(set(n_list)) < 2:  # no fit can use it; refused before any rate or block
-        raise ValueError(f"n_list needs at least two distinct sizes, got {list(n_list)!r}")
+    a sequence ``a`` gives one report per value, as in ``sc_report``.
+    ``rate=None`` builds the family's sandwiched ``asymptotic_rate``."""
+    _check_sweep(n_list, mode, threads)
     one = np.ndim(a) == 0
     grid = [a] if one else list(a)
     if not grid:
         raise ValueError("empty threshold grid a")
     if rate is None:
-        rate = fam.asymptotic_rate(family, variant=variant)
+        rate = fam.asymptotic_rate(family)
     reports = _build_report(family, [(ai, None, []) for ai in grid], n_list, mode, rate,
                             threads)
     return reports[0] if one else reports
@@ -694,7 +695,7 @@ def _shifted_pair(ep, shift):
     return ErrorPair.from_logs(ep.n, ep.log_success - shift, None, ep.log_beta - shift, None)
 
 
-def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched", threads=1):
+def sc_report(family, r, n_list, mode="np", rate=None, threads=1):
     """Full strong-converse report at success-vs-type-II tradeoff ``r``.
 
     Resolves the regime of the anti-divergence at ``r``, picks the matching
@@ -702,10 +703,10 @@ def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched", thr
     boundary slope with rescaled tests in the linear tail), sweeps, and
     returns the report with the predicted exponent attached.  A sequence
     ``r`` gives one report per value, each block size worked once for all of
-    them by one of ``threads`` workers, largest first.
+    them by one of ``threads`` workers, largest first.  ``rate=None`` builds
+    the family's sandwiched ``asymptotic_rate``.
     """
-    if len(set(n_list)) < 2:  # no fit can use it; refused before any rate or block
-        raise ValueError(f"n_list needs at least two distinct sizes, got {list(n_list)!r}")
+    _check_sweep(n_list, mode, threads)
     one = np.ndim(r) == 0
     grid = [r] if one else list(r)
     if not grid:
@@ -713,7 +714,7 @@ def sc_report(family, r, n_list, mode="np", rate=None, variant="sandwiched", thr
     if any(ri < 0 for ri in grid):
         raise ValueError("tradeoff rate r must be nonnegative")
     if rate is None:
-        rate = fam.asymptotic_rate(family, variant=variant)
+        rate = fam.asymptotic_rate(family)
     thresholds = []
     for ri in grid:
         h = hoeffding_anti(rate, ri)

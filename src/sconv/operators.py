@@ -467,16 +467,6 @@ class Test:
         eye = np.eye(self.dim)
         return Test(HermitianOperator(eye - self.op.entries))
 
-    def scale(self, factor):
-        if not 0.0 <= factor <= 1.0 + 1e-12:
-            raise ValueError(f"scaling factor {factor!r} outside [0, 1]")
-        return Test(
-            HermitianOperator.from_spectral(
-                np.clip(factor * self.op.eigenvalues, 0.0, 1.0),
-                self.op.eigenvectors,
-            )
-        )
-
 
 # -- serialization ---------------------------------------------------------
 

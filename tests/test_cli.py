@@ -351,6 +351,30 @@ class TestLoadScenario:
         assert err["field"] == "$.params.n_list"
         assert calls == [] and not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("task, params", [
+        ("renyi", {"alpha_grid": [0.0, 1.5]}),  # renyi writes both variants
+        ("family", {"variant": "sandwiched", "alpha_grid": [-1.0, 1.5]}),
+    ], ids=["renyi", "family-sandwiched"])
+    def test_sandwiched_orders_must_be_positive(self, tmp_path, capsys, monkeypatch, task,
+                                                params):
+        calls = []
+        monkeypatch.setattr(fam, "family_states", lambda *args, **kw: calls.append(args))
+        scenario = write_scenario(tmp_path, {"task": task, "family": binary_family(),
+                                             "params": params})
+        assert main([task, "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "sandwiched orders need alpha > 0",
+                       "field": "$.params.alpha_grid"}
+        assert calls == [] and not list(tmp_path.glob("*.csv"))
+
+    def test_plain_family_takes_orders_at_most_zero(self, tmp_path):
+        scenario = write_scenario(tmp_path, {
+            "task": "family", "family": binary_family(),
+            "params": {"variant": "plain", "n_list": [1, 2], "alpha_grid": [-1.0, 0.0, 1.5]},
+        })
+        assert main(["family", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "family.csv").read_text().strip().split("\n")) == 7
+
     @pytest.mark.parametrize("make_family, payload_class", [
         (binary_family, fam.IIDPayload),
         (markov_family, fam.MarkovPayload),

@@ -1,6 +1,6 @@
 """Every name that ``sconv`` or one of its modules lists in ``__all__`` exists,
-so a removed class or function cannot linger in an export list, and none of
-them takes a tolerance as an argument."""
+so a removed class or function cannot linger in an export list; none of them
+takes a tolerance as an argument, and none takes both a rate and a variant."""
 
 import importlib
 import inspect
@@ -40,4 +40,13 @@ def test_no_exported_callable_takes_a_tolerance(name):
     module = importlib.import_module(name)
     found = [f"{qual}({param})" for qual, sig in _exported_signatures(module)
              for param in sig.parameters if param.endswith("_tol")]
+    assert found == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_exported_callable_takes_both_a_rate_and_a_variant(name):
+    # a caller who wants another curve passes its rate; a variant beside it is ignored
+    module = importlib.import_module(name)
+    found = [qual for qual, sig in _exported_signatures(module)
+             if {"rate", "variant"} <= set(sig.parameters)]
     assert found == []

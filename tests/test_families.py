@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -374,3 +375,22 @@ class TestJsonRoundTrip:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="kind"):
             family_from_json({"kind": "bogus", "payload": {}})
+
+
+_ONSITE_TERM = HermitianOperator(np.diag([0.0, 1.0]))
+
+
+# payload refusals that no shipped scenario reaches, each with its own message
+@pytest.mark.parametrize("build, message", [
+    (lambda: MarkovPayload(pi0=[0.6, 0.4], pi1=[0.5, 0.5], P0=[[1.0]],
+                           P1=[[0.5, 0.5], [0.4, 0.6]]), "inconsistent chain dimensions"),
+    (lambda: MarkovPayload(pi0=[0.6, 0.6], pi1=[0.5, 0.5], P0=[[0.7, 0.3], [0.2, 0.8]],
+                           P1=[[0.5, 0.5], [0.4, 0.6]]), "pi0 is not a distribution"),
+    (lambda: GibbsPayload(1, [_ONSITE_TERM], 0.7), "site dimension must be at least 2"),
+    (lambda: GibbsPayload(2, [_ONSITE_TERM], 0.0), "inverse temperature must be positive"),
+    (lambda: GibbsPayload(2, [], 0.7), "need at least one interaction term"),
+], ids=["markov-dimensions", "markov-distribution", "gibbs-site-dim", "gibbs-beta",
+        "gibbs-no-terms"])
+def test_payload_refusals(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

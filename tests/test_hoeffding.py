@@ -1,6 +1,7 @@
 """Unit tests for the Legendre machinery on convex rate functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,3 +208,15 @@ class TestRateFromSamples:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             rate_from_samples([4, 8, 16], [1.0, 2.0], np.zeros((3, 3)))
+
+
+# sample-table refusals that no shipped rate builder reaches
+@pytest.mark.parametrize("call, message", [
+    (lambda: rate_from_samples([4, 3, 5], [1.0, 2.0], np.zeros((3, 2))),
+     "sample sizes must be strictly increasing"),
+    (lambda: ConvexRate.from_samples([1.0, 2.0], [0.0]),
+     "need matching 1-d grids with at least two points"),
+], ids=["sizes-not-increasing", "mismatched-grids"])
+def test_sample_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -29,10 +30,9 @@ from sconv.hyptest import (
     pinched_np_test,
     qubit_sector_error_pair,
     sc_report,
-    scaled_test,
 )
 from sconv.families import asymptotic_rate, family_states
-from sconv.hoeffding import polar
+from sconv.hoeffding import ConvexRate, polar, polar_detail
 from sconv.operators import (
     HermitianOperator,
     StatePair,
@@ -160,21 +160,6 @@ class TestThresholdTests:
             t = rand_test(3, rng)
             ep = error_pair(pair, t)
             assert ep.success - math.exp(c) * ep.beta_err <= lagrangian_star + 1e-10
-
-    def test_scaled_test_shrinks_traces(self, rng):
-        pair = StatePair(rand_density(2, rng), rand_density(2, rng))
-        t = np_test(pair, 0.1)
-        shrunk = scaled_test(t, n=4, r=0.5, a=0.1, phi_a=0.2)
-        factor = math.exp(-4 * (0.5 - 0.1 - 0.2))
-        base, small = error_pair(pair, t), error_pair(pair, shrunk)
-        assert small.success == pytest.approx(factor * base.success, rel=1e-12)
-        assert small.beta_err == pytest.approx(factor * base.beta_err, rel=1e-12)
-
-    def test_scaled_test_domain(self, rng):
-        pair = StatePair(rand_density(2, rng), rand_density(2, rng))
-        t = np_test(pair, 0.0)
-        with pytest.raises(ValueError, match="linear-tail"):
-            scaled_test(t, n=4, r=0.1, a=0.2, phi_a=0.0)
 
 
 class TestExactClassicalEngines:
@@ -673,6 +658,21 @@ class TestSweepAndReport:
         assert report.fitted_success_rate == pytest.approx(r - a_max, abs=0.03)
         assert report.fitted_beta_rate == pytest.approx(r, abs=0.03)
 
+    def test_linear_tail_pairs_are_the_threshold_pairs_shifted_in_log_space(self):
+        # the binary pair of the tracer's engine-call test
+        spec = binary_spec(0.75, 0.25)
+        rate = asymptotic_rate(spec)
+        r = rate.slope_at_infinity + 0.4
+        report = sc_report(spec, r, [8, 16, 32, 64], rate=rate)
+        assert report.regime == "linear_tail"
+        sweep = exponent_sweep(spec, report.a, [8, 16, 32, 64], rate=rate)
+        gap = r - report.a - polar_detail(rate, report.a).value
+        assert gap > 0
+        for tail, base in zip(report.per_n, sweep.per_n, strict=True):
+            assert tail.n == base.n
+            assert tail.log_success == base.log_success - gap * tail.n
+            assert tail.log_beta == base.log_beta - gap * tail.n
+
     def test_sc_report_rejects_negative_r(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sc_report(binary_spec(), -0.1, [4, 8])
@@ -695,3 +695,31 @@ class TestSweepAndReport:
         monkeypatch.setattr(fam, "asymptotic_rate", None)
         with pytest.raises(ValueError, match="n_list needs at least two distinct sizes"):
             sweep(binary_spec(), 0.5, n_list)
+
+    # and so are a mode and a worker count that no engine can run
+    @pytest.mark.parametrize("sweep", [sc_report, exponent_sweep])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "pinchd"}, "unknown mode 'pinchd'"),
+        ({"threads": 0}, "threads must be a positive integer, got 0"),
+        ({"threads": True}, "threads must be a positive integer, got True"),
+    ], ids=["mode", "zero-threads", "bool-threads"])
+    def test_sweeps_refuse_mode_and_threads_before_any_rate(self, monkeypatch, sweep,
+                                                            kwargs, message):
+        monkeypatch.setattr(fam, "asymptotic_rate", None)
+        with pytest.raises(ValueError, match=message):
+            sweep(binary_spec(), [0.2, 0.3], [16, 32], **kwargs)
+
+
+# refusals of the fitting layer that no shipped scenario reaches
+@pytest.mark.parametrize("call, message", [
+    (lambda: default_a_grid(ConvexRate(fn=lambda t: t - 1.0, right_derivative_at_1=1.0)),
+     "rate curve has unbounded slope; supply thresholds explicitly"),
+    (lambda: default_a_grid(ConvexRate(fn=lambda t: t - 1.0, right_derivative_at_1=1.0,
+                                       slope_at_infinity=1.0)),
+     "degenerate rate curve: no open threshold interval"),
+    (lambda: fit_rate([4, 8], [-math.inf, -1.0]),
+     "fewer than two finite log-errors in the fit window"),
+], ids=["unbounded-slope", "degenerate-curve", "one-finite-log-error"])
+def test_fitting_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

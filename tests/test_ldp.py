@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -370,3 +371,15 @@ class TestPinchedPairSequence:
         with pytest.raises(ValueError, match="block 361 exceeds cap"):
             pinched_pair_sequence(rho1, sigma1, [6, 361])
         assert sector_calls == []
+
+
+# a two-point support at n = 1 and a point mass at n = 2 extrapolate to
+# 0 - log cosh(t), which is concave
+@pytest.mark.parametrize("points, message", [
+    ({1: ([-1.0, 1.0], [math.log(0.5)] * 2), 2: ([0.0], [0.0])},
+     "extrapolated curve is visibly non-convex; refuse to spline"),
+], ids=["concave-extrapolation"])
+def test_rate_curve_refusals(points, message):
+    seq = WeightedSampleSequence(points, c=float)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_rate_curve(seq, np.linspace(-2.0, 2.0, 9))

@@ -1,6 +1,7 @@
 """Unit tests for the dense Hermitian primitives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -379,13 +380,6 @@ class TestStatePairAndTest:
         with pytest.raises(ValueError, match="outside"):
             BinaryTest(HermitianOperator(np.diag([1.5, 0.0, 0.0, 0.0])))
 
-    def test_test_scale(self, rng):
-        t = rand_test(3, rng)
-        half = t.scale(0.5)
-        assert np.allclose(half.op.entries, 0.5 * t.op.entries, atol=1e-12)
-        with pytest.raises(ValueError, match="outside"):
-            t.scale(1.5)
-
 
 class TestSerialization:
     def test_json_round_trip(self, rng):
@@ -397,3 +391,23 @@ class TestSerialization:
         data = {"dim": 2, "re": [1.0, 0.0, 0.0, 2.0], "im": None}
         op = operator_from_json(data)
         assert np.allclose(op.entries, np.diag([1.0, 2.0]), atol=1e-15)
+
+
+# constructor refusals that no shipped family reaches
+@pytest.mark.parametrize("call, message", [
+    (lambda: StatePair(HermitianOperator(np.eye(2) / 2), HermitianOperator(np.eye(3) / 3)),
+     "rho and sigma must share a dimension"),
+    (lambda: StatePair(HermitianOperator(np.diag([1.2, -0.2])),
+                       HermitianOperator(np.diag([0.5, 0.5]))),
+     "rho is not PSD: min eig -2.000e-01"),
+    (lambda: tensor_power(HermitianOperator(np.diag([0.5, 0.5])), 0),
+     "tensor power requires n >= 1"),
+    (lambda: tensor_product(*[HermitianOperator(np.diag([0.5, 0.5]))] * 13),
+     "product dimension 8192 exceeds cap 4096"),
+    (lambda: HermitianOperator.from_spectral([1.0, 2.0], np.eye(3)),
+     "inconsistent spectral data"),
+], ids=["pair-dimensions", "pair-not-psd", "tensor-power-zero", "tensor-product-cap",
+        "spectral-data"])
+def test_construction_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

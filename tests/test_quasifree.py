@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -450,3 +451,26 @@ class TestLimits:
         per_mode = quasifree_psi_singleparticle(p, n, 2.0) / n**2
         lim = szego_limit(p, 2.0, grid=512)
         assert per_mode == pytest.approx(lim, abs=0.05)
+
+
+
+def _narrowed_bound_payload():
+    """``payload_1d`` with ``c_bound`` raised past its symbols' range after its
+    own range check has passed."""
+    payload = payload_1d()
+    payload.c_bound = 0.45
+    return payload
+
+
+# refusals that no shipped scenario reaches
+@pytest.mark.parametrize("call, message", [
+    (lambda: quasifree_block_symbol(_narrowed_bound_payload(), 4), "violates symbol bounds"),
+    (lambda: singleparticle_psi(*quasifree_block_symbol(payload_1d(), 3), 0.0),
+     "order must be positive"),
+    (lambda: szego_limit(payload_1d(), -1.0), "order must be positive"),
+    (lambda: quasifree._symbol_to_json(payload_2d().q_symbol),
+     "only trig-polynomial coefficient tables serialize to JSON"),
+], ids=["symbol-bounds", "singleparticle-order", "szego-order", "callable-symbol"])
+def test_quasifree_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
