@@ -51,7 +51,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import families as fam
 from .hoeffding import hoeffding_anti, polar_detail
@@ -61,9 +60,11 @@ from .operators import (
     _cluster_labels,
     _pinch_matrix,
     _pinch_slice,
+    log_factorials,
     logsumexp,
     logsumexp_rows,
     positive_part_trace,
+    xlogy,
 )
 
 STRICT_POSITIVE_TOL = 1e-12  # eigenvalues this close to zero are not "strictly positive"
@@ -301,16 +302,16 @@ def iid_type_class_error_pair(p, q, n, c):
             "use smaller n or the dense route"
         )
     bars = np.array(
-        list(itertools.combinations(range(n + d - 1), d - 1)), dtype=float
+        list(itertools.combinations(range(n + d - 1), d - 1)), dtype=int
     ).reshape(total, d - 1)
     edges = np.concatenate(
-        [np.full((total, 1), -1.0), bars, np.full((total, 1), float(n + d - 1))],
-        axis=1,
+        [np.full((total, 1), -1), bars, np.full((total, 1), n + d - 1)], axis=1
     )
-    counts = np.diff(edges, axis=1) - 1.0
-    log_mult = gammaln(n + 1)
+    counts = np.diff(edges, axis=1) - 1
+    log_fact = log_factorials(n)
+    log_mult = log_fact[n]
     for col in counts.T:  # one column at a time: two outcomes give the binomial bits
-        log_mult = log_mult - gammaln(col + 1.0)
+        log_mult = log_mult - log_fact[col]
     with np.errstate(invalid="ignore"):
         lp = np.where(counts > 0, counts * logp[None, :], 0.0).sum(axis=1)
         lq = np.where(counts > 0, counts * logq[None, :], 0.0).sum(axis=1)
@@ -329,7 +330,7 @@ def _markov_run_classes(payload, n):
     """
     lpi = (_safe_log(payload.pi0), _safe_log(payload.pi1))
     lP = (_safe_log(payload.P0).ravel(), _safe_log(payload.P1).ravel())
-    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    log_fact = log_factorials(n)
 
     def _log_likelihoods(s, counts):
         """Both chains' log-likelihoods from the start ``s`` and the edge
@@ -582,7 +583,7 @@ def fit_rate(n_list, log_errors, scaling=1.0):
     x, y = x[keep], y[keep]
     if x.size < 2:
         raise ValueError("fewer than two finite log-errors in the fit window")
-    if np.unique(x).size < 2:
+    if x.min() == x.max():
         raise ValueError("fewer than two distinct sizes in the fit window")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -26,13 +26,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .hoeffding import richardson
 from .hyptest import _sector_spectra
-from .operators import logsumexp
+from .operators import log_factorials, logsumexp
 
 CAUCHY_TOL = 1e-3  # normalized log-MGF gap between the largest sizes that counts as converged
 TILT_WINDOW_FRACTION = 0.05
@@ -114,6 +111,129 @@ def lambda_bar(seq, t):
     return float(fine), float(resid)
 
 
+class _PPoly:
+    """A piecewise polynomial as scipy 1.17's ``PPoly`` evaluates it, to the bit.
+
+    Column ``c[:, i]`` holds the power-basis coefficients, highest degree
+    first, of interval ``[x[i], x[i + 1])`` in ``s = t - x[i]``; the last
+    interval is closed and the end intervals extend past the nodes.
+    """
+
+    def __init__(self, x, c):
+        self.x, self.c = x, c
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        s = t - self.x[i]
+        out, z = 0.0, 1.0
+        for coef in self.c[::-1, i]:  # a power sum with z *= s, as PPoly sums it
+            out = out + coef * z
+            z = z * s
+        return out
+
+    def derivative(self):
+        return _PPoly(self.x, self.c[:-1] * np.arange(len(self.c) - 1, 0, -1.0)[:, None])
+
+
+def _not_a_knot_spline(x, y):
+    """scipy 1.17's ``CubicSpline(x, y)`` on ``n >= 4`` nodes, to the bit.
+
+    The node slopes solve scipy's not-a-knot tridiagonal system by
+    :func:`_gtsv`; the coefficients are then taken as ``CubicHermiteSpline``
+    takes them.
+    """
+    if not (np.isfinite(x).all() and (np.diff(x) > 0).all()):
+        raise ValueError("spline nodes must be finite and strictly increasing")
+    if not np.isfinite(y).all():
+        raise ValueError("spline values must be finite")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d, du, dl, b = (np.empty(len(x) - k) for k in (0, 1, 1, 0))
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:], dl[:-1] = dx[:-1], dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    h0, h1 = x[2] - x[0], x[-1] - x[-3]  # the not-a-knot end rows
+    d[0], du[0], d[-1], dl[-1] = dx[1], h0, dx[-2], h1
+    b[0] = ((dx[0] + 2 * h0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / h0
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * h1 + dx[-1]) * dx[-2] * slope[-1]) / h1
+    s = np.array(_gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return _PPoly(x, np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])))
+
+
+def _gtsv(dl, d, du, b):
+    """LAPACK ``dgtsv`` on one right-hand side: Gaussian elimination with
+    partial pivoting of the tridiagonal system ``(dl, d, du)``, in the
+    reference routine's order of operations.  Works on the lists in place and
+    returns the solution ``b``."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):  # no interchange
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1; dl[i] keeps the fill-in of row i
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _brentq(f, a, b):
+    """A root of ``f`` in ``[a, b]``: scipy 1.17's ``brentq`` (its C loop) with
+    its defaults, ``xtol = 2e-12``, ``rtol = 4 eps`` and 100 iterations."""
+    xtol, rtol = 2e-12, 4 * np.finfo(float).eps
+    xpre, xcur = np.float64(a), np.float64(b)
+    fpre, fcur = np.float64(f(xpre)), np.float64(f(xcur))
+    if fpre == 0:
+        return float(xpre)
+    if fcur == 0:
+        return float(xcur)
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return float(xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            with np.errstate(all="ignore"):  # IEEE results as in C; a nan step bisects
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = np.float64(f(xcur))
+    raise RuntimeError(f"root finder did not converge in 100 iterations (last x = {xcur})")
+
+
 @dataclass
 class RateCurve:
     """Extrapolated log-MGF curve and its Legendre transform on a grid; ``table``
@@ -124,7 +244,7 @@ class RateCurve:
     table: np.ndarray
     values: np.ndarray
     residuals: np.ndarray
-    spline: CubicSpline
+    spline: _PPoly
 
     def lambda_bar(self, t):
         lo, hi = self.t_grid[0], self.t_grid[-1]
@@ -144,7 +264,7 @@ class RateCurve:
             raise ValueError(
                 f"x = {x!r} outside the exposed slope interval ({lo:.6g}, {hi:.6g})"
             )
-        return float(brentq(lambda t: float(d(t)) - x, self.t_grid[0], self.t_grid[-1]))
+        return _brentq(lambda t: float(d(t)) - x, self.t_grid[0], self.t_grid[-1])
 
     def legendre(self, x):
         t_x = self.stationary_t(x)
@@ -166,7 +286,7 @@ def build_rate_curve(seq, t_grid):
     if np.diff(vals, 2).min() < -1e-6 * scale:
         raise ValueError("extrapolated curve is visibly non-convex; refuse to spline")
     return RateCurve(seq=seq, t_grid=t_grid, table=table, values=vals, residuals=resid,
-                     spline=CubicSpline(t_grid, vals))
+                     spline=_not_a_knot_spline(t_grid, vals))
 
 
 def chernoff_upper(curve, x, side="ge"):
@@ -292,13 +412,8 @@ def binomial_sequence(n_list, prob=0.5):
     points = {}
     for n in n_list:
         k = np.arange(n + 1, dtype=float)
-        lw = (
-            gammaln(n + 1)
-            - gammaln(k + 1)
-            - gammaln(n - k + 1)
-            + k * lp
-            + (n - k) * lq
-        )
+        log_fact = log_factorials(n)
+        lw = log_fact[n] - log_fact - log_fact[::-1] + k * lp + (n - k) * lq
         points[n] = k / n, lw
     return WeightedSampleSequence(points, c=lambda n: float(n))
 

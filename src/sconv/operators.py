@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 HERMITICITY_TOL = 1e-12  # relative asymmetry that rounding leaves; more means bad input
 SUPPORT_TOL = 1e-12  # eigenvalues under this fraction of the largest are noise: off-support
@@ -29,6 +28,8 @@ __all__ = [
     "spectral",
     "logsumexp",
     "logsumexp_rows",
+    "log_factorials",
+    "xlogy",
     "power_on_support",
     "log_on_support",
     "positive_part_trace",
@@ -110,7 +111,7 @@ class HermitianOperator:
         w = np.concatenate(w)
         order = np.argsort(w, kind="stable")
         return cls.__new__(cls)._fill(
-            block_diag(*blocks), w[order], block_diag(*v)[:, order], None,
+            _direct_sum(blocks), w[order], _direct_sum(v)[:, order], None,
             tuple(b.shape[0] for b in blocks),
         )
 
@@ -225,6 +226,51 @@ def logsumexp_rows(a):
             bad = ~np.isfinite(out)
             out[bad] = np.log(np.exp(a[bad[..., 0]]).sum(axis=-1))
     return out[..., 0]
+
+
+def _direct_sum(blocks):
+    """The block-diagonal matrix of the square ``blocks`` in their joint dtype
+    (``np.result_type``), as scipy's ``block_diag`` builds it."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.result_type(*blocks))
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+def log_factorials(n):
+    """``log k!`` for ``k = 0..n``, each the same to the bit as scipy 1.17's
+    ``gammaln(k + 1)``.
+
+    The body is cephes ``lgam`` at the integer ``x = k + 1``: below 13 the log
+    of the exact product ``(x - 1)!``; from 13 up ``(x - 1/2) log x - x +
+    log sqrt(2 pi)`` plus cephes' polynomial ``A(1/x^2) / x`` (its three-term
+    series from ``x = 1000``, nothing past ``1e8``).  Every log is glibc's
+    ``math.log``: numpy's vectorised ``log`` differs from it in the last bit
+    on some integers.
+    """
+    small = [math.log(float(math.factorial(k))) for k in range(min(n, 11) + 1)]
+    x = np.arange(13.0, n + 2.0)
+    q = (x - 0.5) * np.array([math.log(v) for v in x.tolist()]) - x + 0.91893853320467274178
+    p = 1.0 / (x * x)
+    poly = 0.0  # cephes polevl: 0 * p + A[0] is A[0] exactly
+    for coef in (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+                 -2.77777777730099687205e-3, 8.33333333333331927722e-2):
+        poly = poly * p + coef
+    tail = np.where(x < 1000.0, poly, (7.9365079365079365079365e-4 * p
+                                       - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333)
+    return np.concatenate([small, np.where(x > 1e8, q, q + tail / x)])
+
+
+def xlogy(x, y):
+    """``x log y`` over an array ``x`` for one scalar ``y >= 0``, with ``0 log y
+    = 0`` (so ``0 log 0 = 0``): scipy 1.17's ``xlogy`` to the bit, its log
+    glibc's ``math.log`` as in :func:`log_factorials`."""
+    x = np.asarray(x, dtype=float)
+    log_y = math.log(y) if y > 0 else -math.inf
+    with np.errstate(invalid="ignore"):  # 0 * -inf, replaced by 0
+        return np.where(x == 0, 0.0, x * log_y)
 
 
 def _require_psd(op):

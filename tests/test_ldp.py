@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from sconv import ldp
 from sconv.cli import main
@@ -49,16 +51,15 @@ class TestSequences:
         assert y[0] == 0.0 and y[-1] == 1.0
 
     def test_ldp_run_builds_each_binomial_size_once(self, tmp_path, monkeypatch):
-        # a binomial size's points start with one scalar gammaln(n + 1)
+        # a binomial size's points start with one log-factorial table
         built = []
-        gammaln = ldp.gammaln
+        log_factorials = ldp.log_factorials
 
-        def counted(x):
-            if np.ndim(x) == 0:
-                built.append(int(x) - 1)
-            return gammaln(x)
+        def counted(n):
+            built.append(n)
+            return log_factorials(n)
 
-        monkeypatch.setattr(ldp, "gammaln", counted)
+        monkeypatch.setattr(ldp, "log_factorials", counted)
         scenario = SHORT_JOBS_CASE / "ldp.json"
         assert main(["ldp", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
         sizes = json.loads(scenario.read_text(encoding="utf-8"))["params"]["n_list"]
@@ -163,6 +164,66 @@ class TestRateCurve:
         seq = binomial_sequence([64, 128, 256])
         with pytest.raises(ValueError, match="four"):
             build_rate_curve(seq, [0.0, 1.0])
+
+
+def _oracle_grids():
+    """Seeded uniform and non-uniform grids of 4 to 801 nodes, the sizes of
+    the shipped rate-curve grids among them."""
+    rng = np.random.default_rng(20261023)
+    for n in (4, 5, 6, 9, 17, 41, 61, 121, 201, 513, 801):
+        yield np.linspace(-2.0, 4.0, n)
+        yield np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+
+
+class TestScipyPorts:
+    """``RateCurve``'s spline and root finder repeat scipy 1.17's
+    ``CubicSpline`` and ``brentq`` to the bit."""
+
+    def test_spline_matches_cubic_spline_bit_for_bit(self):
+        rng = np.random.default_rng(20261024)
+        for x in _oracle_grids():
+            y = np.logaddexp(0.0, x) + rng.normal(0.0, 0.05, x.size)
+            ours, ref = ldp._not_a_knot_spline(x, y), CubicSpline(x, y)
+            assert ours.c.tobytes() == ref.c.tobytes(), x.size
+            # inside, on every node (half-open intervals, the last closed) and past both ends
+            t = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 300), x])
+            assert ours(t).tobytes() == ref(t).tobytes(), x.size
+            assert ours.derivative()(t).tobytes() == ref.derivative()(t).tobytes(), x.size
+            assert [float(ours(v)) for v in t[:20]] == [float(ref(v)) for v in t[:20]]
+
+    def test_root_finder_matches_brentq_bit_for_bit(self):
+        rng = np.random.default_rng(20261025)
+        for x in _oracle_grids():
+            d = ldp._not_a_knot_spline(x, np.logaddexp(0.0, x)).derivative()
+            for target in rng.uniform(float(d(x[0])), float(d(x[-1])), 20):
+                def f(t, target=target):
+                    return float(d(t)) - target
+                assert ldp._brentq(f, x[0], x[-1]) == brentq(f, x[0], x[-1]), x.size
+
+    @pytest.mark.parametrize("x, y, message", [
+        ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 1.0, 2.0], "values must be finite"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.inf, 2.0], "values must be finite"),
+        ([0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0], "strictly increasing"),
+        ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0], "strictly increasing"),
+        ([0.0, 1.0, 2.0, np.inf], [0.0, 1.0, 1.0, 2.0], "finite and strictly"),
+    ], ids=["nan-value", "inf-value", "repeated-node", "decreasing-node", "inf-node"])
+    def test_spline_refusals(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            ldp._not_a_knot_spline(np.array(x), np.array(y))
+        with pytest.raises(ValueError):  # scipy refuses the same input
+            CubicSpline(x, y)
+
+    def test_root_finder_refusals(self):
+        with pytest.raises(ValueError, match="different signs"):
+            ldp._brentq(lambda t: t * t + 1.0, -1.0, 1.0)
+
+        def step(t):  # a sign change that bisection needs about 1000 halvings to pin
+            return -1.0 if t < 0.3 else 1.0
+
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            ldp._brentq(step, -1e300, 1e300)
+        with pytest.raises(RuntimeError):
+            brentq(step, -1e300, 1e300)
 
 
 class TestChernoff:

@@ -11,8 +11,10 @@ from scipy.linalg import block_diag
 from sconv.operators import (
     HermitianOperator,
     StatePair,
+    _direct_sum,
     distinct_eigenvalue_count,
     eigenvalue_clusters,
+    log_factorials,
     log_on_support,
     logsumexp,
     logsumexp_rows,
@@ -29,6 +31,7 @@ from sconv.operators import (
     supports_nested,
     tensor_power,
     tensor_product,
+    xlogy,
 )
 from sconv.operators import Test as BinaryTest
 
@@ -338,6 +341,33 @@ def test_logsumexp_rows_match_one_call_per_row_bit_for_bit():
 def test_logsumexp_rows_of_empty_rows_are_minus_inf():
     out = logsumexp_rows(np.zeros((3, 0)))
     assert out.shape == (3,) and (out == -math.inf).all()
+
+
+def test_log_factorials_match_gammaln_bit_for_bit():
+    # every branch of cephes lgam at an integer: the exact product below 13,
+    # the A polynomial up to 1000 and the three-term series past it
+    for n in (0, 1, 11, 12, 13, 200_000):
+        expect = scipy.special.gammaln(np.arange(n + 1) + 1.0)
+        assert log_factorials(n).tobytes() == expect.tobytes(), n
+
+
+def test_xlogy_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20261021)
+    x = rng.integers(0, 60, 400)
+    x[::7] = 0
+    for y in (0.0, 1.0, 1e-300, *rng.random(20), *rng.uniform(1.0, 1e3, 10)):
+        assert xlogy(x, y).tobytes() == scipy.special.xlogy(x, y).tobytes(), y
+
+
+def test_direct_sum_matches_block_diag_bytes_and_dtype():
+    rng = np.random.default_rng(20261022)
+    for kinds in ((float,), (float, complex), (complex, float, float), (np.float32, float)):
+        blocks = [rng.normal(size=(k, k)).astype(kind) for k, kind in
+                  zip(rng.integers(1, 6, len(kinds)), kinds)]
+        blocks = [b + 1j * rng.normal(size=b.shape) if b.dtype == complex else b
+                  for b in blocks]
+        out, expect = _direct_sum(blocks), block_diag(*blocks)
+        assert out.dtype == expect.dtype and out.tobytes() == expect.tobytes()
 
 
 class TestOrderAndSupports:
