@@ -35,10 +35,11 @@ engine builds the block's states once and diagonalises the (pinched)
 threshold operator once per ``(c, sector)``, reading both traces and the
 positive-part floor off it.  When both states of
 a pair are block-diagonal with the same ``sectors`` (the particle-number
-sectors of quasi-free Fock densities), each block of the threshold operator
-gets its own ``eigh`` and the three traces are summed over the blocks, so no
-quasi-free ``eigh`` is larger than ``C(m, m/2)``; in pinched mode each slice
-is pinched on its own.
+sectors of quasi-free Fock densities), the engine reads their ``blocks``,
+each block of the threshold operator gets its own ``eigh`` and the three
+traces are summed over the blocks, so no quasi-free ``eigh`` is larger than
+``C(m, m/2)`` and no dense ``2^m`` matrix is built; in pinched mode each
+block is pinched on its own.
 """
 
 from __future__ import annotations
@@ -517,24 +518,28 @@ def _dense_error_pair(family, mode, n, c):
     operator per ``(c, sector)``: both traces are sums of ``<v|X|v>`` over the
     test's range ``V``, and the floor is its positive part.  A pair whose
     states share their diagonal blocks (Fock densities, by particle number)
-    splits into independent sector slices; in pinched mode each slice is
-    pinched by the eigenvectors of sigma supported on it, which stay on their
-    own block.
+    splits into those blocks, and no dense ``2^m`` form is built; in pinched
+    mode each block is pinched by sigma's own eigenvectors of that block,
+    grouped by sigma's global clusters.
     """
     thresholds, one = _thresholds(c)
     pair = fam.family_states(family, n)
-    rho, sigma = pair.rho.entries, pair.sigma.entries
-    sectors = pair.rho.sectors if pair.rho.sectors == pair.sigma.sectors else (pair.dim,)
+    rho, sigma = pair.rho, pair.sigma
+    if rho.sectors == sigma.sectors:
+        blocks = zip(rho.blocks, sigma.blocks, (v for _, v in sigma.block_spectra))
+        rank = np.argsort(sigma.order)  # place in sigma's sorted spectrum, block by block
+    else:
+        blocks = [(rho.entries, sigma.entries, sigma.eigenvectors)]
+        rank = np.arange(sigma.dim)
     if mode == "pinched":
-        basis, labels = pair.sigma.eigenvectors, _cluster_labels(pair.sigma)
-    slices = []  # (rho, rho pinched or not, sigma) on each sector
-    for lo, hi in itertools.pairwise(itertools.accumulate(sectors, initial=0)):
-        blk = slice(lo, hi)
-        rho_hat = rho[blk, blk]
-        if mode == "pinched":  # by sigma's eigenvectors on this slice, in its global clusters
-            cols = np.flatnonzero(np.any(basis[blk] != 0, axis=0))
-            rho_hat = _pinch_slice(rho_hat, basis[blk, cols], labels[cols])
-        slices.append((rho[blk, blk], rho_hat, sigma[blk, blk]))
+        labels = _cluster_labels(sigma)[rank]
+    slices, at = [], 0  # (rho, rho pinched or not, sigma) on each block
+    for rho_b, sigma_b, v_b in blocks:
+        rho_hat = rho_b
+        if mode == "pinched":
+            rho_hat = _pinch_slice(rho_b, v_b, labels[at : at + len(v_b)])
+        slices.append((rho_b, rho_hat, sigma_b))
+        at += len(v_b)
     pairs = []
     for ci in thresholds:
         success = beta = lp = 0.0

@@ -60,12 +60,22 @@ class HermitianOperator:
 
     Attributes
     ----------
+    blocks : tuple of ndarray
+        The (symmetrized) diagonal blocks of the matrix, in order; the one
+        block ``(entries,)`` unless built by :meth:`block_diagonal`.
+    block_spectra : tuple
+        Each block's ascending ``(eigenvalues, eigenvectors)``, from one
+        ``eigh`` per block.
+    order : ndarray
+        The stable sort of the blocks' joint eigenvalues: ``eigenvalues[i]``
+        is entry ``order[i]`` of the blocks' eigenvalues laid end to end.
     entries : ndarray
-        The (symmetrized) dense matrix.
+        The dense matrix, the direct sum of ``blocks``.
     eigenvalues : ndarray
         Real eigenvalues in ascending order.
     eigenvectors : ndarray
-        Orthonormal eigenvectors as columns, aligned with ``eigenvalues``.
+        Orthonormal eigenvectors as columns, aligned with ``eigenvalues``;
+        each stays supported on its own block.
     eig_labels : tuple or None
         Hashable label per eigenvalue, set only by :func:`tensor_power`: its
         type, the multiset of base-spectrum clusters it came from, so that
@@ -74,26 +84,39 @@ class HermitianOperator:
         :func:`log_on_support`, :meth:`support_projection`) drops them, since
         a map can merge levels that the labels keep apart.
     sectors : tuple of int
-        Sizes of the diagonal blocks that ``entries`` and the eigenvectors
-        are confined to, in order; ``(dim,)`` unless built by
+        Sizes of the ``blocks``, which split any operator that shares them
+        into independent slices; ``(dim,)`` unless built by
         :meth:`block_diagonal`.
+
+    Of several blocks, ``entries`` and ``eigenvectors`` are assembled on
+    first read and are read-only from then on.
     """
 
-    __slots__ = ("entries", "dim", "eigenvalues", "eigenvectors", "eig_labels", "sectors")
+    __slots__ = ("blocks", "block_spectra", "dim", "eigenvalues", "eig_labels", "_order",
+                 "_entries", "_eigenvectors")
 
     def __init__(self, entries):
         (a,) = _hermitian_parts([entries])
-        w, v = np.linalg.eigh(a)
-        self._fill(a, w, v, None, (a.shape[0],))
+        self._fill([a], [np.linalg.eigh(a)], None)
 
-    def _fill(self, entries, eigenvalues, eigenvectors, eig_labels, sectors):
-        """Set every slot (the one place they are assigned) and return self."""
-        self.entries = entries
-        self.dim = entries.shape[0]
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
+    def _fill(self, blocks, spectra, eig_labels):
+        """Set every slot (the one place they are assigned) and return self.
+
+        ``spectra`` holds each block's ascending ``(eigenvalues,
+        eigenvectors)``.  One block is the dense matrix, its spectrum already
+        sorted; the spectra of several are stable-sorted jointly.
+        """
+        self.blocks, self.block_spectra = tuple(blocks), tuple(spectra)
         self.eig_labels = eig_labels
-        self.sectors = sectors
+        if len(self.blocks) == 1:
+            ((self.eigenvalues, self._eigenvectors),) = self.block_spectra
+            self._entries, self._order = self.blocks[0], None
+        else:
+            w = np.concatenate([w for w, _ in self.block_spectra])
+            self._order = np.argsort(w, kind="stable")
+            self.eigenvalues = w[self._order]
+            self._entries = self._eigenvectors = None
+        self.dim = len(self.eigenvalues)
         return self
 
     @classmethod
@@ -103,17 +126,10 @@ class HermitianOperator:
         The blocks must be Hermitian up to ``HERMITICITY_TOL`` relative to the
         largest entry over all of them.  The joined spectrum is stable-sorted
         into ascending order and every eigenvector stays supported on its own
-        block, so ``sectors`` (the block sizes) splits any operator that
-        shares them into independent slices.
+        block; the dense forms are not built until they are read.
         """
         blocks = _hermitian_parts(blocks)
-        w, v = zip(*map(np.linalg.eigh, blocks))
-        w = np.concatenate(w)
-        order = np.argsort(w, kind="stable")
-        return cls.__new__(cls)._fill(
-            _direct_sum(blocks), w[order], _direct_sum(v)[:, order], None,
-            tuple(b.shape[0] for b in blocks),
-        )
+        return cls.__new__(cls)._fill(blocks, map(np.linalg.eigh, blocks), None)
 
     @classmethod
     def from_spectral(cls, eigenvalues, eigenvectors, eig_labels=None):
@@ -129,13 +145,36 @@ class HermitianOperator:
             eig_labels = tuple(eig_labels[i] for i in order)
         a = (v * w) @ v.conj().T
         a = 0.5 * (a + a.conj().T)
-        return cls.__new__(cls)._fill(a, w, v, eig_labels, (a.shape[0],))
+        return cls.__new__(cls)._fill([a], [(w, v)], eig_labels)
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = _read_only(_direct_sum(self.blocks))
+        return self._entries
+
+    @property
+    def eigenvectors(self):
+        if self._eigenvectors is None:
+            vecs = _direct_sum([v for _, v in self.block_spectra])
+            self._eigenvectors = _read_only(vecs[:, self._order])
+        return self._eigenvectors
+
+    @property
+    def order(self):
+        return np.arange(self.dim) if self._order is None else self._order
+
+    @property
+    def sectors(self):
+        return tuple(len(b) for b in self.blocks)
 
     # -- cheap scalar summaries -------------------------------------------
 
     @property
     def trace(self):
-        return float(np.trace(self.entries).real)
+        """The sum of the blocks' diagonals laid end to end: ``np.trace`` of
+        ``entries`` to the bit, without assembling it."""
+        return float(np.concatenate([b.diagonal() for b in self.blocks]).sum().real)
 
     @property
     def norm(self):
@@ -226,6 +265,11 @@ def logsumexp_rows(a):
             bad = ~np.isfinite(out)
             out[bad] = np.log(np.exp(a[bad[..., 0]]).sum(axis=-1))
     return out[..., 0]
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _direct_sum(blocks):

@@ -41,7 +41,6 @@ __all__ = [
     "quasifree_psi_singleparticle",
     "singleparticle_psi",
     "fock_density",
-    "fock_basis",
     "szego_limit",
     "quasifree_relent_limit",
     "quasifree_slope_at_infinity",
@@ -252,14 +251,6 @@ def quasifree_psi_singleparticle(payload, n, alpha, variant="sandwiched"):
 # -- Fock-space oracle -----------------------------------------------------
 
 
-def fock_basis(m):
-    """Occupation basis in sector order: (k, subset) for k = 0..m, subsets lex."""
-    out = []
-    for k in range(m + 1):
-        out.extend((k, s) for s in itertools.combinations(range(m), k))
-    return out
-
-
 def fock_density(symbol):
     """Explicit ``2^m``-dimensional density of the quasi-free state.
 
@@ -271,11 +262,12 @@ def fock_density(symbol):
     ``C_k[S, T] = sum_p (-1)^p A[s0, t_p] C_{k-1}[S - s0, T - t_p]``: ``k``
     vectorised gathers per sector and no determinant, with no temporary larger
     than a sector.  The density is block-diagonal in particle number: it is
-    assembled by :meth:`HermitianOperator.block_diagonal`, one ``eigh`` per
-    sector, and its ``sectors`` are ``(C(m, k))_{k=0..m}``.
+    kept in blocks by :meth:`HermitianOperator.block_diagonal`, one ``eigh``
+    per sector, and its ``sectors`` are ``(C(m, k))_{k=0..m}``; the dense
+    ``2^m`` forms are built only if read.
 
-    Every call builds a new density, whose ``entries``, ``eigenvalues`` and
-    ``eigenvectors`` are read-only.
+    Every call builds a new density, whose blocks, spectra and dense forms
+    are read-only.
     """
     m = symbol.dim
     if 2**m > DIM_CAP:
@@ -304,7 +296,7 @@ def fock_density(symbol):
     op = HermitianOperator.block_diagonal(blocks)
     if abs(op.trace - 1.0) > 1e-10:
         raise ValueError(f"Fock density trace {op.trace!r} deviates from 1")
-    for arr in (op.entries, op.eigenvalues, op.eigenvectors):
+    for arr in (*op.blocks, *itertools.chain(*op.block_spectra), op.eigenvalues):
         arr.flags.writeable = False
     return op
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from scipy.special import logsumexp
 
 from sconv import families as fam
+from sconv import operators
 from sconv.cli import main
 from sconv.families import IIDPayload, MarkovPayload, markov_psi_n
 from sconv.hyptest import (
@@ -451,6 +453,38 @@ class TestDenseSectors:
         assert report.provenance == "dense"
         assert max(max(shape) for shape in eigh_shapes) <= math.comb(8, 4)
         assert (70, 70) in eigh_shapes  # the n = 8 middle sector
+
+
+class TestBlockMemory:
+    # two dense 2^10-row complex matrices; each state's blocks and block
+    # eigenvectors take about 3 MiB apiece
+    DENSE_PAIR_BYTES = 2 * 1024**2 * 16
+
+    @pytest.mark.parametrize("mode", ["np", "pinched"])
+    def test_dense_engine_peak_stays_below_two_dense_matrices(self, mode):
+        tracemalloc.start()
+        try:
+            _dense_error_pair(quasifree_spec(), mode, 10, [0.02 * 10, 0.1 * 10, 0.3 * 10])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.DENSE_PAIR_BYTES
+
+    def test_sc_report_assembles_no_dense_fock_matrix(self, monkeypatch):
+        calls = []
+        direct_sum = operators._direct_sum
+
+        def counted(blocks):
+            calls.append(len(blocks))
+            return direct_sum(blocks)
+
+        monkeypatch.setattr(operators, "_direct_sum", counted)
+        report = sc_report(quasifree_spec(), 0.2, [6, 7, 8, 9, 10])
+        assert report.provenance == "dense"
+        assert calls == []
+        # the dense form is still there for a reader who asks for it
+        assert fam.family_states(quasifree_spec(), 4).rho.entries.shape == (16, 16)
+        assert calls == [5]
 
 
 def _markov_chain():

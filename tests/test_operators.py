@@ -8,6 +8,7 @@ import pytest
 import scipy.special
 from scipy.linalg import block_diag
 
+from sconv import operators
 from sconv.operators import (
     HermitianOperator,
     StatePair,
@@ -34,6 +35,7 @@ from sconv.operators import (
     xlogy,
 )
 from sconv.operators import Test as BinaryTest
+from sconv.quasifree import QuasiFreePayload, TrigPolySymbol, fock_density, quasifree_block_symbol
 
 
 class TestHermitianOperator:
@@ -119,6 +121,46 @@ class TestBlockDiagonal:
         with pytest.raises(ValueError) as split:
             HermitianOperator.block_diagonal(blocks)
         assert str(split.value) == str(dense.value)
+
+    @staticmethod
+    def _assert_lazy_forms_match_eager_assembly(op):
+        # the eager assembly: the direct sums of the blocks and of their eigh
+        # eigenvectors, the latter in the stable order of the joint spectrum
+        spectra = [np.linalg.eigh(b) for b in op.blocks]
+        w = np.concatenate([s.eigenvalues for s in spectra])
+        order = np.argsort(w, kind="stable")
+        entries = block_diag(*op.blocks)
+        vectors = block_diag(*[s.eigenvectors for s in spectra])[:, order]
+        calls = []
+        direct_sum = operators._direct_sum
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_direct_sum",
+                       lambda blocks: calls.append(len(blocks)) or direct_sum(blocks))
+            assert np.array_equal(op.eigenvalues, w[order])
+            assert op.trace == float(np.trace(entries).real)
+            assert calls == []  # the spectrum and the trace assemble nothing
+            assert np.array_equal(op.entries, entries) and op.entries.dtype == entries.dtype
+            assert np.array_equal(op.eigenvectors, vectors)
+            assert op.entries is op.entries and op.eigenvectors is op.eigenvectors
+            assert calls == [len(op.blocks)] * 2  # each dense form is built once
+        for dense in (op.entries, op.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                dense[0, 0] = 0.0
+
+    def test_lazy_dense_forms_match_eager_assembly(self, rng):
+        op = HermitianOperator.block_diagonal(self._blocks(rng))
+        self._assert_lazy_forms_match_eager_assembly(op)
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 10])
+    def test_fock_dense_forms_match_eager_assembly(self, m):
+        payload = QuasiFreePayload(nu=1, q_symbol=TrigPolySymbol(0.5, cos_coeffs=(0.2,)),
+                                   r_symbol=TrigPolySymbol(0.45, cos_coeffs=(-0.1,),
+                                                           sin_coeffs=(0.05,)),
+                                   c_bound=0.2)
+        for symbol in quasifree_block_symbol(payload, m):
+            op = fock_density(symbol)
+            assert op.sectors == tuple(math.comb(m, k) for k in range(m + 1))
+            self._assert_lazy_forms_match_eager_assembly(op)
 
     def test_other_constructors_have_one_sector(self, rng):
         op = rand_hermitian(3, rng)

@@ -16,7 +16,6 @@ from sconv.operators import HermitianOperator
 from sconv.quasifree import (
     QuasiFreePayload,
     TrigPolySymbol,
-    fock_basis,
     fock_density,
     quasifree_block_symbol,
     quasifree_psi_singleparticle,
@@ -27,6 +26,8 @@ from sconv.quasifree import (
     szego_limit,
 )
 from sconv.renyi import psi, relative_entropy
+
+from helpers import fock_basis
 
 
 def payload_1d():
