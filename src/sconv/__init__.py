@@ -20,7 +20,6 @@ from .families import (
     asymptotic_rate,
     family_from_json,
     family_states,
-    family_to_json,
     gibbs_rate,
     iid_rate,
     markov_psi_n,
@@ -65,7 +64,6 @@ from .renyi import (
     max_relative_entropy,
     psi,
     psi_derivative,
-    q_value,
     relative_entropy,
     renyi_divergence,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "Test",
     "pinch",
     "tensor_power",
-    "q_value",
     "psi",
     "psi_derivative",
     "renyi_divergence",
@@ -98,7 +95,6 @@ __all__ = [
     "QuasiFreePayload",
     "TrigPolySymbol",
     "family_states",
-    "family_to_json",
     "family_from_json",
     "asymptotic_rate",
     "iid_rate",

@@ -48,7 +48,7 @@ TASKS = tuple(PARAMS)
 # rates, three for the convergence gate of the large-deviation lower bound
 MIN_SIZES = {"np-sweep": 2, "sc-report": 2, "ldp": 3}
 
-__all__ = ["main", "load_scenario", "emit_convergence_table", "parse_convergence_table"]
+__all__ = ["main", "load_scenario", "emit_convergence_table"]
 
 
 class ScenarioError(Exception):
@@ -70,10 +70,6 @@ def _fmt(x):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return FLOAT_FMT % x
-
-
-def _parse_cell(s):
-    return None if s == "" else float(s)
 
 
 def _write_csv(path, header, rows):
@@ -241,32 +237,6 @@ def emit_convergence_table(report, path):
                  _fmt(report.success_fit.rate), _fmt(report.beta_fit.r_squared),
                  *predictions])
     return _write_csv(path, CONVERGENCE_COLUMNS, rows)
-
-
-# the footer's keys for the columns that carry fit results there
-FOOTER_KEYS = {
-    "alpha_err": "success_r_squared",
-    "beta_err": "fitted_beta_rate",
-    "success": "fitted_success_rate",
-    "log_success_over_n": "beta_r_squared",
-}
-
-
-def parse_convergence_table(path):
-    """Read back an emitted table into plain dicts (per-n rows + footer)."""
-    with open(path, encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or tuple(rows[0]) != CONVERGENCE_COLUMNS:
-        raise ValueError(f"{path} is not a convergence table")
-    per_n, footer = [], None
-    for row in rows[1:]:
-        rec = {col: cell if col in ("n", "provenance") else _parse_cell(cell)
-               for col, cell in zip(CONVERGENCE_COLUMNS, row)}
-        if rec["n"] == "fit":
-            footer = {FOOTER_KEYS.get(col, col): v for col, v in rec.items() if col != "n"}
-        else:
-            per_n.append({**rec, "n": int(rec["n"])})
-    return {"per_n": per_n, "footer": footer}
 
 
 # -- invariant checks on emitted reports -----------------------------------

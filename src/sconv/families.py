@@ -43,7 +43,6 @@ RELENT_CHORD_STEP = 1e-6  # chord step at 1: O(h) truncation against O(eps/h) ro
 
 __all__ = [
     "PAULI_X",
-    "PAULI_Y",
     "PAULI_Z",
     "IIDPayload",
     "MarkovPayload",
@@ -61,12 +60,10 @@ __all__ = [
     "iid_rate",
     "gibbs_rate",
     "asymptotic_rate",
-    "family_to_json",
     "family_from_json",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -500,12 +497,7 @@ def asymptotic_rate(family, variant="sandwiched"):
     return family.rate(variant)
 
 
-# -- JSON round trip -------------------------------------------------------
-
-
-def family_to_json(family):
-    return {"kind": family.kind, "scaling_exponent": family.scaling_exponent,
-            "payload": family.to_json()}
+# -- JSON form ------------------------------------------------------------
 
 
 def family_from_json(data):

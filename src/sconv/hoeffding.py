@@ -104,13 +104,13 @@ class ConvexRate:
     def from_callable(
         cls,
         fn,
-        right_derivative_at_1=None,
+        right_derivative_at_1,
         slope_at_infinity=math.inf,
         t_hi=DEFAULT_T_HI,
     ):
         """Rate ``t -> fn(t) - fn(1)``, memoised per ``t``: ``fn`` runs once per
         distinct ``t`` (two threads asking at once may both run it, for the
-        same value)."""
+        same value).  The caller gives the exact right derivative at 1."""
         f1 = fn(1.0)
         if abs(f1) > 1e-9:
             raise ValueError(f"rate function must vanish at 1, got f(1) = {f1!r}")
@@ -121,9 +121,6 @@ class ConvexRate:
                 memo[t] = fn(t) - f1
             return memo[t]
 
-        if right_derivative_at_1 is None:
-            h = 1e-6
-            right_derivative_at_1 = shifted(1.0 + h) / h
         return cls(
             fn=shifted,
             right_derivative_at_1=float(right_derivative_at_1),

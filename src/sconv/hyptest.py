@@ -671,6 +671,10 @@ def _build_report(family, thresholds, n_list, mode, rate, threads):
 def _check_sweep(n_list, mode, threads):
     """Refuse a sweep's ``n_list``, ``mode`` or ``threads`` before any rate or
     block is built."""
+    # a bool is no size
+    bad = [n for n in n_list if type(n) is bool or not isinstance(n, (int, np.integer)) or n < 1]
+    if bad:
+        raise ValueError(f"n_list entries must be positive integers, got {bad[0]!r}")
     if len(set(n_list)) < 2:  # no fit can use it
         raise ValueError(f"n_list needs at least two distinct sizes, got {list(n_list)!r}")
     if mode not in ("np", "pinched"):

@@ -72,6 +72,10 @@ class WeightedSampleSequence:
                 raise ValueError(f"empty support at n = {n}")
             if y.shape != lw.shape:
                 raise ValueError(f"support points and log-weights must align at n = {n}")
+            if not np.isfinite(y).all():
+                raise ValueError(f"support points must be finite at n = {n}")
+            if not (lw < np.inf).all():  # NaN or +inf; -inf is a zero weight
+                raise ValueError(f"log-weights must not be NaN or +inf at n = {n}")
         if any(self.c(n) <= 0 for n in self.n_list):
             raise ValueError("scales c_n must be positive")
 

@@ -25,7 +25,6 @@ __all__ = [
     "HermitianOperator",
     "StatePair",
     "Test",
-    "spectral",
     "logsumexp",
     "logsumexp_rows",
     "log_factorials",
@@ -35,7 +34,6 @@ __all__ = [
     "positive_part_trace",
     "pinch",
     "eigenvalue_clusters",
-    "distinct_eigenvalue_count",
     "psd_dominates",
     "tensor_power",
     "tensor_product",
@@ -43,9 +41,7 @@ __all__ = [
     "finite_json_numbers",
     "operator_to_json",
     "operator_from_json",
-    "rand_hermitian",
     "rand_density",
-    "rand_test",
 ]
 
 
@@ -80,9 +76,8 @@ class HermitianOperator:
         Hashable label per eigenvalue, set only by :func:`tensor_power`: its
         type, the multiset of base-spectrum clusters it came from, so that
         type classes are recognized without floating-point comparisons.
-        Every spectral map (:meth:`map_eigenvalues`, :func:`power_on_support`,
-        :func:`log_on_support`, :meth:`support_projection`) drops them, since
-        a map can merge levels that the labels keep apart.
+        Every spectral map (:func:`power_on_support`, :func:`log_on_support`)
+        drops them, since a map can merge levels that the labels keep apart.
     sectors : tuple of int
         Sizes of the ``blocks``, which split any operator that shares them
         into independent slices; ``(dim,)`` unless built by
@@ -196,18 +191,6 @@ class HermitianOperator:
     def support_indices(self):
         return np.nonzero(self.eigenvalues > self.support_cutoff())[0]
 
-    def support_projection(self):
-        """Projection onto the support, from the cached eigenbasis."""
-        return _on_support(self, np.ones_like)
-
-    def rank(self):
-        return int(self.support_indices().size)
-
-    def map_eigenvalues(self, fn):
-        """New operator with the same eigenvectors and mapped eigenvalues."""
-        w = np.array([fn(x) for x in self.eigenvalues], dtype=float)
-        return HermitianOperator.from_spectral(w, self.eigenvectors)
-
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, trace={self.trace:.6g})"
 
@@ -227,11 +210,6 @@ def _hermitian_parts(blocks):
             f"exceeds {HERMITICITY_TOL:.1e}"
         )
     return [0.5 * (b + b.conj().T) for b in blocks]
-
-
-def spectral(op):
-    """Return ``(eigenvalues, eigenvectors)`` copies of the cached decomposition."""
-    return op.eigenvalues.copy(), op.eigenvectors.copy()
 
 
 def logsumexp(a):
@@ -496,9 +474,7 @@ class StatePair:
 
     ``rho`` and ``sigma`` must be PSD with unit trace (tolerance 1e-10) and
     satisfy the support condition ``supp rho \\subseteq supp sigma`` with
-    per-eigenvector leakage at most 1e-8.  ``support_margin`` is the smallest
-    retained relative eigenvalue of sigma, and ``support_marginal`` says
-    whether it falls below 1e-6.
+    per-eigenvector leakage at most 1e-8.
     """
 
     rho: HermitianOperator
@@ -524,17 +500,6 @@ class StatePair:
     def dim(self):
         return self.rho.dim
 
-    @property
-    def support_margin(self):
-        """Smallest retained relative eigenvalue of sigma."""
-        idx = self.sigma.support_indices()
-        w = self.sigma.eigenvalues[idx]
-        return float(w.min() / w.max()) if idx.size else 0.0
-
-    @property
-    def support_marginal(self):
-        return self.support_margin < 1e-6
-
 
 @dataclass
 class Test:
@@ -548,14 +513,6 @@ class Test:
             raise ValueError(
                 f"test eigenvalues outside [0, 1]: range [{w[0]:.3e}, {w[-1]:.3e}]"
             )
-
-    @property
-    def dim(self):
-        return self.op.dim
-
-    def complement(self):
-        eye = np.eye(self.dim)
-        return Test(HermitianOperator(eye - self.op.entries))
 
 
 # -- serialization ---------------------------------------------------------
@@ -606,12 +563,7 @@ def operator_from_json(data):
     return HermitianOperator(re + 1j * im)
 
 
-# -- random instances (seeded; used by tests, demos and `sconv verify`) ----
-
-
-def rand_hermitian(dim, rng):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(0.5 * (g + g.conj().T))
+# -- random instances (seeded; used by `sconv verify` and the tests) -------
 
 
 def rand_density(dim, rng, rank=None):
@@ -620,10 +572,3 @@ def rand_density(dim, rng, rank=None):
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     a = g @ g.conj().T
     return HermitianOperator(a / np.trace(a).real)
-
-
-def rand_test(dim, rng):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, _ = np.linalg.qr(g)
-    w = rng.uniform(0.0, 1.0, size=dim)
-    return Test(HermitianOperator.from_spectral(w, q))

@@ -31,16 +31,11 @@ VARIANTS = ("plain", "sandwiched")
 
 __all__ = [
     "VARIANTS",
-    "q_value",
     "psi",
     "renyi_divergence",
     "relative_entropy",
     "max_relative_entropy",
     "psi_derivative",
-    "psi_scaling_residual",
-    "divergence_scaling_residual",
-    "classical_psi",
-    "classical_renyi_divergence",
 ]
 
 
@@ -90,11 +85,6 @@ def psi(rho, sigma, t, variant="plain"):
     m, _, _ = _sandwiched_base(rho, sigma, t)
     cut = m.support_cutoff()
     return logsumexp(t * np.log(m.eigenvalues[m.eigenvalues > cut]))
-
-
-def q_value(rho, sigma, t, variant="plain"):
-    """Trace functional ``Q_t`` (plain) or ``Q*_t`` (sandwiched)."""
-    return math.exp(psi(rho, sigma, t, variant))
 
 
 def relative_entropy(rho, sigma):
@@ -181,60 +171,3 @@ def psi_derivative(rho, sigma, t, variant="plain"):
     mpow = power_on_support(m, t - 1.0)
     term2 = float(np.trace(mpow.entries @ b).real) / t
     return term1 - term2 * math.exp(-log_q)
-
-
-def psi_scaling_residual(rho, sigma, lam, kappa, t, variant="plain"):
-    """|psi(t | lam*rho, kappa*sigma) - t log lam - (1-t) log kappa - psi(t)|."""
-    lhs = psi(
-        HermitianOperator(lam * rho.entries),
-        HermitianOperator(kappa * sigma.entries),
-        t,
-        variant,
-    )
-    rhs = t * math.log(lam) + (1.0 - t) * math.log(kappa) + psi(rho, sigma, t, variant)
-    return abs(lhs - rhs)
-
-
-def divergence_scaling_residual(rho, sigma, lam, kappa, alpha, variant="plain"):
-    """|D(lam*rho || kappa*sigma) - log lam + log kappa - D(rho || sigma)|."""
-    lhs = renyi_divergence(
-        HermitianOperator(lam * rho.entries),
-        HermitianOperator(kappa * sigma.entries),
-        alpha,
-        variant,
-    )
-    rhs = math.log(lam) - math.log(kappa) + renyi_divergence(rho, sigma, alpha, variant)
-    if math.isinf(lhs) or math.isinf(rhs):
-        return 0.0 if lhs == rhs else math.inf
-    return abs(lhs - rhs)
-
-
-# -- classical (commuting / probability-vector) forms ----------------------
-
-
-def classical_psi(p, q, t):
-    """``log sum_i p_i^t q_i^(1-t)`` over the common support."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    on = (p > 0) & (q > 0)
-    return logsumexp(t * np.log(p[on]) + (1.0 - t) * np.log(q[on]))
-
-
-def classical_renyi_divergence(p, q, alpha):
-    """Renyi divergence of probability vectors (plain = sandwiched here)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if alpha < 0:
-        raise ValueError("negative orders are out of scope")
-    total = p.sum()
-    if abs(alpha - 1.0) < 1e-12:
-        on = p > 0
-        if (q[on] <= 0).any():
-            return math.inf
-        return float((p[on] * (np.log(p[on]) - np.log(q[on]))).sum() / total)
-    if alpha > 1.0 and (q[p > 0] <= 0).any():
-        return math.inf
-    val = classical_psi(p, q, alpha)
-    if math.isinf(val):
-        return math.inf
-    return (val - math.log(total)) / (alpha - 1.0)

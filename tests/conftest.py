@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sconv import hyptest
-from sconv.operators import HermitianOperator, rand_density
+from sconv.operators import rand_density
 
 
 @pytest.fixture
@@ -19,14 +19,6 @@ def qubit_pair(rng):
 @pytest.fixture
 def qutrit_pair(rng):
     return rand_density(3, rng), rand_density(3, rng)
-
-
-def classical_pair(p, q):
-    """Diagonal (commuting) pair from two probability vectors."""
-    return (
-        HermitianOperator(np.diag(np.asarray(p, dtype=float))),
-        HermitianOperator(np.diag(np.asarray(q, dtype=float))),
-    )
 
 
 @pytest.fixture

@@ -20,12 +20,13 @@ from sconv.cli import (
     emit_convergence_table,
     load_scenario,
     main,
-    parse_convergence_table,
 )
 from sconv.families import PAULI_X, PAULI_Z
 from sconv.operators import HermitianOperator, operator_to_json, rand_density
 from sconv.quasifree import QuasiFreePayload, quasifree_block_symbol, singleparticle_psi
 from sconv.renyi import psi
+
+from helpers import family_to_json, parse_convergence_table
 
 ROOT = Path(__file__).resolve().parents[1]
 CATALOG = ROOT / "perfbench" / "catalog"
@@ -81,7 +82,7 @@ def onsite_gibbs_family():
     """A Gibbs pair of two on-site interactions: every block is a tensor power."""
     null = fam.GibbsPayload(2, [HermitianOperator(np.diag([0.0, 1.0]))], 0.7)
     alt = fam.GibbsPayload(2, [HermitianOperator(0.6 * PAULI_X + 0.3 * PAULI_Z)], 0.5)
-    return fam.family_to_json(fam.GibbsPairPayload(null, alt))
+    return family_to_json(fam.GibbsPairPayload(null, alt))
 
 
 # psi_n of each family kind by a route that builds no dense block state
@@ -385,7 +386,7 @@ class TestLoadScenario:
         obj = {"task": "renyi", "family": make_family()}
         family = load_scenario(write_scenario(tmp_path, obj))["family"]
         assert isinstance(family, payload_class)
-        assert type(fam.family_from_json(fam.family_to_json(family))) is payload_class
+        assert type(fam.family_from_json(family_to_json(family))) is payload_class
 
     def test_a_report_holds_the_family(self, tmp_path):
         obj = {"task": "sc-report", "family": binary_family()}

@@ -20,7 +20,6 @@ from sconv.families import (
     factorization_certificate,
     family_from_json,
     family_states,
-    family_to_json,
     gibbs_local_hamiltonian,
     gibbs_rate,
     gibbs_state,
@@ -33,7 +32,9 @@ from sconv.families import (
 )
 from sconv.operators import HermitianOperator, rand_density, tensor_power
 from sconv.quasifree import QuasiFreePayload, TrigPolySymbol
-from sconv.renyi import classical_psi, psi, relative_entropy
+from sconv.renyi import psi, relative_entropy
+
+from helpers import classical_psi, family_to_json
 
 
 def two_state_markov():

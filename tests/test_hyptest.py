@@ -45,7 +45,7 @@ from sconv.operators import (
 )
 from sconv.quasifree import QuasiFreePayload, TrigPolySymbol
 
-from conftest import classical_pair
+from helpers import classical_pair, rand_test
 
 
 def binary_spec(p=0.25, q=0.75):
@@ -156,7 +156,6 @@ class TestThresholdTests:
         t_star = np_test(pair, c)
         star = error_pair(pair, t_star)
         lagrangian_star = star.success - math.exp(c) * star.beta_err
-        from sconv.operators import rand_test
 
         for _ in range(50):
             t = rand_test(3, rng)
@@ -729,6 +728,33 @@ class TestSweepAndReport:
         monkeypatch.setattr(fam, "asymptotic_rate", None)
         with pytest.raises(ValueError, match="n_list needs at least two distinct sizes"):
             sweep(binary_spec(), 0.5, n_list)
+
+    # and so is a size of which no block can be built, bool included
+    @pytest.mark.parametrize("sweep", [sc_report, exponent_sweep])
+    @pytest.mark.parametrize("n_list, bad", [
+        ([0, 4, 8], "0"), ([-4, 8], "-4"), ([4.5, 8], "4.5"), ([True, 8], "True"),
+    ], ids=["zero", "negative", "float", "bool"])
+    def test_sweeps_refuse_sizes_that_are_not_positive_integers(self, monkeypatch, sweep,
+                                                                n_list, bad):
+        monkeypatch.setattr(fam, "asymptotic_rate", None)
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_list entries must be positive integers, got {bad}")):
+            sweep(binary_spec(), 0.3, n_list)
+
+    # a Markov chain's engine refused n = 0 too, but only after the rate was built
+    @pytest.mark.parametrize("sweep", [sc_report, exponent_sweep])
+    def test_markov_sweeps_refuse_zero_before_the_rate(self, monkeypatch, sweep):
+        monkeypatch.setattr(fam, "asymptotic_rate", None)
+        with pytest.raises(ValueError, match="n_list entries must be positive integers, got 0"):
+            sweep(_markov_chain(), 0.1, [0, 8, 16])
+
+    # numpy integers are sizes: the report equals the one of plain ints
+    def test_sweep_takes_numpy_integer_sizes(self):
+        spec = binary_spec()
+        rate = asymptotic_rate(spec)
+        plain = exponent_sweep(spec, 0.3, [64, 128], rate=rate)
+        numpy = exponent_sweep(spec, 0.3, np.array([64, 128]), rate=rate)
+        assert numpy.per_n == plain.per_n
 
     # and so are a mode and a worker count that no engine can run
     @pytest.mark.parametrize("sweep", [sc_report, exponent_sweep])

@@ -81,6 +81,22 @@ class TestSequences:
         with pytest.raises(ValueError, match="align at n = 4"):
             WeightedSampleSequence(points, lambda n: float(n))
 
+    @pytest.mark.parametrize("y, log_w, message", [
+        ([0.1, math.nan], [0.0, 0.0], "support points must be finite at n = 4"),
+        ([0.1, -math.inf], [0.0, 0.0], "support points must be finite at n = 4"),
+        ([0.1, 0.2], [0.0, math.nan], "log-weights must not be NaN or +inf at n = 4"),
+        ([0.1, 0.2], [0.0, math.inf], "log-weights must not be NaN or +inf at n = 4"),
+    ], ids=["nan-point", "infinite-point", "nan-weight", "infinite-weight"])
+    def test_non_finite_smaller_size_refused(self, y, log_w, message):
+        points = {4: (y, log_w), 8: (np.ones(2), np.zeros(2))}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedSampleSequence(points, lambda n: float(n))
+
+    def test_zero_weight_accepted(self):
+        # a log-weight of -inf is a zero weight, not a refusal
+        seq = WeightedSampleSequence({4: ([0.1, 0.2], [0.0, -math.inf])}, lambda n: float(n))
+        assert log_mgf(seq, 4, 1.0) == pytest.approx(0.1, abs=1e-15)
+
     def test_empty_smaller_size_refused(self):
         points = {4: (np.ones(0), np.zeros(0)), 8: (np.ones(2), np.zeros(2))}
         with pytest.raises(ValueError, match="empty support at n = 4"):

@@ -26,9 +26,6 @@ from sconv.operators import (
     power_on_support,
     psd_dominates,
     rand_density,
-    rand_hermitian,
-    rand_test,
-    spectral,
     supports_nested,
     tensor_power,
     tensor_product,
@@ -37,11 +34,13 @@ from sconv.operators import (
 from sconv.operators import Test as BinaryTest
 from sconv.quasifree import QuasiFreePayload, TrigPolySymbol, fock_density, quasifree_block_symbol
 
+from helpers import rand_hermitian, rand_test
+
 
 class TestHermitianOperator:
     def test_spectral_reconstruction(self, rng):
         op = rand_hermitian(6, rng)
-        w, v = spectral(op)
+        w, v = op.eigenvalues, op.eigenvectors
         assert np.allclose((v * w) @ v.conj().T, op.entries, atol=1e-12)
         assert np.all(np.diff(w) >= 0)
 
@@ -77,15 +76,10 @@ class TestHermitianOperator:
 
     def test_support_and_rank(self):
         op = HermitianOperator(np.diag([0.0, 0.0, 0.3, 0.7]))
-        assert op.rank() == 2
-        proj = op.support_projection()
+        assert op.support_indices().size == 2
+        proj = power_on_support(op, 0.0)
         assert proj.trace == pytest.approx(2.0)
         assert np.allclose(proj.entries @ op.entries, op.entries, atol=1e-12)
-
-    def test_map_eigenvalues(self, rng):
-        op = rand_density(4, rng)
-        sq = op.map_eigenvalues(lambda x: x**2)
-        assert np.allclose(sq.entries, op.entries @ op.entries, atol=1e-12)
 
 
 class TestBlockDiagonal:
@@ -173,7 +167,7 @@ class TestMatrixFunctions:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.0])
     def test_power_matches_dense(self, rng, t):
         op = rand_density(5, rng)
-        w, v = spectral(op)
+        w, v = op.eigenvalues, op.eigenvectors
         expect = (v * w**t) @ v.conj().T
         assert np.allclose(power_on_support(op, t).entries, expect, atol=1e-12)
 
@@ -223,7 +217,8 @@ class TestPinching:
 
     def test_pinch_fixed_point(self, rng):
         sigma = rand_density(4, rng)
-        f = sigma.map_eigenvalues(lambda x: x + x**2)
+        w = sigma.eigenvalues
+        f = HermitianOperator.from_spectral(w + w**2, sigma.eigenvectors)
         assert np.allclose(pinch(f, sigma).entries, f.entries, atol=1e-12)
 
     def test_pinch_degenerate_blocks(self):
@@ -273,8 +268,7 @@ class TestClustersAndTensors:
         proj = power_on_support(cube, 0.0)
         assert distinct_eigenvalue_count(proj) == 1
         assert np.abs(pinch(x, proj).entries - x.entries).max() < 1e-12
-        assert distinct_eigenvalue_count(cube.map_eigenvalues(lambda v: 1.0)) == 1
-        for op in (proj, log_on_support(cube), cube.support_projection()):
+        for op in (proj, log_on_support(cube)):
             assert op.eig_labels is None
 
     def test_tensor_power_matches_kron(self, rng):
@@ -432,7 +426,7 @@ class TestStatePairAndTest:
     def test_state_pair_valid(self, rng):
         pair = StatePair(rand_density(3, rng), rand_density(3, rng))
         assert pair.dim == 3
-        assert not pair.support_marginal
+        assert pair.support_leakage == 0.0
 
     def test_state_pair_rejects_unnormalized(self, rng):
         bad = HermitianOperator(2.0 * rand_density(3, rng).entries)
@@ -447,8 +441,8 @@ class TestStatePairAndTest:
 
     def test_test_validation_and_complement(self, rng):
         t = rand_test(4, rng)
-        tc = t.complement()
-        assert np.allclose(t.op.entries + tc.op.entries, np.eye(4), atol=1e-12)
+        # its complement I - T is a test too
+        BinaryTest(HermitianOperator(np.eye(4) - t.op.entries))
         with pytest.raises(ValueError, match="outside"):
             BinaryTest(HermitianOperator(np.diag([1.5, 0.0, 0.0, 0.0])))
 
