@@ -63,6 +63,7 @@ from .quasifree import (
 from .renyi import (
     max_relative_entropy,
     psi,
+    psi_curve,
     psi_derivative,
     relative_entropy,
     renyi_divergence,
@@ -79,6 +80,7 @@ __all__ = [
     "pinch",
     "tensor_power",
     "psi",
+    "psi_curve",
     "psi_derivative",
     "renyi_divergence",
     "relative_entropy",

@@ -266,8 +266,9 @@ def _family_rate(family, variant):
 def _run_renyi(scenario, out_dir, threads):
     params = scenario["params"]
     pair = fam.family_states(scenario["family"], params["n"])
+    curves = {v: renyi.psi_curve(pair.rho, pair.sigma, v) for v in renyi.VARIANTS}
     rows = [
-        [_fmt(alpha), variant, _fmt(renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)),
+        [_fmt(alpha), variant, _fmt(curves[variant](alpha)),
          _fmt(renyi.renyi_divergence(pair.rho, pair.sigma, alpha, variant=variant)),
          "eigen-overlap"]
         for alpha in params["alpha_grid"]
@@ -300,8 +301,7 @@ def _run_family(scenario, out_dir, threads):
     psis = {}  # largest block first, so an over-cap block is refused before any other
     for n in sorted(params["n_list"], reverse=True):
         pair = fam.family_states(family, n)
-        psis[n] = [renyi.psi(pair.rho, pair.sigma, alpha, variant=variant)
-                   for alpha in params["alpha_grid"]]
+        psis[n] = list(map(renyi.psi_curve(pair.rho, pair.sigma, variant), params["alpha_grid"]))
     rate = _family_rate(family, variant)
     rows = []
     for n in params["n_list"]:

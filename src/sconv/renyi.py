@@ -21,17 +21,21 @@ import numpy as np
 
 from .operators import (
     HermitianOperator,
+    _read_only,
     log_on_support,
     logsumexp,
+    power_matrices,
     power_on_support,
     supports_nested,
 )
 
 VARIANTS = ("plain", "sandwiched")
+ORDER_ONE_TOL = 1e-12  # |alpha - 1| under this is order 1: the divergence quotient is 0/0
 
 __all__ = [
     "VARIANTS",
     "psi",
+    "psi_curve",
     "renyi_divergence",
     "relative_entropy",
     "max_relative_entropy",
@@ -42,6 +46,19 @@ __all__ = [
 def _check_variant(variant):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+
+
+def _check_order(t):
+    if t <= 0:
+        raise ValueError(f"sandwiched quantities need t > 0, got {t!r}")
+
+
+def _check_args(variant, t):
+    """Refuse an unknown variant, then a sandwiched order ``t <= 0``, before
+    any operator is looked at."""
+    _check_variant(variant)
+    if variant == "sandwiched":
+        _check_order(t)
 
 
 def _overlap(rho, sigma):
@@ -66,25 +83,50 @@ def _log_terms(overlap, t):
     return logw + t * logp[:, None] + (1.0 - t) * logq[None, :]
 
 
-def _sandwiched_base(rho, sigma, t):
-    """``(M, A, S)`` with ``M = S A S``, ``A = sigma^((1-t)/t)`` and
-    ``S = rho^(1/2)``."""
-    if t <= 0:
-        raise ValueError(f"sandwiched quantities need t > 0, got {t!r}")
-    a = power_on_support(sigma, (1.0 - t) / t)
-    sq = power_on_support(rho, 0.5)
-    m = sq.entries @ a.entries @ sq.entries
-    return HermitianOperator(0.5 * (m + m.conj().T)), a, sq
+def _sandwiched_base(rho, sigma):
+    """The function ``t -> (M, A, S)`` with ``M = S A S`` an operator and the
+    matrices ``A = sigma^((1-t)/t)`` and ``S = rho^(1/2)``.
+
+    Sigma's PSD gate and spectrum and ``S`` (rho's gate) are taken here, once;
+    each order then costs one power of sigma's spectrum and one ``eigh``.
+    """
+    power = power_matrices(sigma)
+    sq = _read_only(power_on_support(rho, 0.5).entries)
+
+    def base(t):
+        _check_order(t)
+        a = power((1.0 - t) / t)
+        m = sq @ a @ sq
+        return HermitianOperator(0.5 * (m + m.conj().T)), a, sq
+
+    return base
+
+
+def psi_curve(rho, sigma, variant="plain"):
+    """The function ``t -> psi(rho, sigma, t, variant)``, its order-free work
+    done once, here: the eigen-overlaps (plain), or rho^(1/2) and sigma's
+    spectrum (sandwiched, which refuses a sigma that is not PSD now).
+
+    It reads only read-only arrays, so threads may share it.
+    """
+    _check_variant(variant)
+    if variant == "plain":
+        overlap = tuple(map(_read_only, _overlap(rho, sigma)))
+        return lambda t: logsumexp(_log_terms(overlap, t))
+    base = _sandwiched_base(rho, sigma)
+
+    def sandwiched(t):
+        m = base(t)[0]
+        cut = m.support_cutoff()
+        return logsumexp(t * np.log(m.eigenvalues[m.eigenvalues > cut]))
+
+    return sandwiched
 
 
 def psi(rho, sigma, t, variant="plain"):
     """Cumulant-type functional ``log Q_t``; ``-inf`` when ``Q_t`` vanishes."""
-    _check_variant(variant)
-    if variant == "plain":
-        return logsumexp(_log_terms(_overlap(rho, sigma), t))
-    m, _, _ = _sandwiched_base(rho, sigma, t)
-    cut = m.support_cutoff()
-    return logsumexp(t * np.log(m.eigenvalues[m.eigenvalues > cut]))
+    _check_args(variant, t)
+    return psi_curve(rho, sigma, variant)(t)
 
 
 def relative_entropy(rho, sigma):
@@ -123,7 +165,7 @@ def renyi_divergence(rho, sigma, alpha, variant="plain"):
     _check_variant(variant)
     if alpha < 0:
         raise ValueError("negative orders are out of scope")
-    if abs(alpha - 1.0) < 1e-12:
+    if abs(alpha - 1.0) < ORDER_ONE_TOL:
         return relative_entropy(rho, sigma)
     if alpha > 1.0:
         ok, _ = supports_nested(rho, sigma)
@@ -148,7 +190,7 @@ def psi_derivative(rho, sigma, t, variant="plain"):
 
     Both reduce to the relative entropy at ``t = 1`` for states.
     """
-    _check_variant(variant)
+    _check_args(variant, t)
     if variant == "plain":
         overlap = _overlap(rho, sigma)
         logp, logq, _ = overlap
@@ -159,7 +201,7 @@ def psi_derivative(rho, sigma, t, variant="plain"):
         weights = np.exp(terms - total)
         return float((weights * (logp[:, None] - logq[None, :])).sum())
 
-    m, a, sq = _sandwiched_base(rho, sigma, t)
+    m, a, sq = _sandwiched_base(rho, sigma)(t)
     cut = m.support_cutoff()
     lam = m.eigenvalues[m.eigenvalues > cut]
     log_q = logsumexp(t * np.log(lam))
@@ -167,7 +209,7 @@ def psi_derivative(rho, sigma, t, variant="plain"):
         raise ValueError("derivative undefined: sandwiched base vanishes")
     term1 = float((np.exp(t * np.log(lam) - log_q) * np.log(lam)).sum())
     ls = log_on_support(sigma)
-    b = sq.entries @ (a.entries @ ls.entries) @ sq.entries
+    b = sq @ (a @ ls.entries) @ sq
     mpow = power_on_support(m, t - 1.0)
     term2 = float(np.trace(mpow.entries @ b).real) / t
     return term1 - term2 * math.exp(-log_q)
