@@ -143,11 +143,6 @@ class MarkovPayload:
     def d(self):
         return self.pi0.size
 
-    @property
-    def strictly_positive(self):
-        """Whether both transition matrices are entrywise positive."""
-        return bool((self.P0 > 0).all() and (self.P1 > 0).all())
-
     def block_dim(self, n):
         return self.d**n
 

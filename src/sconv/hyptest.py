@@ -33,13 +33,13 @@ empty class set sums to ``-inf``) before it drops the chunk, then the chunk
 sums of every threshold in one ``operators.logsumexp_rows`` call.  The dense
 engine builds the block's states once and diagonalises the (pinched)
 threshold operator once per ``(c, sector)``, reading both traces and the
-positive-part floor off it.  When both states of
-a pair are block-diagonal with the same ``sectors`` (the particle-number
-sectors of quasi-free Fock densities), the engine reads their ``blocks``,
-each block of the threshold operator gets its own ``eigh`` and the three
-traces are summed over the blocks, so no quasi-free ``eigh`` is larger than
-``C(m, m/2)`` and no dense ``2^m`` matrix is built; in pinched mode each
-block is pinched on its own.
+positive-part floor off it.  The two states of a pair must share their
+diagonal ``blocks``: the one block of a dense state, or the particle-number
+sectors of quasi-free Fock densities; a pair whose ``sectors`` differ is
+refused.  Each block of the threshold operator gets its own ``eigh`` and
+the three traces are summed over the blocks, so no quasi-free ``eigh`` is
+larger than ``C(m, m/2)`` and no dense ``2^m`` matrix is built; in pinched
+mode each block is pinched on its own.
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ class ErrorPair:
 class RateFit:
     """OLS fit of a log-error sequence against ``n^scaling``.
 
-    ``rate`` is the *decay* rate (positive when the error decays); ``slope``
-    is the raw regression slope ``= -rate``.  ``asymptotic`` is False when
-    R-squared falls under 0.98, flagging pre-asymptotic transients.
+    ``rate`` is the *decay* rate (positive when the error decays), minus the
+    regression slope.  ``asymptotic`` is False when R-squared falls under
+    0.98, flagging pre-asymptotic transients.
     """
 
     rate: float
@@ -158,10 +158,6 @@ class RateFit:
     r_squared: float
     asymptotic: bool
     n_used: tuple
-
-    @property
-    def slope(self):
-        return -self.rate
 
 
 @dataclass
@@ -181,14 +177,6 @@ class ExponentReport:
     regime: Optional[str] = None
     provenance: str = "dense"
     notes: tuple = ()
-
-    @property
-    def fitted_success_rate(self):
-        return self.success_fit.rate
-
-    @property
-    def fitted_beta_rate(self):
-        return self.beta_fit.rate
 
 
 # -- test constructions (matrix route) -------------------------------------
@@ -516,25 +504,24 @@ def _dense_error_pair(family, mode, n, c):
 
     The block's states are built once; then one eigh of the threshold
     operator per ``(c, sector)``: both traces are sums of ``<v|X|v>`` over the
-    test's range ``V``, and the floor is its positive part.  A pair whose
-    states share their diagonal blocks (Fock densities, by particle number)
-    splits into those blocks, and no dense ``2^m`` form is built; in pinched
-    mode each block is pinched by sigma's own eigenvectors of that block,
-    grouped by sigma's global clusters.
+    test's range ``V``, and the floor is its positive part.  The pair's states
+    must share their diagonal blocks (one for a dense state, the particle
+    numbers for Fock densities); the pair splits into those blocks, and no
+    dense ``2^m`` form is built.  In pinched mode each block is pinched by
+    sigma's own eigenvectors of that block, grouped by sigma's global
+    clusters.
     """
     thresholds, one = _thresholds(c)
     pair = fam.family_states(family, n)
     rho, sigma = pair.rho, pair.sigma
-    if rho.sectors == sigma.sectors:
-        blocks = zip(rho.blocks, sigma.blocks, (v for _, v in sigma.block_spectra))
-        rank = np.argsort(sigma.order)  # place in sigma's sorted spectrum, block by block
-    else:
-        blocks = [(rho.entries, sigma.entries, sigma.eigenvectors)]
-        rank = np.arange(sigma.dim)
+    if rho.sectors != sigma.sectors:  # zip would pair the wrong blocks
+        raise ValueError(f"block n = {n}: rho and sigma do not share their diagonal "
+                         f"blocks (sectors {rho.sectors} and {sigma.sectors})")
     if mode == "pinched":
-        labels = _cluster_labels(sigma)[rank]
+        # place in sigma's sorted spectrum, block by block
+        labels = _cluster_labels(sigma)[np.argsort(sigma.order)]
     slices, at = [], 0  # (rho, rho pinched or not, sigma) on each block
-    for rho_b, sigma_b, v_b in blocks:
+    for rho_b, sigma_b, (_, v_b) in zip(rho.blocks, sigma.blocks, sigma.block_spectra):
         rho_hat = rho_b
         if mode == "pinched":
             rho_hat = _pinch_slice(rho_b, v_b, labels[at : at + len(v_b)])

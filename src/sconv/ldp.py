@@ -334,12 +334,10 @@ class GELowerVerdict:
     """Outcome of the empirical tilted-measure lower-bound verification."""
 
     x: float
-    window: tuple
     t_x: float
     legendre_value: float
     margins: list  # per-n: windowed rate + Lambda_bar*(x); -> 0 from below
     tilted_mass: float
-    delta: float
     curve: RateCurve
     notes: tuple = ()
 
@@ -394,12 +392,10 @@ def gartner_ellis_lower_check(curve, x, window, delta_fraction=TILT_WINDOW_FRACT
         )
     return GELowerVerdict(
         x=float(x),
-        window=(float(x0), float(x1)),
         t_x=t_x,
         legendre_value=leg,
         margins=margins,
         tilted_mass=mass,
-        delta=delta,
         curve=curve,
         notes=tuple(notes),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -510,7 +510,6 @@ class StatePair:
 
     rho: HermitianOperator
     sigma: HermitianOperator
-    support_leakage: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.rho.dim != self.sigma.dim:
@@ -521,16 +520,11 @@ class StatePair:
             if abs(op.trace - 1.0) > STATE_TOL:
                 raise ValueError(f"{name} is not normalized: trace {op.trace!r}")
         ok, leak = supports_nested(self.rho, self.sigma)
-        self.support_leakage = leak
         if not ok:
             raise ValueError(
                 f"support condition violated: leakage {leak:.3e} "
                 f"exceeds 1e{math.log10(SUPPORT_LEAKAGE_TOL):.0f}"  # "1e-8", not :g's "1e-08"
             )
-
-    @property
-    def dim(self):
-        return self.rho.dim
 
 
 @dataclass

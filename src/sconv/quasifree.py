@@ -105,8 +105,17 @@ class QuasiFreePayload:
 
     @property
     def scalar_reference(self):
-        """Whether the reference symbol is identically 1/2 (maximally mixed blocks)."""
-        vals = _sample_symbol(self.r_symbol, self.nu, 64 if self.nu == 2 else 512)
+        """Whether the reference symbol is identically 1/2 (maximally mixed blocks).
+
+        A ``TrigPolySymbol`` is decided from its coefficients: constant 1/2 and
+        every other coefficient 0.  A callable is sampled on a periodic grid
+        (512 points, or 64 per axis for ``nu = 2``), so one that differs from
+        1/2 only between the grid points reads as scalar.
+        """
+        sym = self.r_symbol
+        if isinstance(sym, TrigPolySymbol):
+            return sym.constant == 0.5 and not any((*sym.cos_coeffs, *sym.sin_coeffs))
+        vals = _sample_symbol(sym, self.nu, 64 if self.nu == 2 else 512)
         return bool(np.abs(vals - 0.5).max() <= 1e-12)
 
     def block_dim(self, n):
@@ -306,10 +315,9 @@ def fock_density(symbol):
 
 @dataclass
 class _LogSamples:
-    """Symbol values on a grid with the four logarithms the integrands use."""
+    """``q`` symbol values on a grid with the four logarithms the integrands use."""
 
     q: np.ndarray
-    r: np.ndarray
     log_q: np.ndarray
     log_r: np.ndarray
     log1m_q: np.ndarray  # log(1 - q)
@@ -324,7 +332,7 @@ class _LogSamples:
         for i0 in range(0, grid, rows):
             q, r = (_sample_symbol(sym, payload.nu, grid, slice(i0, i0 + rows))
                     for sym in (payload.q_symbol, payload.r_symbol))
-            yield cls(q, r, np.log(q), np.log(r), np.log1p(-q), np.log1p(-r))
+            yield cls(q, np.log(q), np.log(r), np.log1p(-q), np.log1p(-r))
 
 
 def _symbol_mean(payload, integrand, grid=QUAD_GRID):

@@ -202,14 +202,16 @@ def psi_derivative(rho, sigma, t, variant="plain"):
         return float((weights * (logp[:, None] - logq[None, :])).sum())
 
     m, a, sq = _sandwiched_base(rho, sigma)(t)
-    cut = m.support_cutoff()
-    lam = m.eigenvalues[m.eigenvalues > cut]
-    log_q = logsumexp(t * np.log(lam))
+    keep = m.eigenvalues > m.support_cutoff()
+    log_lam = np.log(m.eigenvalues[keep])
+    log_q = logsumexp(t * log_lam)
     if log_q == -math.inf:
         raise ValueError("derivative undefined: sandwiched base vanishes")
-    term1 = float((np.exp(t * np.log(lam) - log_q) * np.log(lam)).sum())
-    ls = log_on_support(sigma)
-    b = sq @ (a @ ls.entries) @ sq
-    mpow = power_on_support(m, t - 1.0)
-    term2 = float(np.trace(mpow.entries @ b).real) / t
-    return term1 - term2 * math.exp(-log_q)
+    term1 = float((np.exp(t * log_lam - log_q) * log_lam).sum())
+    # Tr M^(t-1) B / Q in M's eigenpairs, each weight taken in the log domain
+    # so that M^(t-1) is never formed: it overflows at orders of a few hundred
+    v = m.eigenvectors[:, keep]
+    b = sq @ (a @ log_on_support(sigma).entries) @ sq
+    diag_b = np.einsum("ij,ij->j", v.conj(), b @ v).real
+    term2 = float((np.exp((t - 1.0) * log_lam - log_q) * diag_b).sum()) / t
+    return term1 - term2

@@ -193,6 +193,14 @@ class TestLoadScenario:
         obj[section][key] = value
         expect_error(tmp_path, obj, f"$.{field}")
 
+    def test_prob_beyond_double_range_exits_two(self, tmp_path, capsys):
+        # a 400-digit JSON integer loads as a Python int that float() overflows
+        obj = {"task": "ldp", "family": binary_family(), "params": {"prob": 10**400}}
+        scenario = write_scenario(tmp_path, obj)
+        assert main(["ldp", "--scenario", scenario, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "prob must be a finite number", "field": "$.params.prob"}
+
     @pytest.mark.parametrize("nu", [1.9, True, "1", 2], ids=["float", "bool", "string", "two"])
     def test_quasifree_nu_must_be_one(self, tmp_path, nu):
         family = quasifree_family()

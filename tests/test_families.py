@@ -88,12 +88,6 @@ class TestPayloadValidation:
             MarkovPayload([0.5, 0.5], [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]],
                           [[1.0, 0.0], [0.5, 0.5]])
 
-    def test_markov_strictly_positive_flag(self):
-        assert two_state_markov().strictly_positive
-        zero_edge = MarkovPayload([1.0, 0.0], [0.5, 0.5], [[1.0, 0.0], [0.3, 0.7]],
-                                  [[0.6, 0.4], [0.2, 0.8]])
-        assert not zero_edge.strictly_positive
-
     def test_gibbs_term_dimension_check(self):
         with pytest.raises(ValueError, match="dim"):
             GibbsPayload(site_dim=2, terms=[HermitianOperator(np.eye(3))], beta=1.0)
@@ -165,7 +159,7 @@ class TestFamilyStates:
     def test_gibbs_pair_states(self):
         spec = GibbsPairPayload(onsite_gibbs(0.5), onsite_gibbs(1.1))
         pair = family_states(spec, 3)
-        assert pair.dim == 8
+        assert pair.rho.dim == 8
         assert pair.rho.trace == pytest.approx(1.0, abs=1e-10)
 
 

@@ -43,7 +43,8 @@ from sconv.operators import (
     positive_part_trace,
     rand_density,
 )
-from sconv.quasifree import QuasiFreePayload, TrigPolySymbol
+from sconv.quasifree import (QuasiFreePayload, TrigPolySymbol, fock_density,
+                             quasifree_block_symbol)
 
 from helpers import classical_pair, rand_test
 
@@ -447,6 +448,23 @@ class TestDenseSectors:
             assert engine(n, a * n) == _dense_error_pair(spec, mode,
                                                          n, a * n)
 
+    @pytest.mark.parametrize("mode", ["np", "pinched"])
+    def test_pair_without_shared_blocks_is_refused(self, mode):
+        # a Fock rho in particle-number blocks against a sigma in one dense
+        # block: zipping their blocks would pair the wrong ones
+        spec = quasifree_spec()
+
+        class MixedBlocks:
+            def block_dim(self, n):
+                return 2**n
+
+            def states(self, n):
+                qn, rn = quasifree_block_symbol(spec, n)
+                return StatePair(fock_density(qn), HermitianOperator(fock_density(rn).entries))
+
+        with pytest.raises(ValueError, match=r"^block n = 4: rho and sigma do not share"):
+            _dense_error_pair(MixedBlocks(), mode, 4, 0.1 * 4)
+
     def test_sc_report_eigh_fits_largest_sector(self, eigh_shapes):
         report = sc_report(quasifree_spec(), 0.2, [5, 6, 7, 8])
         assert report.provenance == "dense"
@@ -542,7 +560,6 @@ class TestFitting:
         assert fit.intercept == pytest.approx(2.0, abs=1e-10)
         assert fit.r_squared == pytest.approx(1.0)
         assert fit.asymptotic
-        assert fit.slope == -fit.rate
 
     def test_uses_last_half(self):
         # early transient, clean tail: only the tail enters the fit
@@ -590,8 +607,8 @@ class TestSweepAndReport:
         report = exponent_sweep(spec, a, [128, 256, 512, 1024], rate=rate)
         assert report.provenance == "exact-binomial"
         phi = polar(rate, a)
-        assert report.fitted_success_rate == pytest.approx(phi, abs=0.02)
-        assert report.fitted_beta_rate == pytest.approx(phi + a, abs=0.02)
+        assert report.success_fit.rate == pytest.approx(phi, abs=0.02)
+        assert report.beta_fit.rate == pytest.approx(phi + a, abs=0.02)
         assert report.predicted_beta_rate == pytest.approx(
             report.predicted_success_rate + a, abs=1e-12
         )
@@ -673,8 +690,8 @@ class TestSweepAndReport:
         assert report.predicted_success_rate == pytest.approx(
             report.predicted_H, abs=1e-9
         )
-        assert report.fitted_success_rate == pytest.approx(report.predicted_H, abs=0.02)
-        assert report.fitted_beta_rate == pytest.approx(report.r, abs=0.02)
+        assert report.success_fit.rate == pytest.approx(report.predicted_H, abs=0.02)
+        assert report.beta_fit.rate == pytest.approx(report.r, abs=0.02)
         assert report.r == pytest.approx(r)
 
     def test_sc_report_linear_tail(self):
@@ -688,8 +705,8 @@ class TestSweepAndReport:
         assert report.predicted_success_rate == pytest.approx(r - a_max, abs=1e-12)
         assert report.predicted_beta_rate == pytest.approx(r, abs=1e-12)
         assert any("rescaled" in note for note in report.notes)
-        assert report.fitted_success_rate == pytest.approx(r - a_max, abs=0.03)
-        assert report.fitted_beta_rate == pytest.approx(r, abs=0.03)
+        assert report.success_fit.rate == pytest.approx(r - a_max, abs=0.03)
+        assert report.beta_fit.rate == pytest.approx(r, abs=0.03)
 
     def test_linear_tail_pairs_are_the_threshold_pairs_shifted_in_log_space(self):
         # the binary pair of the tracer's engine-call test

@@ -425,8 +425,8 @@ class TestOrderAndSupports:
 class TestStatePairAndTest:
     def test_state_pair_valid(self, rng):
         pair = StatePair(rand_density(3, rng), rand_density(3, rng))
-        assert pair.dim == 3
-        assert pair.support_leakage == 0.0
+        assert pair.rho.dim == 3
+        assert supports_nested(pair.rho, pair.sigma) == (True, 0.0)
 
     def test_state_pair_rejects_unnormalized(self, rng):
         bad = HermitianOperator(2.0 * rand_density(3, rng).entries)

@@ -77,6 +77,13 @@ class TestSymbolsAndPayload:
                                    lambda x, y: 0.5 + 0.0 * x, 0.2)
         assert flat_2d.scalar_reference
 
+    def test_scalar_reference_reads_trig_coefficients(self):
+        # sin(256x) vanishes at all 512 points of the sampling grid
+        aliased = TrigPolySymbol(0.5, sin_coeffs=(0.0,) * 255 + (0.1,))
+        assert not QuasiFreePayload(1, TrigPolySymbol(0.45, (0.1,)), aliased, 0.2).scalar_reference
+        zeros = TrigPolySymbol(0.5, cos_coeffs=(0.0, 0.0), sin_coeffs=(0.0,))
+        assert QuasiFreePayload(1, TrigPolySymbol(0.45, (0.1,)), zeros, 0.2).scalar_reference
+
     def test_payload_rejects_bad_nu(self):
         with pytest.raises(ValueError, match="lattice"):
             QuasiFreePayload(3, TrigPolySymbol(0.5), TrigPolySymbol(0.5), 0.2)

@@ -198,3 +198,20 @@ class TestLargeOrderStability:
             assert math.isfinite(val)
             # psi grows at most linearly with slope max-relative-entropy
             assert abs(val) <= t * max_relative_entropy(rho, sigma) + 1.0
+
+    def test_sandwiched_derivative_finite_at_extreme_orders(self):
+        # M^(t-1) overflows at these orders; the derivative must not
+        rng = np.random.default_rng(7)
+        for dim in (2, 3, 4):
+            rho, sigma = rand_density(dim, rng), rand_density(dim, rng)
+            d_max = max_relative_entropy(rho, sigma)
+            prev = -math.inf
+            for t in (100.0, 300.0, 600.0):
+                val = psi_derivative(rho, sigma, t, variant="sandwiched")
+                h = 1e-5 * t
+                fd = (psi(rho, sigma, t + h, variant="sandwiched")
+                      - psi(rho, sigma, t - h, variant="sandwiched")) / (2 * h)
+                assert val == pytest.approx(fd, rel=1e-9)
+                # psi' rises towards D_max, its slope at infinity
+                assert prev < val < d_max
+                prev = val
