@@ -29,10 +29,13 @@ import numpy as np
 
 from .hoeffding import richardson
 from .hyptest import _sector_spectra
-from .operators import log_factorials, logsumexp
+from .operators import log_factorials, logsumexp, logsumexp_rows
 
 CAUCHY_TOL = 1e-3  # normalized log-MGF gap between the largest sizes that counts as converged
 TILT_WINDOW_FRACTION = 0.05
+# entries per logsumexp_rows call of a log-MGF grid, about 1 MB of temporaries:
+# smaller blocks pay numpy's per-call cost more often, larger ones are no faster
+BLOCK = 16384
 
 __all__ = [
     "WeightedSampleSequence",
@@ -93,13 +96,24 @@ class WeightedSampleSequence:
 def log_mgf(seq, n, t):
     """``Lambda_n(t) = log sum w_i e^{t y_i}`` by log-sum-exp.
 
-    A 1-d ``t`` gives the array of values over the grid from one fetch of the
-    support.
+    A scalar ``t`` gives a float.  A 1-d grid ``t`` of finite points gives the
+    array of values over it: the rows ``lw + t_i y`` are built and reduced
+    ``max(1, BLOCK // size)`` grid points at a time by one
+    :func:`logsumexp_rows` call, and each value is the same to the bit as the
+    scalar call at that point.  A ``t`` of two or more dimensions, or with a
+    non-finite entry, raises ``ValueError``.
     """
     y, lw = seq.support(n)
     if np.ndim(t) == 0:
         return logsumexp(lw + t * y)
-    return np.array([logsumexp(lw + ti * y) for ti in t])
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"t must be a scalar or a 1-d grid, not an array of shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("grid points t must be finite")
+    k = max(1, BLOCK // y.size)
+    rows = [logsumexp_rows(lw + t[i:i + k, None] * y) for i in range(0, t.size, k)]
+    return np.concatenate(rows) if rows else np.empty(0)
 
 
 def lambda_bar(seq, t):

@@ -982,17 +982,19 @@ class TestMain:
 
     @pytest.mark.parametrize("task, case, extra", [
         ("ldp", SHORT_JOBS_CASE, []),
+        *[("ldp", SHORT_JOBS_CASE.with_name(f"s{i:02d}"), []) for i in range(1, 16)],
         ("np-sweep", SHORT_JOBS_CASE, []),
         ("sc-report", CATALOG / "markov-sc-report" / "s00", ["--threads", "2"]),
         *[("sc-report", SHORT_JOBS_CASE.with_name(f"s{i:02d}"), ["--threads", "2"])
           for i in range(16)],
         ("sc-report", CATALOG / "quasifree-sc-report" / "s00", []),
         ("sc-report", CATALOG / "quasifree-sc-report" / "s00", ["--threads", "2"]),
-    ], ids=["ldp", "np-sweep", "markov-sc-report", "pinched-sc-report",
+    ], ids=["ldp", *[f"ldp-s{i:02d}" for i in range(1, 16)], "np-sweep", "markov-sc-report",
+            "pinched-sc-report",
             *[f"pinched-sc-report-s{i:02d}" for i in range(1, 16)],
             "quasifree-sc-report", "quasifree-sc-report-threads"])
     def test_ldp_bytes_match_benchmark_reference(self, tmp_path, task, case, extra):
-        # a benchmark draw-0 scenario and the CSVs its reference commit wrote
+        # a benchmark catalog scenario and the CSVs its reference commit wrote
         stem = task.replace("-", "_")
         rc = main([task, "--scenario", str(case / f"{stem}.json"), "--out", str(tmp_path)]
                   + extra)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,53 @@ class TestLogMgf:
         t = np.linspace(-2.0, 3.0, 11) * 64
         grid = log_mgf(seq, 64, t)
         assert grid.tolist() == [log_mgf(seq, 64, float(ti)) for ti in t]
+
+    @pytest.mark.parametrize("n, points", [
+        (4096, 513),  # 3 rows of 4097 entries per block, 171 full blocks
+        (4096, 512),  # 170 full blocks and a last block of 2 rows
+        (16, 101),  # the whole grid in one block
+        (20000, 5),  # a row above BLOCK: one row per block
+    ], ids=["exact-multiple", "partial-last-block", "one-block", "row-above-block"])
+    def test_grid_blocks_equal_scalar_calls_bit_for_bit(self, n, points):
+        seq = binomial_sequence([n])
+        t = np.linspace(-2.0, 3.0, points) * n
+        scalar = np.array([log_mgf(seq, n, float(ti)) for ti in t])
+        assert log_mgf(seq, n, t).tobytes() == scalar.tobytes()
+
+    def test_block_cases_cross_the_boundaries_they_name(self):
+        # the grids above sit on either side of a block boundary at n = 4096
+        k = ldp.BLOCK // 4097
+        assert k > 1 and 513 % k == 0 and 512 % k != 0
+        assert 17 * 101 <= ldp.BLOCK < 20001
+
+    def test_grid_of_two_dimensions_refused(self):
+        seq = binomial_sequence([4, 8, 16])
+        with pytest.raises(ValueError, match=re.escape("shape (2, 5)")):
+            log_mgf(seq, 4, np.ones((2, 5)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point_refused(self, bad):
+        seq = binomial_sequence([4, 8, 16])
+        with pytest.raises(ValueError, match="grid points t must be finite"):
+            log_mgf(seq, 4, np.array([0.5, bad]))
+
+    def test_empty_grid_gives_empty_float_array(self):
+        got = log_mgf(binomial_sequence([4, 8, 16]), 4, np.array([]))
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    def test_rate_curve_table_peak_memory_stays_below_one_mib(self):
+        # the grid is reduced in blocks: a whole 513 x 4097 table of
+        # temporaries would take 16.8 MB each
+        seq = binomial_sequence([1024, 2048, 4096])
+        t_grid = np.linspace(0.0, 4.0, 513)
+        build_rate_curve(seq, t_grid)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            build_rate_curve(seq, t_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_lambda_bar_exact_for_binomial(self):
         seq = binomial_sequence([64, 128, 256, 512])
