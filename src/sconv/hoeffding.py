@@ -27,6 +27,9 @@ GOLDEN_XTOL = 1e-10  # golden-search stop width in t; at a smooth max, value err
 BISECTION_XTOL = 1e-10  # bracket width in a where the anti-divergence bisection stops
 BISECTION_MAX_STEPS = 200  # caps the halvings where float spacing at a keeps the bracket wider
 TAIL_SLOPE_TOL = 1e-8  # a sup objective rising faster than this at t_hi is still climbing
+RATE_AT_ONE_TOL = 1e-9  # |fn(1)| a callable rate may carry: log Tr rho rounds to ~1e-15
+ZERO_REGIME_TOL = 1e-9  # r this close above the (computed) derivative at 1 is the zero regime
+LINEAR_TAIL_TOL = 1e-12  # r this close below r_max is the linear tail: bisection needs h(hi) > 0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
@@ -112,7 +115,7 @@ class ConvexRate:
         distinct ``t`` (two threads asking at once may both run it, for the
         same value).  The caller gives the exact right derivative at 1."""
         f1 = fn(1.0)
-        if abs(f1) > 1e-9:
+        if abs(f1) > RATE_AT_ONE_TOL:
             raise ValueError(f"rate function must vanish at 1, got f(1) = {f1!r}")
         memo = {}
 
@@ -202,8 +205,10 @@ def polar_detail(f, a):
     ``tail_dominated`` means the objective was still climbing at ``t_hi``; the
     supremum then lives at infinity.  In that case the value is ``inf`` when
     ``a`` exceeds the slope of ``f`` at infinity and the boundary value (best
-    available) otherwise.
+    available) otherwise.  A non-finite ``a`` raises ``ValueError``.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"threshold rate a must be finite, got {a!r}")
     if a <= f.right_derivative_at_1:
         return PolarResult(0.0, None, False)
     t_star, val, climbing = _sup(lambda t: a * (t - 1.0) - f(t), f)
@@ -235,17 +240,20 @@ def hoeffding_anti(f, r):
     """Anti-divergence ``sup_{t > 1} (r (t - 1) - f(t)) / t`` with case split.
 
     Returns a :class:`HoeffdingResult`; ``value`` is zero iff ``r`` does not
-    exceed the right derivative of ``f`` at 1 (within 1e-9).
+    exceed the right derivative of ``f`` at 1 (within ``ZERO_REGIME_TOL``).
+    A non-finite ``r`` raises ``ValueError``.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"tradeoff rate r must be finite, got {r!r}")
     a_min = f.right_derivative_at_1
-    if r <= a_min + 1e-9:
+    if r <= a_min + ZERO_REGIME_TOL:
         return HoeffdingResult(r=r, value=0.0, regime="zero")
     a_max = f.slope_at_infinity
     if math.isfinite(a_max):
         tail = polar_detail(f, a_max)
         if math.isfinite(tail.value):
             r_max = tail.value + a_max
-            if r >= r_max - 1e-12:
+            if r >= r_max - LINEAR_TAIL_TOL:
                 return HoeffdingResult(
                     r=r,
                     value=r - a_max,
@@ -265,7 +273,7 @@ def hoeffding_anti(f, r):
     else:
         hi = r + 1.0
     # h is strictly increasing (polar slope >= 0 plus the +a term), and h(hi) > 0:
-    # a finite tail gets here only with r < r_max - 1e-12, so h(a_max) = r_max - r;
+    # a finite tail gets here only with r < r_max - LINEAR_TAIL_TOL, so h(a_max) = r_max - r;
     # an infinite tail makes h(a_max) infinite; and h(r + 1) >= 1, the polar being >= 0
     for _ in range(BISECTION_MAX_STEPS):
         if hi - lo <= BISECTION_XTOL:

@@ -23,10 +23,13 @@ Engines, most specific first, each a module function that
 * everything else — ``_dense_error_pair``, dense matrices of at most
   ``operators.DIM_CAP`` rows.
 
-Every engine takes the total exponent ``c`` as a scalar (one ``ErrorPair``)
-or as a sequence (one pair per threshold, from one pass over block ``n``),
-so a sweep builds each block's classes or states once and keeps nothing
-between blocks; a pair carries its block size but no threshold label.  The
+Every engine takes the total exponents ``c`` as a sequence and returns a
+list of one ``ErrorPair`` per threshold, in order, from one pass over block
+``n`` (an empty ``c`` gives ``[]`` and builds nothing), so a sweep builds
+each block's classes or states once and keeps nothing between blocks; a pair
+carries its block size but no threshold label.  A scalar form exists only at
+the public boundary: ``exponent_sweep`` and ``sc_report`` take one rate or a
+grid through ``operators._as_grid``, and unwrap one report.  The
 exact engines share one log-space reducer, ``_log_terms_to_pair``: it
 reduces each class chunk for every threshold by ``operators.logsumexp`` (an
 empty class set sums to ``-inf``) before it drops the chunk, then the chunk
@@ -56,8 +59,10 @@ import numpy as np
 from . import families as fam
 from .hoeffding import hoeffding_anti, polar_detail
 from .operators import (
+    STATE_TOL,
     HermitianOperator,
     Test,
+    _as_grid,
     _cluster_labels,
     _pinch_matrix,
     _pinch_slice,
@@ -72,6 +77,7 @@ STRICT_POSITIVE_TOL = 1e-12  # eigenvalues this close to zero are not "strictly 
 COMMUTING_TOL = 1e-12  # off-diagonal size in sigma's eigenbasis that still counts as commuting
 MAX_TYPE_CLASSES = 2_000_000  # classes (or closed-form sector terms) one exact block may sum
 RUN_CLASS_CHUNK = 16_384  # Markov run classes per chunk: bounds the engine's working set
+CLASS_MASS_TOL = 1e-9  # |log| of an exact engine's total class mass: summation leaves ~1e-15
 R_SQUARED_GATE = 0.98
 
 __all__ = [
@@ -95,7 +101,8 @@ __all__ = [
 class ErrorPair:
     """Type-I/II errors of one test at one block size.
 
-    ``alpha_err + success`` must account for all of ``rho_n`` (1e-10);
+    Each trace is clamped onto [0, 1] from within ``operators.STATE_TOL``, and
+    ``alpha_err + success`` must account for all of ``rho_n`` to that slack;
     ``log_success``/``log_beta`` stay meaningful after the floats underflow.
     ``log_pos_part`` is ``log Tr(rho_n - e^c sigma_n)_+`` when the engine can
     compute it, with ``rho_n`` pinched in pinched mode (it lower-bounds
@@ -113,13 +120,13 @@ class ErrorPair:
     def __post_init__(self):
         for name in ("alpha_err", "beta_err", "success"):
             v = getattr(self, name)
-            if -1e-10 <= v < 0.0:
+            if -STATE_TOL <= v < 0.0:
                 setattr(self, name, 0.0)
-            elif 1.0 < v <= 1.0 + 1e-10:
+            elif 1.0 < v <= 1.0 + STATE_TOL:
                 setattr(self, name, 1.0)
             elif not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} = {v!r} outside [0, 1]")
-        if abs(self.alpha_err + self.success - 1.0) > 1e-10:
+        if abs(self.alpha_err + self.success - 1.0) > STATE_TOL:
             raise ValueError(
                 f"alpha_err + success = {self.alpha_err + self.success!r} != 1"
             )
@@ -217,13 +224,6 @@ def error_pair(pair, t, n=1):
 # -- exact classical engines ----------------------------------------------
 
 
-def _thresholds(c):
-    """An engine's thresholds ``c`` as a list, and whether ``c`` is a scalar
-    rather than a sequence."""
-    one = np.ndim(c) == 0
-    return ([c] if one else list(c)), one
-
-
 def _log_terms_to_pair(n, chunks, c):
     """Assemble error pairs from per-class exact log-weights.
 
@@ -234,10 +234,12 @@ def _log_terms_to_pair(n, chunks, c):
     Each chunk is reduced to four partial log-sums per threshold as it
     arrives and then dropped, so one chunk is held at a time; the partial
     sums of every threshold are then reduced in one ``logsumexp_rows`` call,
-    each row as one array of a single threshold would be.  ``c`` is a scalar
-    (one pair) or a sequence (one pair per threshold).
+    each row as one array of a single threshold would be.  ``c`` is a
+    sequence, and the pairs come back as a list in its order; an empty ``c``
+    gives ``[]`` before any chunk is drawn.
     """
-    thresholds, one = _thresholds(c)
+    if len(c) == 0:
+        return []
 
     def _chunk_sums(chunk):
         log_mult, lp, lq = chunk
@@ -246,7 +248,7 @@ def _log_terms_to_pair(n, chunks, c):
             ratio = lp - lq
         lsp, lsq = log_mult + lp, log_mult + lq
         out = []
-        for ci in thresholds:
+        for ci in c:
             inc = alive & (ratio > ci)
             d = ratio[inc] - ci  # > 0 strictly
             out.append((
@@ -263,10 +265,10 @@ def _log_terms_to_pair(n, chunks, c):
     for log_success, log_alpha, log_beta, log_pos in logsumexp_rows(
             sums.transpose(1, 2, 0)).tolist():
         total = np.logaddexp(log_success, log_alpha)
-        if abs(total) > 1e-9:
+        if abs(total) > CLASS_MASS_TOL:
             raise AssertionError(f"class masses sum to e^{total}, not 1")
         pairs.append(ErrorPair.from_logs(n, log_success, log_alpha, log_beta, log_pos))
-    return pairs[0] if one else pairs
+    return pairs
 
 
 def _safe_log(x):
@@ -276,8 +278,8 @@ def _safe_log(x):
     return out
 
 
-def iid_type_class_error_pair(p, q, n, c):
-    """Exact error pair for a commuting i.i.d. pair via type classes.
+def _type_classes(p, q, n):
+    """Yield the type classes of an i.i.d. pair as one ``(log_mult, lp, lq)`` chunk.
 
     The classes are the ``C(n + d - 1, d - 1)`` compositions of ``n`` into
     ``d`` parts (``n + 1`` for two outcomes) and are capped.
@@ -304,7 +306,13 @@ def iid_type_class_error_pair(p, q, n, c):
     with np.errstate(invalid="ignore"):
         lp = np.where(counts > 0, counts * logp[None, :], 0.0).sum(axis=1)
         lq = np.where(counts > 0, counts * logq[None, :], 0.0).sum(axis=1)
-    return _log_terms_to_pair(n, [(log_mult, lp, lq)], c)
+    yield log_mult, lp, lq
+
+
+def iid_type_class_error_pair(p, q, n, c):
+    """Exact error pairs for a commuting i.i.d. pair via its type classes
+    (``_type_classes``), one per threshold of ``c``."""
+    return _log_terms_to_pair(n, _type_classes(p, q, n), c)
 
 
 def _markov_run_classes(payload, n):
@@ -366,7 +374,7 @@ def _markov_run_classes(payload, n):
 
 
 def markov_error_pair(payload, n, c):
-    """Exact error pair for a two-state Markov chain test.
+    """Exact error pairs of a two-state Markov chain's tests, one per threshold of ``c``.
 
     The ``2^n`` strings fall into O(n^2) run classes of equal likelihood
     (``_markov_run_classes``), built as arrays of at most ``RUN_CLASS_CHUNK``
@@ -474,7 +482,7 @@ def _sector_spectrum(coeffs, log_binom, n, k):
 
 
 def qubit_sector_error_pair(rho1, sigma1, n, c):
-    """Exact pinched-test error pair for a qubit i.i.d. pair.
+    """Exact pinched-test error pairs of a qubit i.i.d. pair, one per threshold of ``c``.
 
     The pinched threshold comparison is a scalar test per eigenvalue, so each
     sector of ``_sector_spectra`` is one ``(log_mult, log lambda, log mu_k)``
@@ -511,7 +519,8 @@ def _dense_error_pair(family, mode, n, c):
     sigma's own eigenvectors of that block, grouped by sigma's global
     clusters.
     """
-    thresholds, one = _thresholds(c)
+    if len(c) == 0:
+        return []
     pair = fam.family_states(family, n)
     rho, sigma = pair.rho, pair.sigma
     if rho.sectors != sigma.sectors:  # zip would pair the wrong blocks
@@ -528,7 +537,7 @@ def _dense_error_pair(family, mode, n, c):
         slices.append((rho_b, rho_hat, sigma_b))
         at += len(v_b)
     pairs = []
-    for ci in thresholds:
+    for ci in c:
         success = beta = lp = 0.0
         for rho_b, rho_hat, sigma_b in slices:
             diff, v = _threshold_split(rho_hat, sigma_b, ci)
@@ -537,15 +546,14 @@ def _dense_error_pair(family, mode, n, c):
             lp += positive_part_trace(diff)
         pairs.append(ErrorPair(n=n, alpha_err=1.0 - success, beta_err=beta, success=success,
                                log_pos_part=math.log(lp) if lp > 0 else -math.inf))
-    return pairs[0] if one else pairs
+    return pairs
 
 
 def _resolve_engine(family, mode):
     """Pick the cheapest exact engine; fall back to dense matrices.
 
     Returns ``(engine, provenance)``: ``engine(n, c)`` is one of the four
-    engine functions with the family's data bound, ``c`` a scalar or a
-    sequence.
+    engine functions with the family's data bound, ``c`` a sequence.
     """
     if family.kind == "iid":
         tables = _commuting_iid_probs(family)
@@ -673,17 +681,17 @@ def _check_sweep(n_list, mode, threads):
 def exponent_sweep(family, a, n_list, mode="np", rate=None, threads=1):
     """Error pairs over ``n_list`` at fixed threshold rate ``a``, with fitted
     decay rates compared against the polar prediction ``(phi(a), phi(a)+a)``;
-    a sequence ``a`` gives one report per value, as in ``sc_report``.
-    ``rate=None`` builds the family's sandwiched ``asymptotic_rate``."""
+    a sequence ``a`` gives one report per value, as in ``sc_report``.  A
+    non-finite ``a`` is refused.  ``rate=None`` builds the family's
+    sandwiched ``asymptotic_rate``."""
     _check_sweep(n_list, mode, threads)
-    one = np.ndim(a) == 0
-    grid = [a] if one else list(a)
-    if not grid:
+    grid, one = _as_grid(a, "a")
+    if not grid.size:
         raise ValueError("empty threshold grid a")
     if rate is None:
         rate = fam.asymptotic_rate(family)
-    reports = _build_report(family, [(ai, None, []) for ai in grid], n_list, mode, rate,
-                            threads)
+    reports = _build_report(family, [(ai, None, []) for ai in grid.tolist()], n_list, mode,
+                            rate, threads)
     return reports[0] if one else reports
 
 
@@ -700,20 +708,20 @@ def sc_report(family, r, n_list, mode="np", rate=None, threads=1):
     boundary slope with rescaled tests in the linear tail), sweeps, and
     returns the report with the predicted exponent attached.  A sequence
     ``r`` gives one report per value, each block size worked once for all of
-    them by one of ``threads`` workers, largest first.  ``rate=None`` builds
-    the family's sandwiched ``asymptotic_rate``.
+    them by one of ``threads`` workers, largest first.  A negative or
+    non-finite ``r`` is refused.  ``rate=None`` builds the family's sandwiched
+    ``asymptotic_rate``.
     """
     _check_sweep(n_list, mode, threads)
-    one = np.ndim(r) == 0
-    grid = [r] if one else list(r)
-    if not grid:
+    grid, one = _as_grid(r, "r")
+    if not grid.size:
         raise ValueError("empty tradeoff grid r")
-    if any(ri < 0 for ri in grid):
+    if (grid < 0).any():
         raise ValueError("tradeoff rate r must be nonnegative")
     if rate is None:
         rate = fam.asymptotic_rate(family)
     thresholds = []
-    for ri in grid:
+    for ri in grid.tolist():
         h = hoeffding_anti(rate, ri)
         notes = []
         if h.regime == "zero":

@@ -4,14 +4,15 @@ A :class:`WeightedSampleSequence` is a family of finite positive measures
 ``mu_n`` (support points plus log-weights, not necessarily normalized) with a
 positive scale sequence ``c_n``.  The module computes log-moment-generating
 functions and extrapolates the normalized curve ``Lambda_bar(t) = lim (1/c_n)
-Lambda_n(c_n t)``.  :func:`build_rate_curve` is the one place that builds the
-``(size x t)`` table of ``Lambda_n(c_n t)/c_n`` over a ``t`` grid; it takes
-:func:`sconv.hoeffding.richardson` of the table and splines the result into a
-:class:`RateCurve`, which keeps the sequence and the table.  The bounds read a
-curve built beforehand, so one table serves every ``x``: the Chernoff-style
-upper bound on tail rates reads the curve's values, and the tilted-measure
-construction verifies the matching lower bound empirically: it locates
-``t_x`` with ``Lambda_bar'(t_x) = x``, predicts the windowed tail rate
+Lambda_n(c_n t)``.  ``_log_mgf_table`` is the one place that builds the
+``(size x t)`` table of ``Lambda_n(c_n t)/c_n`` over a ``t`` grid; both
+:func:`lambda_bar` (a table of one column) and :func:`build_rate_curve` take
+:func:`sconv.hoeffding.richardson` of it, and the latter splines the result
+into a :class:`RateCurve`, which keeps the sequence and the table.  The
+bounds read a curve built beforehand, so one table serves every ``x``: the
+Chernoff-style upper bound on tail rates reads the curve's values, and the
+tilted-measure construction verifies the matching lower bound empirically:
+it locates ``t_x`` with ``Lambda_bar'(t_x) = x``, predicts the windowed tail rate
 ``-Lambda_bar*(x)``, and reports per-``n`` margins plus the concentration of
 the exponentially tilted measure.
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .hoeffding import richardson
 from .hyptest import _sector_spectra
-from .operators import log_factorials, logsumexp, logsumexp_rows
+from .operators import _as_grid, log_factorials, logsumexp, logsumexp_rows
 
 CAUCHY_TOL = 1e-3  # normalized log-MGF gap between the largest sizes that counts as converged
 TILT_WINDOW_FRACTION = 0.05
@@ -96,24 +97,26 @@ class WeightedSampleSequence:
 def log_mgf(seq, n, t):
     """``Lambda_n(t) = log sum w_i e^{t y_i}`` by log-sum-exp.
 
-    A scalar ``t`` gives a float.  A 1-d grid ``t`` of finite points gives the
-    array of values over it: the rows ``lw + t_i y`` are built and reduced
-    ``max(1, BLOCK // size)`` grid points at a time by one
-    :func:`logsumexp_rows` call, and each value is the same to the bit as the
-    scalar call at that point.  A ``t`` of two or more dimensions, or with a
-    non-finite entry, raises ``ValueError``.
+    A scalar ``t`` gives a float, and a 1-d grid ``t`` the array of values
+    over it.  Both take one body: the rows ``lw + t_i y`` are built and
+    reduced ``max(1, BLOCK // size)`` grid points at a time by one
+    :func:`logsumexp_rows` call, so each value is the same to the bit as a
+    one-point call.  A ``t`` of two or more dimensions, or a non-finite
+    point, raises ``ValueError`` (``operators._as_grid``).
     """
     y, lw = seq.support(n)
-    if np.ndim(t) == 0:
-        return logsumexp(lw + t * y)
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1:
-        raise ValueError(f"t must be a scalar or a 1-d grid, not an array of shape {t.shape}")
-    if not np.isfinite(t).all():
-        raise ValueError("grid points t must be finite")
+    grid, one = _as_grid(t, "t")
     k = max(1, BLOCK // y.size)
-    rows = [logsumexp_rows(lw + t[i:i + k, None] * y) for i in range(0, t.size, k)]
-    return np.concatenate(rows) if rows else np.empty(0)
+    rows = [logsumexp_rows(lw + grid[i:i + k, None] * y) for i in range(0, grid.size, k)]
+    out = np.concatenate(rows) if rows else np.empty(0)
+    return out.item() if one else out
+
+
+def _log_mgf_table(seq, t_grid):
+    """The scales ``c_n`` and the ``(size x t)`` table of ``Lambda_n(c_n t)/c_n``."""
+    cs = np.array([float(seq.c(n)) for n in seq.n_list])
+    table = np.array([log_mgf(seq, n, cn * t_grid) / cn for n, cn in zip(seq.n_list, cs)])
+    return cs, table
 
 
 def lambda_bar(seq, t):
@@ -121,12 +124,11 @@ def lambda_bar(seq, t):
 
     One-term Richardson in ``1/c_n`` from the two largest sizes; the residual
     is the change against the next-coarser pair (or the last finite
-    difference when only two sizes exist).
+    difference when only two sizes exist).  A non-finite ``t`` raises
+    ``ValueError``.
     """
-    cs = np.array([float(seq.c(n)) for n in seq.n_list])
-    samples = [log_mgf(seq, n, cn * t) / cn for n, cn in zip(seq.n_list, cs)]
-    fine, resid = richardson(cs, samples)
-    return float(fine), float(resid)
+    fine, resid = richardson(*_log_mgf_table(seq, np.array([t], dtype=float)))
+    return float(fine[0]), float(resid[0])
 
 
 class _PPoly:
@@ -290,15 +292,13 @@ class RateCurve:
 
 
 def build_rate_curve(seq, t_grid):
-    """Tabulate ``Lambda_n(c_n t)/c_n`` over an increasing grid (the one
-    log-MGF table builder), Richardson-extrapolate it to ``Lambda_bar``, and
+    """Tabulate ``Lambda_n(c_n t)/c_n`` over an increasing grid
+    (``_log_mgf_table``), Richardson-extrapolate it to ``Lambda_bar``, and
     spline it unless the extrapolation is visibly non-convex."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 4 or np.diff(t_grid).min() <= 0:
         raise ValueError("need an increasing grid with at least four points")
-    cs = np.array([float(seq.c(n)) for n in seq.n_list])
-    table = np.array([log_mgf(seq, n, cn * t_grid) / cn
-                      for n, cn in zip(seq.n_list, cs)])
+    cs, table = _log_mgf_table(seq, t_grid)
     vals, resid = richardson(cs, table)
     scale = max(float(np.abs(vals).max()), 1.0)
     if np.diff(vals, 2).min() < -1e-6 * scale:

@@ -244,6 +244,19 @@ def logsumexp_rows(a):
     return out[..., 0]
 
 
+def _as_grid(x, what):
+    """``(grid, one)``: a scalar or 1-d ``x`` as a 1-d float grid, and whether it is
+    a scalar.  A non-finite point, or an ``x`` of two or more dimensions, raises
+    ``ValueError`` naming ``what``."""
+    grid = np.asarray(x, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(
+            f"{what} must be a scalar or a 1-d grid, not an array of shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"grid points {what} must be finite")
+    return grid.reshape(-1), grid.ndim == 0
+
+
 def _spectral_matrix(w, v):
     """``(order, w, v, a)``: the stable ascending sort of the eigenvalues ``w``,
     the sorted pair, and ``a = v diag(w) v^+`` made exactly Hermitian."""

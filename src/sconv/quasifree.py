@@ -324,34 +324,34 @@ class _LogSamples:
     log1m_r: np.ndarray
 
     @classmethod
-    def chunks(cls, payload, grid):
-        """Yield the samples of ``payload`` on the torus grid of ``grid`` points
-        per axis: the whole circle for ``nu = 1``, 256 rows at a time for
-        ``nu = 2``."""
-        rows = 256 if payload.nu == 2 else grid
-        for i0 in range(0, grid, rows):
-            q, r = (_sample_symbol(sym, payload.nu, grid, slice(i0, i0 + rows))
+    def chunks(cls, payload):
+        """Yield the samples of ``payload`` on the torus grid of ``QUAD_GRID``
+        points per axis: the whole circle for ``nu = 1``, 256 rows at a time
+        for ``nu = 2``."""
+        rows = 256 if payload.nu == 2 else QUAD_GRID
+        for i0 in range(0, QUAD_GRID, rows):
+            q, r = (_sample_symbol(sym, payload.nu, QUAD_GRID, slice(i0, i0 + rows))
                     for sym in (payload.q_symbol, payload.r_symbol))
             yield cls(q, np.log(q), np.log(r), np.log1p(-q), np.log1p(-r))
 
 
-def _symbol_mean(payload, integrand, grid=QUAD_GRID):
-    """Torus average of ``integrand(samples)`` on a periodic grid: the sum of
-    its sums over the chunks of ``_LogSamples.chunks``, divided by the number
-    of points.
+def _symbol_mean(payload, integrand):
+    """Torus average of ``integrand(samples)`` on the periodic grid of
+    ``QUAD_GRID`` points per axis: the sum of its sums over the chunks of
+    ``_LogSamples.chunks``, divided by the number of points.
 
     ``payload`` may also be a tuple of such chunks, which
     :func:`quasifree_rate` samples once for all its quadratures.
     """
     total, count = 0.0, 0
-    for s in payload if isinstance(payload, tuple) else _LogSamples.chunks(payload, grid):
+    for s in payload if isinstance(payload, tuple) else _LogSamples.chunks(payload):
         vals = integrand(s)
         total += float(vals.sum())
         count += vals.size
     return total / count
 
 
-def szego_limit(payload, alpha, grid=QUAD_GRID):
+def szego_limit(payload, alpha):
     """Per-mode limit of ``(1/n^nu) psi_n``: torus average of the binary
     cumulant ``log[q^a r^(1-a) + (1-q)^a (1-r)^(1-a)]`` (both variants share
     it)."""
@@ -364,35 +364,35 @@ def szego_limit(payload, alpha, grid=QUAD_GRID):
             alpha * s.log1m_q + (1.0 - alpha) * s.log1m_r,
         )
 
-    return _symbol_mean(payload, integrand, grid)
+    return _symbol_mean(payload, integrand)
 
 
-def quasifree_relent_limit(payload, grid=QUAD_GRID):
+def quasifree_relent_limit(payload):
     """Per-mode relative entropy: torus average of the binary divergence."""
 
     def integrand(s):
         return s.q * (s.log_q - s.log_r) + (1.0 - s.q) * (s.log1m_q - s.log1m_r)
 
-    return _symbol_mean(payload, integrand, grid)
+    return _symbol_mean(payload, integrand)
 
 
-def quasifree_slope_at_infinity(payload, grid=QUAD_GRID):
+def quasifree_slope_at_infinity(payload):
     """``lim psi_bar(alpha)/(alpha-1)``: average of the larger log-ratio."""
 
     def integrand(s):
         return np.maximum(s.log_q - s.log_r, s.log1m_q - s.log1m_r)
 
-    return _symbol_mean(payload, integrand, grid)
+    return _symbol_mean(payload, integrand)
 
 
-def quasifree_rate(payload, grid=QUAD_GRID):
+def quasifree_rate(payload):
     """Asymptotic rate curve of the family from the Szego limits."""
     if payload.nu == 1:  # sample the symbols and their logs once for every order
-        payload = tuple(_LogSamples.chunks(payload, grid))
+        payload = tuple(_LogSamples.chunks(payload))
     return ConvexRate.from_callable(
-        lambda t: szego_limit(payload, t, grid),
-        right_derivative_at_1=quasifree_relent_limit(payload, grid),
-        slope_at_infinity=quasifree_slope_at_infinity(payload, grid),
+        lambda t: szego_limit(payload, t),
+        right_derivative_at_1=quasifree_relent_limit(payload),
+        slope_at_infinity=quasifree_slope_at_infinity(payload),
     )
 
 

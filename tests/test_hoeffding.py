@@ -128,6 +128,16 @@ class TestPolar:
         assert not detail.tail_dominated
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rate_argument_refused(bad):
+    # a NaN once passed every comparison and came back as an interior result
+    f = quadratic()
+    with pytest.raises(ValueError, match="^tradeoff rate r must be finite"):
+        hoeffding_anti(f, bad)
+    with pytest.raises(ValueError, match="^threshold rate a must be finite"):
+        polar_detail(f, bad)
+
+
 class TestHoeffdingAnti:
     def test_quadratic_reference_point(self):
         # at r = 3: a_r solves a^2/4 + a = 3, i.e. a_r = 2, value r - a_r = 1

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import logsumexp
 
 from sconv import families as fam
-from sconv import operators
+from sconv import hyptest, operators
 from sconv.cli import main
 from sconv.families import IIDPayload, MarkovPayload, markov_psi_n
 from sconv.hyptest import (
@@ -172,7 +172,7 @@ class TestExactClassicalEngines:
         pair = family_states(spec, n)
         for a in (-0.2, 0.05, 0.3):
             c = a * n
-            exact = iid_type_class_error_pair(p, q, n, c)
+            exact = iid_type_class_error_pair(p, q, n, [c])[0]
             t = np_test(pair, c)
             dense = error_pair(pair, t, n=n)
             assert exact.success == pytest.approx(dense.success, abs=1e-12)
@@ -188,7 +188,7 @@ class TestExactClassicalEngines:
             HermitianOperator(np.kron(np.kron(np.kron(np.kron(sigma.entries, sigma.entries), sigma.entries), sigma.entries), sigma.entries)),
         )
         c = 0.4
-        exact = iid_type_class_error_pair(p, q, n, c)
+        exact = iid_type_class_error_pair(p, q, n, [c])[0]
         dense = error_pair(pair, np_test(pair, c), n=n)
         assert exact.success == pytest.approx(dense.success, abs=1e-11)
         assert exact.beta_err == pytest.approx(dense.beta_err, abs=1e-11)
@@ -212,14 +212,14 @@ class TestExactClassicalEngines:
         # for the strict threshold test, Tr(rho - e^c sigma)_+ =
         # success - e^c beta
         p, q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
-        ep = iid_type_class_error_pair(p, q, 12, 0.5)
+        ep = iid_type_class_error_pair(p, q, 12, [0.5])[0]
         assert math.exp(ep.log_pos_part) == pytest.approx(
             ep.success - math.exp(0.5) * ep.beta_err, abs=1e-12
         )
 
     def test_log_fields_survive_underflow(self):
         p, q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
-        ep = iid_type_class_error_pair(p, q, 4096, 0.5 * 4096)
+        ep = iid_type_class_error_pair(p, q, 4096, [0.5 * 4096])[0]
         assert ep.success == 0.0  # underflowed as a float
         assert -math.inf < ep.log_success < -500.0
         assert math.isfinite(ep.log_beta)
@@ -234,7 +234,7 @@ class TestExactClassicalEngines:
         pair = family_states(mp, n)
         for a in (-0.1, 0.04, 0.2):
             c = a * n
-            exact = markov_error_pair(mp, n, c)
+            exact = markov_error_pair(mp, n, [c])[0]
             dense = error_pair(pair, np_test(pair, c), n=n)
             assert exact.success == pytest.approx(dense.success, abs=1e-11)
             assert exact.beta_err == pytest.approx(dense.beta_err, abs=1e-11)
@@ -248,7 +248,7 @@ class TestExactClassicalEngines:
         n = 5
         pair = family_states(mp, n)
         c = 0.1 * n
-        exact = markov_error_pair(mp, n, c)
+        exact = markov_error_pair(mp, n, [c])[0]
         dense = error_pair(pair, np_test(pair, c), n=n)
         assert exact.success == pytest.approx(dense.success, abs=1e-12)
         assert exact.beta_err == pytest.approx(dense.beta_err, abs=1e-12)
@@ -279,7 +279,7 @@ class TestExactClassicalEngines:
             P0=np.full((3, 3), 1 / 3), P1=np.full((3, 3), 1 / 3),
         )
         with pytest.raises(ValueError, match="two-state"):
-            markov_error_pair(mp3, 4, 0.0)
+            markov_error_pair(mp3, 4, [0.0])
 
 
 class TestSectorEngine:
@@ -290,7 +290,7 @@ class TestSectorEngine:
         pair = family_states(spec, n)
         for a in (0.0, 0.15):
             c = a * n
-            exact = qubit_sector_error_pair(rho1, sigma1, n, c)
+            exact = qubit_sector_error_pair(rho1, sigma1, n, [c])[0]
             dense = error_pair(pair, pinched_np_test(pair, c), n=n)
             assert exact.success == pytest.approx(dense.success, abs=1e-10)
             assert exact.beta_err == pytest.approx(dense.beta_err, abs=1e-10)
@@ -314,7 +314,7 @@ class TestSectorEngine:
         assert (lams <= 0).any()
         assert abs(lams[lams <= 0].sum()) < 1e-12
         for a in (0.0, 0.15, 0.4):
-            ep = qubit_sector_error_pair(rho1, sigma1, n, a * n)
+            ep = qubit_sector_error_pair(rho1, sigma1, n, [a * n])[0]
             assert ep.success + ep.alpha_err == pytest.approx(1.0, abs=1e-10)
             if n == 4:
                 spec = IIDPayload(rho1, sigma1)
@@ -327,7 +327,7 @@ class TestSectorEngine:
         rho1 = HermitianOperator(np.diag([0.9, 0.1]))
         sigma1 = HermitianOperator(0.5 * np.eye(2))
         with pytest.raises(ValueError, match="nondegenerate"):
-            qubit_sector_error_pair(rho1, sigma1, 3, 0.0)
+            qubit_sector_error_pair(rho1, sigma1, 3, [0.0])
 
 
 def _qubit_pairs():
@@ -358,8 +358,8 @@ class TestSectorClosedForm:
         sigma1 = HermitianOperator(np.diag([0.35, 0.65]))
         p, q = np.diag(_reference_frame(rho1, sigma1)).real, sigma1.eigenvalues
         for a in (-0.4, 0.1, 0.6, 1.1):
-            got = qubit_sector_error_pair(rho1, sigma1, n, a * n)
-            want = iid_type_class_error_pair(p, q, n, a * n)
+            got = qubit_sector_error_pair(rho1, sigma1, n, [a * n])[0]
+            want = iid_type_class_error_pair(p, q, n, [a * n])[0]
             for name in ("log_success", "log_beta", "log_pos_part"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
             assert got.success == pytest.approx(want.success, abs=1e-12)
@@ -407,7 +407,7 @@ class TestDenseSectors:
         states = fam.family_states
         assert states(spec, n).rho.sectors == tuple(math.comb(n, k) for k in range(n + 1))
         thresholds = (0.02, 0.1, 0.3)
-        split = [engine(n, a * n) for a in thresholds]
+        split = [engine(n, [a * n])[0] for a in thresholds]
 
         def one_sector(spec, n):
             pair = states(spec, n)
@@ -415,7 +415,7 @@ class TestDenseSectors:
                              HermitianOperator(pair.sigma.entries))
 
         monkeypatch.setattr(fam, "family_states", one_sector)
-        whole = [engine(n, a * n) for a in thresholds]
+        whole = [engine(n, [a * n])[0] for a in thresholds]
         for got, want in zip(split, whole):
             assert 0.0 < want.success < 1.0
             assert got.success == pytest.approx(want.success, abs=1e-12)
@@ -431,7 +431,7 @@ class TestDenseSectors:
         pair = fam.family_states(spec, n)
         rho_hat = pinch(pair.rho, pair.sigma).entries
         for a in (0.02, 0.1, 0.3):
-            got = _dense_error_pair(spec, "pinched", n, a * n)
+            got = _dense_error_pair(spec, "pinched", n, [a * n])[0]
             want = error_pair(pair, pinched_np_test(pair, a * n), n=n)
             floor = positive_part_trace(rho_hat - math.exp(a * n) * pair.sigma.entries)
             assert 0.0 < want.success < 1.0
@@ -445,8 +445,8 @@ class TestDenseSectors:
         engine, provenance = _resolve_engine(spec, mode)
         assert provenance == "dense"
         for n, a in ((5, 0.05), (6, 0.2)):
-            assert engine(n, a * n) == _dense_error_pair(spec, mode,
-                                                         n, a * n)
+            assert engine(n, [a * n])[0] == _dense_error_pair(spec, mode,
+                                                              n, [a * n])[0]
 
     @pytest.mark.parametrize("mode", ["np", "pinched"])
     def test_pair_without_shared_blocks_is_refused(self, mode):
@@ -463,7 +463,7 @@ class TestDenseSectors:
                 return StatePair(fock_density(qn), HermitianOperator(fock_density(rn).entries))
 
         with pytest.raises(ValueError, match=r"^block n = 4: rho and sigma do not share"):
-            _dense_error_pair(MixedBlocks(), mode, 4, 0.1 * 4)
+            _dense_error_pair(MixedBlocks(), mode, 4, [0.1 * 4])
 
     def test_sc_report_eigh_fits_largest_sector(self, eigh_shapes):
         report = sc_report(quasifree_spec(), 0.2, [5, 6, 7, 8])
@@ -524,11 +524,28 @@ class TestOnePassPerBlock:
     ], ids=["type-classes", "run-classes", "sectors", "dense-np", "dense-sectors-pinched",
             "dense-pinched"])
     def test_batched_engine_equals_scalar_calls(self, engine, n):
+        # the engine contract: a list of thresholds in, a list of one pair per
+        # threshold out, in order, each that of a one-threshold list; [] gives []
         cs = [a * n for a in self.RATES]
         batched = engine(n, cs)
-        assert len(batched) == len(cs)
+        assert type(batched) is list and len(batched) == len(cs)
         for got, c in zip(batched, cs):
-            assert got == engine(n, c)
+            assert got == engine(n, [c])[0]
+        assert engine(n, []) == []
+
+    def test_empty_threshold_list_builds_no_block(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a block was built for no threshold")
+
+        for name in ("log_factorials", "_log_binomials"):
+            monkeypatch.setattr(hyptest, name, built)
+        monkeypatch.setattr(fam, "family_states", built)
+        p, q = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
+        assert iid_type_class_error_pair(p, q, 24, []) == []
+        assert markov_error_pair(_markov_chain(), 300, []) == []
+        assert qubit_sector_error_pair(*noncommuting_qubits(), 12, []) == []
+        for mode in ("np", "pinched"):
+            assert _dense_error_pair(quasifree_spec(), mode, 6, []) == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sc_report_grid_equals_per_r_reports(self, threads):
@@ -650,7 +667,7 @@ class TestSweepAndReport:
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, *args: shapes.append(a.shape) or eigh(a, *args))
         for n, c in ((3, 0.15), (4, 0.2), (4, -0.4)):
-            engine(n, c)
+            engine(n, [c])
         assert shapes == [(27, 27), (81, 81), (81, 81)]
 
     def test_dense_pinched_floor_is_pinched_positive_part(self, qutrit_pair):
@@ -726,6 +743,15 @@ class TestSweepAndReport:
     def test_sc_report_rejects_negative_r(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sc_report(binary_spec(), -0.1, [4, 8])
+
+    # a non-finite point is refused before any rate is built, alone or in a grid
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sweep, name", [(exponent_sweep, "a"), (sc_report, "r")])
+    def test_sweeps_reject_non_finite_point(self, monkeypatch, sweep, name, bad):
+        monkeypatch.setattr(fam, "asymptotic_rate", None)
+        for point in (bad, [0.1, bad]):
+            with pytest.raises(ValueError, match=f"^grid points {name} must be finite$"):
+                sweep(binary_spec(), point, [4, 8])
 
     # an empty grid is refused before any rate is built (the rate builder is gone)
     def test_sc_report_rejects_empty_grid(self, monkeypatch):

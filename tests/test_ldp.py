@@ -160,6 +160,14 @@ class TestLogMgf:
         with pytest.raises(ValueError, match="grid points t must be finite"):
             log_mgf(seq, 4, np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_refused(self, bad):
+        seq = binomial_sequence([4, 8, 16])
+        with pytest.raises(ValueError, match="grid points t must be finite"):
+            log_mgf(seq, 4, bad)
+        with pytest.raises(ValueError, match="grid points t must be finite"):
+            lambda_bar(seq, bad)
+
     def test_empty_grid_gives_empty_float_array(self):
         got = log_mgf(binomial_sequence([4, 8, 16]), 4, np.array([]))
         assert got.dtype == np.float64 and got.shape == (0,)

@@ -404,10 +404,10 @@ class TestLimits:
 
     def test_rate_curve_wiring(self):
         p = payload_1d()
-        f = quasifree_rate(p, grid=1024)
+        f = quasifree_rate(p)
         assert f(1.0) == pytest.approx(0.0, abs=1e-12)
         assert f.right_derivative_at_1 == pytest.approx(
-            quasifree_relent_limit(p, grid=1024), abs=1e-12
+            quasifree_relent_limit(p), abs=1e-12
         )
         assert f.slope_is_exact
 
@@ -415,19 +415,20 @@ class TestLimits:
         p = payload_1d()
         q_symbol, calls = p.q_symbol, []
         p.q_symbol = lambda x: calls.append(x.size) or q_symbol(x)
-        f = quasifree_rate(p, grid=1024)
+        f = quasifree_rate(p)
         values = [f.fn(t) for t in (0.5, 2.0, 7.0)]
-        assert calls == [1024]
+        assert calls == [quasifree.QUAD_GRID]
         # the shared samples give every quadrature's floats unchanged
-        f1 = szego_limit(p, 1.0, grid=1024)
-        assert values == [szego_limit(p, t, grid=1024) - f1 for t in (0.5, 2.0, 7.0)]
-        assert f.right_derivative_at_1 == quasifree_relent_limit(p, grid=1024)
-        assert f.slope_at_infinity == quasifree_slope_at_infinity(p, grid=1024)
+        f1 = szego_limit(p, 1.0)
+        assert values == [szego_limit(p, t) - f1 for t in (0.5, 2.0, 7.0)]
+        assert f.right_derivative_at_1 == quasifree_relent_limit(p)
+        assert f.slope_at_infinity == quasifree_slope_at_infinity(p)
 
-    def test_2d_limits_match_row_loop_oracle(self):
+    def test_2d_limits_match_row_loop_oracle(self, monkeypatch):
         # grid 512 is two blocks of 256 rows; every limit must keep the floats of
         # a plain row-by-row sum with the same integrands
         p, grid = payload_2d(), 512
+        monkeypatch.setattr(quasifree, "QUAD_GRID", grid)
 
         def row_mean(integrand):
             x = 2.0 * np.pi * np.arange(grid) / grid
@@ -447,17 +448,18 @@ class TestLimits:
                 alpha * lq + (1.0 - alpha) * lr, alpha * l1q + (1.0 - alpha) * l1r)
 
         for alpha in (2.0, 30.0):
-            assert szego_limit(p, alpha, grid=grid) == row_mean(szego(alpha))
-        assert quasifree_relent_limit(p, grid=grid) == row_mean(
+            assert szego_limit(p, alpha) == row_mean(szego(alpha))
+        assert quasifree_relent_limit(p) == row_mean(
             lambda q, r, lq, lr, l1q, l1r: q * (lq - lr) + (1.0 - q) * (l1q - l1r))
-        assert quasifree_slope_at_infinity(p, grid=grid) == row_mean(
+        assert quasifree_slope_at_infinity(p) == row_mean(
             lambda q, r, lq, lr, l1q, l1r: np.maximum(lq - lr, l1q - l1r))
 
-    def test_2d_limits_consistent(self):
+    def test_2d_limits_consistent(self, monkeypatch):
         p = payload_2d()
         n = 6
         per_mode = quasifree_psi_singleparticle(p, n, 2.0) / n**2
-        lim = szego_limit(p, 2.0, grid=512)
+        monkeypatch.setattr(quasifree, "QUAD_GRID", 512)
+        lim = szego_limit(p, 2.0)
         assert per_mode == pytest.approx(lim, abs=0.05)
 
 
