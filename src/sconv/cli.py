@@ -27,6 +27,7 @@ from .operators import finite_json_numbers
 from .verify import run_all_checks
 
 FLOAT_FMT = "%.11e"
+FLOOR_SLACK = 1e-12  # log-success may sit this far under its positive-part floor: rounding
 # every parameter each task takes, with its default; a None default (np-sweep's
 # a_grid: the thresholds of ``hyptest.default_a_grid``) is left to the runner
 PARAMS = {
@@ -248,7 +249,7 @@ def _report_invariant_failures(report):
     return [
         f"n={ep.n}: success {ep.log_success} below its positive-part floor {ep.log_pos_part}"
         for ep in report.per_n
-        if ep.log_pos_part is not None and ep.log_success < ep.log_pos_part - 1e-12
+        if ep.log_pos_part is not None and ep.log_success < ep.log_pos_part - FLOOR_SLACK
     ]
 
 

@@ -43,6 +43,7 @@ PERRON_TOL = 1e-12  # relative Rayleigh-quotient change that ends the power iter
 PERRON_MAX_ITER = 200_000  # bounds the work on a slowly mixing chain; keeps the last root
 RELENT_CHORD_STEP = 1e-6  # chord step at 1: O(h) truncation against O(eps/h) rounding
 OVERLAP_TOL = 1e-12  # squared eigenvector overlaps under this are rounding: no shared direction
+STOCHASTIC_TOL = 1e-12  # |sum - 1| of a distribution or transition row: rounding of d terms
 
 __all__ = [
     "PAULI_X",
@@ -110,7 +111,7 @@ class IIDPayload:
 class MarkovPayload:
     """Two classical chains on a common alphabet.
 
-    ``P0``/``P1`` are row-stochastic (1e-12); the support condition demands
+    ``P0``/``P1`` are row-stochastic (``STOCHASTIC_TOL``); the support condition demands
     ``P0[i,j] > 0`` implies ``P1[i,j] > 0`` (likewise for the initial
     distributions) so that order-``alpha > 1`` quantities stay finite.
     """
@@ -131,10 +132,10 @@ class MarkovPayload:
         if self.P0.shape != (d, d) or self.P1.shape != (d, d) or self.pi1.size != d:
             raise ValueError("inconsistent chain dimensions")
         for name, arr in (("pi0", self.pi0), ("pi1", self.pi1)):
-            if (arr < 0).any() or abs(arr.sum() - 1.0) > 1e-12:
+            if (arr < 0).any() or not abs(arr.sum() - 1.0) <= STOCHASTIC_TOL:  # NaN fails
                 raise ValueError(f"{name} is not a distribution")
         for name, arr in (("P0", self.P0), ("P1", self.P1)):
-            if (arr < 0).any() or np.abs(arr.sum(axis=1) - 1.0).max() > 1e-12:
+            if (arr < 0).any() or not np.abs(arr.sum(axis=1) - 1.0).max() <= STOCHASTIC_TOL:
                 raise ValueError(f"{name} is not row-stochastic")
         if ((self.P0 > 0) & (self.P1 == 0)).any() or ((self.pi0 > 0) & (self.pi1 == 0)).any():
             raise ValueError("support condition violated: P0 charges a P1-null transition")
@@ -189,8 +190,8 @@ class GibbsPayload:
     def __post_init__(self):
         if self.site_dim < 2:
             raise ValueError("site dimension must be at least 2")
-        if self.beta <= 0:
-            raise ValueError("inverse temperature must be positive")
+        if not 0 < self.beta < math.inf:  # NaN fails too
+            raise ValueError(f"inverse temperature must be positive and finite, got {self.beta!r}")
         if not self.terms:
             raise ValueError("need at least one interaction term")
         self.terms = [_as_operator(t) for t in self.terms]

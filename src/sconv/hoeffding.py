@@ -27,9 +27,13 @@ GOLDEN_XTOL = 1e-10  # golden-search stop width in t; at a smooth max, value err
 BISECTION_XTOL = 1e-10  # bracket width in a where the anti-divergence bisection stops
 BISECTION_MAX_STEPS = 200  # caps the halvings where float spacing at a keeps the bracket wider
 TAIL_SLOPE_TOL = 1e-8  # a sup objective rising faster than this at t_hi is still climbing
-RATE_AT_ONE_TOL = 1e-9  # |fn(1)| a callable rate may carry: log Tr rho rounds to ~1e-15
+RATE_AT_ONE_TOL = 1e-9  # |f(1)| a callable or sampled rate may carry: log Tr rho rounds to ~1e-15
 ZERO_REGIME_TOL = 1e-9  # r this close above the (computed) derivative at 1 is the zero regime
 LINEAR_TAIL_TOL = 1e-12  # r this close below r_max is the linear tail: bisection needs h(hi) > 0
+GRID_EDGE_TOL = 1e-12  # a point this far past a grid edge is on it: grids are sums of steps
+CONVEXITY_TOL = 1e-6  # relative non-convexity of samples that extrapolation noise explains
+TAIL_STEP = 1e-6  # backward step of _sup's climbing test at t_hi
+TAIL_STEP_SHARE = 1e-3  # cap on that step as a share of [1, t_hi], for a short domain
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
@@ -99,7 +103,7 @@ class ConvexRate:
     residuals: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __call__(self, t):
-        if not 1.0 <= t <= self.t_hi + 1e-12:
+        if not 1.0 <= t <= self.t_hi + GRID_EDGE_TOL:
             raise ValueError(f"t = {t!r} outside domain [1, {self.t_hi}]")
         return float(self.fn(min(t, self.t_hi)))
 
@@ -115,7 +119,7 @@ class ConvexRate:
         distinct ``t`` (two threads asking at once may both run it, for the
         same value).  The caller gives the exact right derivative at 1."""
         f1 = fn(1.0)
-        if abs(f1) > RATE_AT_ONE_TOL:
+        if not abs(f1) <= RATE_AT_ONE_TOL:
             raise ValueError(f"rate function must vanish at 1, got f(1) = {f1!r}")
         memo = {}
 
@@ -136,8 +140,8 @@ class ConvexRate:
         """Piecewise-linear convex rate through sampled points.
 
         The grid must start at ``alpha = 1`` where the value must vanish to
-        1e-8.  Data is projected onto its greatest convex minorant; a
-        projection distance beyond ``1e-6 * scale`` is an error.  Linear
+        ``RATE_AT_ONE_TOL``.  Data is projected onto its greatest convex minorant;
+        a distance beyond ``CONVEXITY_TOL * scale`` is an error.  Linear
         interpolation keeps the curve convex, and Legendre-type sups then
         agree exactly with discrete sups over the grid.  When the exact
         derivative at 1 is known (e.g. a closed-form relative-entropy rate),
@@ -149,15 +153,15 @@ class ConvexRate:
             raise ValueError("need matching 1-d grids with at least two points")
         if np.diff(a).min() <= 0:
             raise ValueError("alpha grid must be strictly increasing")
-        if abs(a[0] - 1.0) > 1e-12:
+        if not abs(a[0] - 1.0) <= GRID_EDGE_TOL:
             raise ValueError("alpha grid must start at 1")
-        if abs(v[0]) > 1e-8:
+        if not abs(v[0]) <= RATE_AT_ONE_TOL:
             raise ValueError(f"rate at alpha = 1 must vanish, got {v[0]!r}")
         v[0] = 0.0
         minorant = _convex_minorant(a, v)
         scale = max(np.abs(v).max(), 1.0)
         worst = float((v - minorant).max())
-        if worst > 1e-6 * scale:
+        if worst > CONVEXITY_TOL * scale:
             raise ValueError(
                 f"samples are not convex: deviation {worst:.3e} above gate"
             )
@@ -189,7 +193,7 @@ def _sup(g, f):
     otherwise the better of a golden search and the end point.
     """
     t_hi = f.t_hi
-    delta = min(1e-6, (t_hi - 1.0) * 1e-3)
+    delta = min(TAIL_STEP, (t_hi - 1.0) * TAIL_STEP_SHARE)
     end = g(t_hi)
     if end - g(t_hi - delta) > TAIL_SLOPE_TOL * delta:
         return t_hi, end, True

@@ -66,6 +66,7 @@ from .operators import (
     _cluster_labels,
     _pinch_matrix,
     _pinch_slice,
+    distinct_eigenvalue_count,
     log_factorials,
     logsumexp,
     logsumexp_rows,
@@ -77,7 +78,9 @@ STRICT_POSITIVE_TOL = 1e-12  # eigenvalues this close to zero are not "strictly 
 COMMUTING_TOL = 1e-12  # off-diagonal size in sigma's eigenbasis that still counts as commuting
 MAX_TYPE_CLASSES = 2_000_000  # classes (or closed-form sector terms) one exact block may sum
 RUN_CLASS_CHUNK = 16_384  # Markov run classes per chunk: bounds the engine's working set
-CLASS_MASS_TOL = 1e-9  # |log| of an exact engine's total class mass: summation leaves ~1e-15
+EXP_CAP = 700.0  # largest c whose e^c is formed: e^709.8 overflows a double
+TAIL_BACKOFF = 0.01  # a linear-tail threshold sits this share of the slope gap inside a_max
+MIN_SLOPE_GAP = 1e-6  # the gap that back-off reads when the rate's two slopes (nearly) meet
 R_SQUARED_GATE = 0.98
 
 __all__ = [
@@ -126,7 +129,7 @@ class ErrorPair:
                 setattr(self, name, 1.0)
             elif not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} = {v!r} outside [0, 1]")
-        if abs(self.alpha_err + self.success - 1.0) > STATE_TOL:
+        if not abs(self.alpha_err + self.success - 1.0) <= STATE_TOL:
             raise ValueError(
                 f"alpha_err + success = {self.alpha_err + self.success!r} != 1"
             )
@@ -190,10 +193,10 @@ class ExponentReport:
 
 
 def _threshold_split(rho, sigma, c):
-    """``rho - e^c sigma`` of two matrices (``c`` capped at 700) and the eigenvectors
-    of its strictly positive eigenvalues: none when ``e^c`` overflows."""
-    diff = HermitianOperator(rho - math.exp(min(c, 700.0)) * sigma)
-    cut = STRICT_POSITIVE_TOL if c <= 700.0 else math.inf
+    """``rho - e^c sigma`` of two matrices (``c`` capped at ``EXP_CAP``) and the
+    eigenvectors of its strictly positive eigenvalues: none past the cap."""
+    diff = HermitianOperator(rho - math.exp(min(c, EXP_CAP)) * sigma)
+    cut = STRICT_POSITIVE_TOL if c <= EXP_CAP else math.inf
     return diff, diff.eigenvectors[:, diff.eigenvalues > cut]
 
 
@@ -261,14 +264,9 @@ def _log_terms_to_pair(n, chunks, c):
 
     # map() lets go of each chunk before the next one is built
     sums = np.array(list(map(_chunk_sums, chunks)))  # (chunk, threshold, sum)
-    pairs = []
-    for log_success, log_alpha, log_beta, log_pos in logsumexp_rows(
-            sums.transpose(1, 2, 0)).tolist():
-        total = np.logaddexp(log_success, log_alpha)
-        if abs(total) > CLASS_MASS_TOL:
-            raise AssertionError(f"class masses sum to e^{total}, not 1")
-        pairs.append(ErrorPair.from_logs(n, log_success, log_alpha, log_beta, log_pos))
-    return pairs
+    # ErrorPair refuses class masses that do not sum to 1
+    return [ErrorPair.from_logs(n, *row)
+            for row in logsumexp_rows(sums.transpose(1, 2, 0)).tolist()]
 
 
 def _safe_log(x):
@@ -393,10 +391,10 @@ def markov_error_pair(payload, n, c):
 
 
 def _splits_into_sectors(sigma1):
-    """Whether ``sigma1`` is a positive nondegenerate qubit state, whose
-    eigenbasis splits every block into Hamming sectors."""
+    """Whether ``sigma1`` is a positive qubit state of two ``CLUSTER_TOL`` levels,
+    as pinching counts them, whose eigenbasis splits blocks into Hamming sectors."""
     mu = sigma1.eigenvalues
-    return mu.size == 2 and mu.min() > 0 and mu[1] - mu[0] > 1e-12
+    return mu.size == 2 and mu.min() > 0 and distinct_eigenvalue_count(sigma1) == 2
 
 
 def _sector_terms(n):
@@ -733,8 +731,8 @@ def sc_report(family, r, n_list, mode="np", rate=None, threads=1):
             a_max = rate.slope_at_infinity
             # exactly at a_max the strict threshold set can be empty (lattice
             # families put their extreme class right on the boundary ratio), so
-            # back off by 1% of the slope gap; the rescale absorbs the rest
-            a = a_max - 0.01 * max(a_max - rate.right_derivative_at_1, 1e-6)
+            # back off by TAIL_BACKOFF of the slope gap; the rescale absorbs the rest
+            a = a_max - TAIL_BACKOFF * max(a_max - rate.right_derivative_at_1, MIN_SLOPE_GAP)
             notes.append("linear-tail regime: rescaled sub-tests in effect")
             if not rate.slope_is_exact:
                 notes.append("boundary slope estimated from the grid tail")

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hoeffding import richardson
+from .hoeffding import CONVEXITY_TOL, GRID_EDGE_TOL, richardson
 from .hyptest import _sector_spectra
 from .operators import _as_grid, log_factorials, logsumexp, logsumexp_rows
 
@@ -268,7 +268,7 @@ class RateCurve:
 
     def lambda_bar(self, t):
         lo, hi = self.t_grid[0], self.t_grid[-1]
-        if not lo - 1e-12 <= t <= hi + 1e-12:
+        if not lo - GRID_EDGE_TOL <= t <= hi + GRID_EDGE_TOL:
             raise ValueError(f"t = {t!r} outside fitted range [{lo}, {hi}]")
         return float(self.spline(t))
 
@@ -301,7 +301,7 @@ def build_rate_curve(seq, t_grid):
     cs, table = _log_mgf_table(seq, t_grid)
     vals, resid = richardson(cs, table)
     scale = max(float(np.abs(vals).max()), 1.0)
-    if np.diff(vals, 2).min() < -1e-6 * scale:
+    if np.diff(vals, 2).min() < -CONVEXITY_TOL * scale:
         raise ValueError("extrapolated curve is visibly non-convex; refuse to spline")
     return RateCurve(seq=seq, t_grid=t_grid, table=table, values=vals, residuals=resid,
                      spline=_not_a_knot_spline(t_grid, vals))

@@ -22,6 +22,8 @@ PSD_ORDER_TOL = 1e-9  # relative slack of the PSD order, above eigvalsh noise on
 SUPPORT_LEAKAGE_TOL = 1e-8  # weight of rho on ker sigma: rounding gives ~1e-16, a leak more
 STATE_TOL = 1e-10  # eigenvalue and trace slack of a state or test; rounding leaves ~1e-15
 DIM_CAP = 4096  # most rows of any matrix a route builds; a larger one is refused, not built
+PSD_ABS_TOL = 1e-14  # absolute PSD slack beside SUPPORT_TOL's relative one: rounding near 0
+ZERO_SCALE = 1e-300  # floor of a relative gate's scale, so an all-zero matrix divides by no 0
 
 __all__ = [
     "HermitianOperator",
@@ -201,13 +203,14 @@ def _hermitian_parts(blocks):
     for b in blocks:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {b.shape}")
-    scale = max(max(np.abs(b).max() for b in blocks), 1e-300)
-    dev = max(np.abs(b - b.conj().T).max() for b in blocks)
-    if dev > HERMITICITY_TOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: relative deviation {dev / scale:.3e} "
-            f"exceeds {HERMITICITY_TOL:.1e}"
-        )
+    scale = max(max(np.abs(b).max() for b in blocks), ZERO_SCALE)
+    for b in blocks:  # block by block: a NaN entry fails its block's gate
+        dev = np.abs(b - b.conj().T).max()
+        if not dev <= HERMITICITY_TOL * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: relative deviation {dev / scale:.3e} "
+                f"exceeds {HERMITICITY_TOL:.1e}"
+            )
     return [0.5 * (b + b.conj().T) for b in blocks]
 
 
@@ -317,8 +320,8 @@ def xlogy(x, y):
 
 
 def _require_psd(op):
-    floor = -(SUPPORT_TOL * max(op.norm, 1.0) + 1e-14)
-    if op.min_eigenvalue < floor:
+    floor = -(SUPPORT_TOL * max(op.norm, 1.0) + PSD_ABS_TOL)
+    if not op.min_eigenvalue >= floor:
         raise ValueError(
             "operator is not positive semidefinite: min eigenvalue "
             f"{op.min_eigenvalue:.3e}"
@@ -401,7 +404,7 @@ def eigenvalue_clusters(op):
     w = op.eigenvalues
     if w.size == 0:
         return []
-    thr = CLUSTER_TOL * max(np.abs(w).max(), 1e-300)
+    thr = CLUSTER_TOL * max(np.abs(w).max(), ZERO_SCALE)
     breaks = np.nonzero(np.diff(w) > thr)[0]
     return np.split(np.arange(w.size), breaks + 1)
 
@@ -528,9 +531,9 @@ class StatePair:
         if self.rho.dim != self.sigma.dim:
             raise ValueError("rho and sigma must share a dimension")
         for name, op in (("rho", self.rho), ("sigma", self.sigma)):
-            if op.min_eigenvalue < -STATE_TOL:
+            if not op.min_eigenvalue >= -STATE_TOL:  # NaN fails every gate here
                 raise ValueError(f"{name} is not PSD: min eig {op.min_eigenvalue:.3e}")
-            if abs(op.trace - 1.0) > STATE_TOL:
+            if not abs(op.trace - 1.0) <= STATE_TOL:
                 raise ValueError(f"{name} is not normalized: trace {op.trace!r}")
         ok, leak = supports_nested(self.rho, self.sigma)
         if not ok:
@@ -548,7 +551,7 @@ class Test:
 
     def __post_init__(self):
         w = self.op.eigenvalues
-        if w.size and (w[0] < -STATE_TOL or w[-1] > 1.0 + STATE_TOL):
+        if w.size and not -STATE_TOL <= w[0] <= w[-1] <= 1.0 + STATE_TOL:
             raise ValueError(
                 f"test eigenvalues outside [0, 1]: range [{w[0]:.3e}, {w[-1]:.3e}]"
             )

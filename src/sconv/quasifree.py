@@ -27,12 +27,15 @@ from typing import Callable, Union
 import numpy as np
 
 from .hoeffding import ConvexRate
-from .operators import (DIM_CAP, HermitianOperator, StatePair, _check_json_object,
+from .operators import (DIM_CAP, STATE_TOL, HermitianOperator, StatePair, _check_json_object,
                         finite_json_numbers)
 
 FOURIER_GRID_1D = 2**14
 FOURIER_GRID_2D = 2**11  # 2^14 per axis is beyond desk scale in two dimensions
 QUAD_GRID = 2**12
+SYMBOL_RANGE_TOL = 1e-9  # a sampled symbol may leave [c, 1 - c] by this: trig-sum rounding
+COMPRESSION_RANGE_TOL = 1e-8  # a compression's spectrum may leave it by this: FFT, eigh rounding
+SCALAR_SYMBOL_TOL = 1e-12  # a sampled reference within this of 1/2 everywhere is the scalar 1/2
 
 __all__ = [
     "TrigPolySymbol",
@@ -93,7 +96,8 @@ class QuasiFreePayload:
         for name, sym in (("q", self.q_symbol), ("r", self.r_symbol)):
             vals = _sample_symbol(sym, self.nu, 2**12 if self.nu == 1 else 2**9)
             lo, hi = float(vals.min()), float(vals.max())
-            if lo < self.c_bound - 1e-9 or hi > 1.0 - self.c_bound + 1e-9:
+            tol = SYMBOL_RANGE_TOL
+            if not (self.c_bound - tol <= lo and hi <= 1.0 - self.c_bound + tol):  # NaN fails
                 raise ValueError(
                     f"{name} symbol range [{lo:.6g}, {hi:.6g}] escapes "
                     f"[{self.c_bound}, {1 - self.c_bound}]"
@@ -116,7 +120,7 @@ class QuasiFreePayload:
         if isinstance(sym, TrigPolySymbol):
             return sym.constant == 0.5 and not any((*sym.cos_coeffs, *sym.sin_coeffs))
         vals = _sample_symbol(sym, self.nu, 64 if self.nu == 2 else 512)
-        return bool(np.abs(vals - 0.5).max() <= 1e-12)
+        return bool(np.abs(vals - 0.5).max() <= SCALAR_SYMBOL_TOL)
 
     def block_dim(self, n):
         return 2 ** (n**self.nu)
@@ -179,7 +183,8 @@ def quasifree_block_symbol(payload, n):
     for sym in (payload.q_symbol, payload.r_symbol):
         op = HermitianOperator(_toeplitz_compression(sym, payload.nu, n))
         lo, hi = op.min_eigenvalue, op.max_eigenvalue
-        if lo < payload.c_bound - 1e-8 or hi > 1.0 - payload.c_bound + 1e-8:
+        tol = COMPRESSION_RANGE_TOL
+        if lo < payload.c_bound - tol or hi > 1.0 - payload.c_bound + tol:
             raise ValueError(
                 f"compression spectrum [{lo:.6g}, {hi:.6g}] violates symbol bounds"
             )
@@ -303,7 +308,7 @@ def fock_density(symbol):
             minors += -term if p % 2 else term
         blocks.append(c0 * minors)
     op = HermitianOperator.block_diagonal(blocks)
-    if abs(op.trace - 1.0) > 1e-10:
+    if not abs(op.trace - 1.0) <= STATE_TOL:
         raise ValueError(f"Fock density trace {op.trace!r} deviates from 1")
     for arr in (*op.blocks, *itertools.chain(*op.block_spectra), op.eigenvalues):
         arr.flags.writeable = False

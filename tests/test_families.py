@@ -384,8 +384,17 @@ _ONSITE_TERM = HermitianOperator(np.diag([0.0, 1.0]))
     (lambda: GibbsPayload(1, [_ONSITE_TERM], 0.7), "site dimension must be at least 2"),
     (lambda: GibbsPayload(2, [_ONSITE_TERM], 0.0), "inverse temperature must be positive"),
     (lambda: GibbsPayload(2, [], 0.7), "need at least one interaction term"),
+    # a NaN fails every gate written "not x <= tol"; the JSON form never carries one
+    (lambda: MarkovPayload(pi0=[math.nan, math.nan], pi1=[0.5, 0.5],
+                           P0=[[0.7, 0.3], [0.2, 0.8]], P1=[[0.5, 0.5], [0.4, 0.6]]),
+     "pi0 is not a distribution"),
+    (lambda: MarkovPayload(pi0=[0.6, 0.4], pi1=[0.5, 0.5], P0=[[math.nan, 0.3], [0.2, 0.8]],
+                           P1=[[0.5, 0.5], [0.4, 0.6]]), "P0 is not row-stochastic"),
+    (lambda: GibbsPayload(2, [_ONSITE_TERM], math.nan), "inverse temperature must be positive"),
+    (lambda: GibbsPayload(2, [_ONSITE_TERM], math.inf), "inverse temperature must be positive"),
 ], ids=["markov-dimensions", "markov-distribution", "gibbs-site-dim", "gibbs-beta",
-        "gibbs-no-terms"])
+        "gibbs-no-terms", "markov-nan-distribution", "markov-nan-row", "gibbs-nan-beta",
+        "gibbs-inf-beta"])
 def test_payload_refusals(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()

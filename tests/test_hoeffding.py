@@ -64,6 +64,9 @@ class TestConvexRateConstruction:
             ConvexRate.from_samples([1.0, 1.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="vanish"):
             ConvexRate.from_samples([1.0, 2.0], [0.5, 1.0])
+        # from_callable's gate: 5e-9 is past RATE_AT_ONE_TOL
+        with pytest.raises(ValueError, match="vanish"):
+            ConvexRate.from_samples([1.0, 2.0, 3.0], [5e-9, 1.0, 3.0])
 
     def test_derivative_override(self):
         grid = np.linspace(1.0, 4.0, 7)

@@ -19,6 +19,7 @@ from sconv.hyptest import (
     RUN_CLASS_CHUNK,
     ErrorPair,
     _dense_error_pair,
+    _log_terms_to_pair,
     _markov_run_classes,
     _resolve_engine,
     _sector_spectra,
@@ -110,6 +111,13 @@ class TestErrorPair:
         scaled = ErrorPair.from_logs(3, math.log(0.25), None, math.log(0.5), -2.0)
         assert scaled.alpha_err == 1.0 - scaled.success
         assert scaled.beta_err == pytest.approx(0.5) and scaled.log_pos_part == -2.0
+
+    @pytest.mark.parametrize("c", [-1.0, 1.0])  # the one class in the test, or out of it
+    def test_reducer_leaves_class_mass_closure_to_error_pair(self, c):
+        # one class of mass 1 + 2e-9: ErrorPair's STATE_TOL gate refuses it
+        chunk = (np.array([2e-9]), np.array([0.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="outside"):
+            _log_terms_to_pair(1, iter([chunk]), [c])
 
 
 class TestThresholdTests:
@@ -328,6 +336,24 @@ class TestSectorEngine:
         sigma1 = HermitianOperator(0.5 * np.eye(2))
         with pytest.raises(ValueError, match="nondegenerate"):
             qubit_sector_error_pair(rho1, sigma1, 3, [0.0])
+
+    def test_one_level_reference_takes_the_dense_engine(self):
+        # sigma_1's levels lie 2e-11 apart, under CLUSTER_TOL: pinching sees one
+        # level, and so does the dispatch, which sends the pair to the dense engine
+        v = np.array([math.cos(0.4), math.sin(0.4)])
+        rho1 = HermitianOperator(0.8 * np.outer(v, v) + 0.1 * np.eye(2))
+        sigma1 = HermitianOperator(np.diag([0.5 - 1e-11, 0.5 + 1e-11]))
+        spec = IIDPayload(rho1, sigma1)
+        engine, provenance = _resolve_engine(spec, "pinched")
+        assert provenance == "dense"
+        dense = _dense_error_pair(spec, "pinched", 6, [0.6, 1.8])
+        assert engine(6, [0.6, 1.8]) == dense
+        assert dense[0].success == pytest.approx(0.885735, abs=1e-9)
+        rate = asymptotic_rate(spec)
+        for a in (0.1, 0.3):
+            report = exponent_sweep(spec, a, [5, 6], mode="pinched", rate=rate)
+            assert report.provenance == "dense"
+            assert report.per_n[-1] == _dense_error_pair(spec, "pinched", 6, [a * 6.0])[0]
 
 
 def _qubit_pairs():

@@ -472,8 +472,17 @@ class TestSerialization:
      "product dimension 8192 exceeds cap 4096"),
     (lambda: HermitianOperator.from_spectral([1.0, 2.0], np.eye(3)),
      "inconsistent spectral data"),
+    # NaN fails the Hermiticity gate, in any block
+    (lambda: HermitianOperator([[math.nan, 0.0], [0.0, 1.0]]),
+     "matrix is not Hermitian: relative deviation nan"),
+    (lambda: HermitianOperator.block_diagonal([np.eye(1), [[math.nan]]]),
+     "matrix is not Hermitian: relative deviation nan"),
+    # a given spectrum passes no Hermiticity gate: the unit trace refuses it
+    (lambda: StatePair(HermitianOperator.from_spectral([math.nan, 1.0], np.eye(2)),
+                       HermitianOperator(np.eye(2) / 2)),
+     "rho is not normalized: trace nan"),
 ], ids=["pair-dimensions", "pair-not-psd", "tensor-power-zero", "tensor-product-cap",
-        "spectral-data"])
+        "spectral-data", "nan-entry", "nan-second-block", "pair-nan-trace"])
 def test_construction_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
