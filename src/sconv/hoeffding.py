@@ -12,6 +12,12 @@ derivative of ``f`` at 1, a linear tail ``H_r = r - a_max`` beyond
 ``r_max = f_polar(a_max) + a_max`` when the slope at infinity ``a_max`` is
 finite, and otherwise the interior value ``r - a_r`` where ``a_r`` is the
 unique root of ``f_polar(a) + a = r``.
+
+The bisection for ``a_r`` needs only the sign of ``f_polar(a) + a - r`` at
+each step.  It reads that sign off the golden search's samples as soon as
+certified bounds settle it (``_exceeds``), and runs the full search only
+while the sign is still open, so its iterates, and every output byte, are
+those of a full search per step.
 """
 
 from __future__ import annotations
@@ -34,6 +40,14 @@ GRID_EDGE_TOL = 1e-12  # a point this far past a grid edge is on it: grids are s
 CONVEXITY_TOL = 1e-6  # relative non-convexity of samples that extrapolation noise explains
 TAIL_STEP = 1e-6  # backward step of _sup's climbing test at t_hi
 TAIL_STEP_SHARE = 1e-3  # cap on that step as a share of [1, t_hi], for a short domain
+# A golden search ends within GOLDEN_XTOL / 2 of its best sample, so its final
+# value is at most GOLDEN_XTOL / 2 * L below that sample, L a slope bound of
+# g(t) = a (t - 1) - f(t) there: L <= a_max - a_min when a_max is finite (at
+# most 0.35 on the shipped rates), and ~0 at a smooth maximum.  L <= 10 gives
+# 5e-10; rounding of g (~1e-15) and of the chord slopes that _concave_cap
+# extends (~1e-14) add less than 1e-13.  A sign is read off the samples only
+# when they clear r - a by this much.
+SIGN_MARGIN = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
@@ -49,13 +63,22 @@ __all__ = [
 ]
 
 
-def _golden_max(g, lo, hi):
-    """Golden-section maximizer of a unimodal function on [lo, hi]."""
+def _golden_max(g, lo, hi, settle=None):
+    """Golden-section maximizer of a unimodal function on [lo, hi].
+
+    ``settle(a, c, d, b, gc, gd)``, if given, sees each bracket before it
+    shrinks; its first result other than None ends the search and is returned
+    in place of ``(t, g(t))``.
+    """
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     gc, gd = g(c), g(d)
     while b - a > GOLDEN_XTOL:
+        if settle is not None:
+            settled = settle(a, c, d, b, gc, gd)
+            if settled is not None:
+                return settled
         if gc >= gd:
             b, d, gd = d, c, gc
             c = b - _INVPHI * (b - a)
@@ -66,6 +89,25 @@ def _golden_max(g, lo, hi):
             gd = g(d)
     t = 0.5 * (a + b)
     return t, g(t)
+
+
+def _concave_cap(ts, vs):
+    """Upper bound over ``[t0, t3]`` of a concave function with values ``vs``
+    at ``ts = (t0, t1, t2, t3)``, increasing.
+
+    Off ``[t1, t2]`` it lies below the middle chord extended; on it, below both
+    outer chords extended, whose lower envelope peaks where they cross.
+    """
+    (t0, t1, t2, t3), (v0, v1, v2, v3) = ts, vs
+    mid = (v2 - v1) / (t2 - t1)
+    left = (v1 - v0) / (t1 - t0)
+    right = (v3 - v2) / (t3 - t2)
+    peaks = [v1 + mid * (t0 - t1), v1, v2, v2 + mid * (t3 - t2)]
+    if left != right:
+        cross = t1 + (v2 - v1 - right * (t2 - t1)) / (left - right)
+        if t1 < cross < t2:
+            peaks.append(v1 + left * (cross - t1))
+    return max(peaks)
 
 
 def _convex_minorant(x, y):
@@ -121,7 +163,7 @@ class ConvexRate:
         f1 = fn(1.0)
         if not abs(f1) <= RATE_AT_ONE_TOL:
             raise ValueError(f"rate function must vanish at 1, got f(1) = {f1!r}")
-        memo = {}
+        memo = {1.0: 0.0}  # fn(1) has run, for f1
 
         def shifted(t):
             if t not in memo:
@@ -186,20 +228,27 @@ class PolarResult:
     tail_dominated: bool
 
 
+def _tail(g, f):
+    """``(g(t_hi), climbing)``: climbing if ``g`` still rises at ``t_hi`` by
+    more than ``TAIL_SLOPE_TOL``."""
+    t_hi = f.t_hi
+    delta = min(TAIL_STEP, (t_hi - 1.0) * TAIL_STEP_SHARE)
+    end = g(t_hi)
+    return end, end - g(t_hi - delta) > TAIL_SLOPE_TOL * delta
+
+
 def _sup(g, f):
     """``(t, value, climbing)`` for the sup of ``g`` over ``[1, f.t_hi]``.
 
     A ``g`` still rising at ``t_hi`` returns ``(t_hi, g(t_hi), True)`` unsearched;
     otherwise the better of a golden search and the end point.
     """
-    t_hi = f.t_hi
-    delta = min(TAIL_STEP, (t_hi - 1.0) * TAIL_STEP_SHARE)
-    end = g(t_hi)
-    if end - g(t_hi - delta) > TAIL_SLOPE_TOL * delta:
-        return t_hi, end, True
-    t_star, val = _golden_max(g, 1.0, t_hi)
+    end, climbing = _tail(g, f)
+    if climbing:
+        return f.t_hi, end, True
+    t_star, val = _golden_max(g, 1.0, f.t_hi)
     if end > val:
-        return t_hi, end, False
+        return f.t_hi, end, False
     return t_star, val, False
 
 
@@ -226,6 +275,45 @@ def polar_detail(f, a):
 def polar(f, a):
     """``sup_{t > 1} { a (t - 1) - f(t) }``; exactly 0 below the derivative at 1."""
     return polar_detail(f, a).value
+
+
+def _exceeds(f, a, r):
+    """``polar(f, a) + a - r > 0.0``, settled by the golden search's samples
+    when they can, by the full search otherwise.
+
+    Past the derivative at 1, with ``g(t) = a (t - 1) - f(t)`` not climbing at
+    ``t_hi``, the polar is ``max(val, end, 0)``: ``end = g(t_hi)``, ``val`` the
+    search's final value.  So ``a > r`` or ``end + a - r > 0.0`` settle the
+    sign exactly, and the search's samples settle it within ``SIGN_MARGIN``:
+    ``val`` is at least the best sample (less the margin) and at most the
+    concave cap of the current bracket.
+    """
+    if a > f.right_derivative_at_1:
+        def g(t):
+            return a * (t - 1.0) - f(t)
+
+        end, climbing = _tail(g, f)
+        if not climbing:
+            if a > r or end + a - r > 0.0:
+                return True
+            known = {1.0: g(1.0), f.t_hi: end}
+
+            def settle(lo, c, d, hi, gc, gd):
+                known[c], known[d] = gc, gd
+                ts = (lo, c, d, hi)
+                vs = [known[t] for t in ts]
+                if not all(map(math.isfinite, vs)):
+                    return None
+                if max(gc, gd) + a - r > SIGN_MARGIN:
+                    return True
+                if _concave_cap(ts, vs) + a - r < -SIGN_MARGIN:
+                    return False
+                return None
+
+            settled = _golden_max(g, 1.0, f.t_hi, settle)
+            if isinstance(settled, bool):
+                return settled
+    return polar(f, a) + a - r > 0.0  # a callable rate's memo holds the samples
 
 
 @dataclass
@@ -268,22 +356,20 @@ def hoeffding_anti(f, r):
                 )
         # an infinite polar at a_max pushes r_max to infinity: always interior
 
-    def h(a):
-        return polar(f, a) + a - r
-
     lo = a_min
     if math.isfinite(a_max):
         hi = a_max
     else:
         hi = r + 1.0
-    # h is strictly increasing (polar slope >= 0 plus the +a term), and h(hi) > 0:
+    # h(a) = polar(f, a) + a - r, whose sign _exceeds gives, is strictly increasing
+    # (polar slope >= 0 plus the +a term), and h(hi) > 0:
     # a finite tail gets here only with r < r_max - LINEAR_TAIL_TOL, so h(a_max) = r_max - r;
     # an infinite tail makes h(a_max) infinite; and h(r + 1) >= 1, the polar being >= 0
     for _ in range(BISECTION_MAX_STEPS):
         if hi - lo <= BISECTION_XTOL:
             break
         mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
+        if _exceeds(f, mid, r):
             hi = mid
         else:
             lo = mid
@@ -302,8 +388,9 @@ def hoeffding_anti(f, r):
 def sc_lower_bound_curve(f, r):
     """Direct evaluation of ``sup_{t > 1} (r (t - 1) - f(t)) / t``.
 
-    Numerically identical to ``hoeffding_anti(f, r).value``; exposed
-    separately so reports can cross-check the two routes.
+    Agrees with ``hoeffding_anti(f, r).value`` only to the bisection's
+    tolerance (about 5e-11 absolute on the shipped rates), not to the bit;
+    exposed separately so reports can cross-check the two routes.
     """
     _, val, climbing = _sup(lambda t: (r * (t - 1.0) - f(t)) / t, f)
     if climbing and math.isfinite(f.slope_at_infinity):

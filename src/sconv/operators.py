@@ -205,10 +205,12 @@ def _hermitian_parts(blocks):
             raise ValueError(f"expected a square matrix, got shape {b.shape}")
     scale = max(max(np.abs(b).max() for b in blocks), ZERO_SCALE)
     for b in blocks:  # block by block: a NaN entry fails its block's gate
-        dev = np.abs(b - b.conj().T).max()
-        if not dev <= HERMITICITY_TOL * scale:
+        # and so does an infinite one, silently: inf - inf or inf / inf is NaN
+        with np.errstate(invalid="ignore"):
+            dev = np.abs(b - b.conj().T).max() / scale
+        if not dev <= HERMITICITY_TOL:
             raise ValueError(
-                f"matrix is not Hermitian: relative deviation {dev / scale:.3e} "
+                f"matrix is not Hermitian: relative deviation {dev:.3e} "
                 f"exceeds {HERMITICITY_TOL:.1e}"
             )
     return [0.5 * (b + b.conj().T) for b in blocks]

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from sconv import hoeffding
+from sconv.families import iid_rate
 from sconv.hoeffding import (
     ConvexRate,
     hoeffding_anti,
@@ -14,6 +16,10 @@ from sconv.hoeffding import (
     rate_from_samples,
     sc_lower_bound_curve,
 )
+from sconv.operators import rand_density
+from sconv.quasifree import QuasiFreePayload, TrigPolySymbol, quasifree_rate
+
+from helpers import classical_psi, full_search_anti
 
 
 def quadratic():
@@ -233,3 +239,88 @@ class TestRateFromSamples:
 def test_sample_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+# -- the bisection's signs, read off the golden search's samples ----------
+
+P, Q = (0.7, 0.3), (0.4, 0.6)
+
+
+def classical():
+    relent = sum(p * math.log(p / q) for p, q in zip(P, Q))
+    return ConvexRate.from_callable(lambda t: classical_psi(P, Q, t), right_derivative_at_1=relent,
+                                    slope_at_infinity=math.log(P[0] / Q[0]))
+
+
+def sampled():
+    grid = np.linspace(1.0, 16.0, 40)  # piecewise linear: g has kinks at the nodes
+    return ConvexRate.from_samples(grid, 0.3 * (grid - 1.0) + 0.05 * (grid - 1.0) ** 2,
+                                   right_derivative_at_1=0.3)
+
+
+def sandwiched_qubit():
+    rng = np.random.default_rng(7)
+    return iid_rate(rand_density(2, rng), rand_density(2, rng), "sandwiched")
+
+
+def szego():
+    return quasifree_rate(QuasiFreePayload(
+        nu=1, q_symbol=TrigPolySymbol(0.45, cos_coeffs=(0.15,)),
+        r_symbol=TrigPolySymbol(0.55, cos_coeffs=(-0.1,), sin_coeffs=(0.08,)), c_bound=0.2))
+
+
+RATES = {"quadratic": quadratic, "linear": linear, "classical": classical,
+         "sampled": sampled, "sandwiched-qubit": sandwiched_qubit, "szego": szego}
+
+
+def rates_between(f, count=4):
+    """Rates spread over the interior regime of ``f`` (zero and tail for a linear f)."""
+    a_min, a_max = f.right_derivative_at_1, f.slope_at_infinity
+    r_max = polar(f, a_max) + a_max if math.isfinite(a_max) else a_min + 8.0
+    if not math.isfinite(r_max) or r_max <= a_min:
+        return [a_min - 0.1, a_min + 0.2, a_min + 2.0]
+    return [a_min + (r_max - a_min) * k / (count + 1) for k in range(1, count + 1)]
+
+
+def assert_matches_full_search(f, r):
+    """The certified sign equals the full search's at a grid of thresholds and
+    within 1e-9 of ``a_r``, and the result equals the oracle's to the bit."""
+    oracle = full_search_anti(f, r)
+    assert repr(hoeffding_anti(f, r)) == repr(oracle)
+    a_min = f.right_derivative_at_1
+    hi = f.slope_at_infinity if math.isfinite(f.slope_at_infinity) else r + 1.0
+    thresholds = list(np.linspace(a_min - 0.1, hi + 0.1, 23))
+    if oracle.regime == "interior":
+        thresholds += [oracle.a_r + k * 2.5e-10 for k in range(-4, 5)]
+    for a in thresholds:
+        assert hoeffding._exceeds(f, a, r) == (polar(f, a) + a - r > 0.0), (r, a)
+
+
+@pytest.mark.parametrize("name", sorted(RATES))
+def test_certified_signs_match_the_full_search(name):
+    f = RATES[name]()
+    for r in rates_between(f):
+        assert_matches_full_search(f, r)
+
+
+def test_a_wrong_signed_margin_fails_the_full_search_check(monkeypatch):
+    monkeypatch.setattr(hoeffding, "SIGN_MARGIN", -1e-6)
+    f = classical()
+    with pytest.raises(AssertionError):
+        for r in rates_between(f):
+            assert_matches_full_search(f, r)
+
+
+@pytest.mark.parametrize("build", [classical, sandwiched_qubit, szego],
+                         ids=["classical", "sandwiched-qubit", "szego"])
+def test_certified_signs_halve_the_distinct_evaluations(build):
+    def distinct_evaluations(anti, r):
+        f = build()
+        fn, seen = f.fn, set()
+        f.fn = lambda t: seen.add(t) or fn(t)
+        result = anti(f, r)
+        assert result.regime == "interior"
+        return len(seen)
+
+    r = rates_between(build(), 1)[0]
+    assert distinct_evaluations(hoeffding_anti, r) < 0.5 * distinct_evaluations(full_search_anti, r)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -486,3 +487,16 @@ class TestSerialization:
 def test_construction_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("build", [HermitianOperator,
+                                   lambda a: HermitianOperator.block_diagonal([np.eye(1), a])])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(0.0, math.inf)])
+def test_infinite_entry_refused_without_a_warning(build, bad):
+    # inf - inf in the Hermiticity deviation once warned before the refusal
+    # (under an error filter the caller got the RuntimeWarning instead), and an
+    # imaginary infinity on the diagonal passed the gate against an infinite scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix is not Hermitian: relative deviation nan"):
+            build(np.array([[bad, 0.0], [0.0, 1.0]]))
