@@ -264,7 +264,7 @@ def _family_rate(family, variant):
         raise ScenarioError("$.family", str(exc)) from exc
 
 
-def _run_renyi(scenario, out_dir, threads):
+def _run_renyi(scenario, out_dir):
     params = scenario["params"]
     pair = fam.family_states(scenario["family"], params["n"])
     curves = {v: renyi.psi_curve(pair.rho, pair.sigma, v) for v in renyi.VARIANTS}
@@ -279,7 +279,7 @@ def _run_renyi(scenario, out_dir, threads):
     return [_write_csv(path, ["alpha", "variant", "psi", "divergence", "provenance"], rows)], 0
 
 
-def _run_hoeffding(scenario, out_dir, threads):
+def _run_hoeffding(scenario, out_dir):
     params = scenario["params"]
     family = scenario["family"]
     variant = params["variant"]
@@ -295,7 +295,7 @@ def _run_hoeffding(scenario, out_dir, threads):
     return [_write_csv(path, header, rows)], 0
 
 
-def _run_family(scenario, out_dir, threads):
+def _run_family(scenario, out_dir):
     params = scenario["params"]
     family = scenario["family"]
     variant = params["variant"]
@@ -342,7 +342,7 @@ def _emit_reports(run, grid_name, scenario, out_dir, threads):
     return paths, 0
 
 
-def _run_ldp(scenario, out_dir, threads):
+def _run_ldp(scenario, out_dir):
     params = scenario["params"]
     ns, prob, t_range = params["n_list"], params["prob"], params["t_range"]
     seq = ldp_mod.binomial_sequence(ns, prob)
@@ -364,7 +364,7 @@ def _run_ldp(scenario, out_dir, threads):
     return [_write_csv(path, header, rows)], 0
 
 
-def _run_verify(scenario, out_dir, threads):
+def _run_verify(scenario, out_dir):
     raw = os.environ.get("SCONV_SEED", "42")
     try:
         seed = int(raw)
@@ -394,6 +394,8 @@ def _run_verify(scenario, out_dir, threads):
     return [path], 0 if failed == 0 else 1
 
 
+# the sweeps, whose block sizes ``--threads`` workers share; no other task takes it
+THREADED_TASKS = ("np-sweep", "sc-report")
 RUNNERS = {
     "renyi": _run_renyi,
     "hoeffding": _run_hoeffding,
@@ -414,12 +416,13 @@ def _emit_error_json(field, message):
           file=sys.stderr)
 
 
-def _add_common(p, scenario_required):
-    p.add_argument("--scenario", required=scenario_required,
+def _add_flags(p, task):
+    p.add_argument("--scenario", required=task != "verify",
                    help="path to the scenario JSON file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="workers that split the block sizes of a sweep, largest first")
+    if task in THREADED_TASKS:
+        p.add_argument("--threads", type=int, default=1,
+                       help="workers that split the block sizes of the sweep, largest first")
 
 
 def main(argv=None):
@@ -432,10 +435,10 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="task", required=True)
     for task in TASKS:
-        sp = sub.add_parser(task)
-        _add_common(sp, scenario_required=(task != "verify"))
+        _add_flags(sub.add_parser(task), task)
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    threads = [args.threads] if args.task in THREADED_TASKS else []
+    if threads and args.threads < 1:
         sub.choices[args.task].error("argument --threads: must be at least 1")
     try:
         if args.scenario is not None:
@@ -452,7 +455,7 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ScenarioError("--out", f"cannot create output directory: {exc}") from exc
-        paths, status = RUNNERS[args.task](scenario, args.out, args.threads)
+        paths, status = RUNNERS[args.task](scenario, args.out, *threads)
     except ScenarioError as exc:
         _emit_error_json(exc.field, exc.message)
         return 2

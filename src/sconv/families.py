@@ -308,7 +308,7 @@ def factorization_certificate(payload, m, k, r_rem, eta):
     """
     if m < 1 or k < 1 or r_rem < 0:
         raise ValueError("need m >= 1, k >= 1, r_rem >= 0")
-    if eta < 1.0:
+    if not eta >= 1.0:
         raise ValueError("factorization constant must be >= 1")
     w_n = gibbs_state(payload, k * m + r_rem)
     w_m = gibbs_state(payload, m)

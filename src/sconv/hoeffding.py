@@ -14,10 +14,10 @@ finite, and otherwise the interior value ``r - a_r`` where ``a_r`` is the
 unique root of ``f_polar(a) + a = r``.
 
 The bisection for ``a_r`` needs only the sign of ``f_polar(a) + a - r`` at
-each step.  It reads that sign off the golden search's samples as soon as
-certified bounds settle it (``_exceeds``), and runs the full search only
-while the sign is still open, so its iterates, and every output byte, are
-those of a full search per step.
+each step.  It reads that sign off one golden search (``_exceeds``): off a
+bracket as soon as certified bounds settle it, or else off the search's
+final value, so its iterates, and every output byte, are those of a full
+search per step.
 """
 
 from __future__ import annotations
@@ -63,31 +63,32 @@ __all__ = [
 ]
 
 
-def _golden_max(g, lo, hi, settle=None):
-    """Golden-section maximizer of a unimodal function on [lo, hi].
-
-    ``settle(a, c, d, b, gc, gd)``, if given, sees each bracket before it
-    shrinks; its first result other than None ends the search and is returned
-    in place of ``(t, g(t))``.
-    """
+def _golden_brackets(g, lo, hi):
+    """Golden-section search for the max of a unimodal ``g`` on ``[lo, hi]``: yields
+    each bracket's ends and inner points ``ts = (lo, c, d, hi)`` and ``vs = g(ts)``;
+    each bracket lies inside the last, and the last is no wider than ``GOLDEN_XTOL``."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > GOLDEN_XTOL:
-        if settle is not None:
-            settled = settle(a, c, d, b, gc, gd)
-            if settled is not None:
-                return settled
+    ga, gc, gd, gb = g(a), g(c), g(d), g(b)
+    while True:
+        yield (a, c, d, b), (ga, gc, gd, gb)
+        if b - a <= GOLDEN_XTOL:
+            return
         if gc >= gd:
-            b, d, gd = d, c, gc
+            b, gb, d, gd = d, gd, c, gc
             c = b - _INVPHI * (b - a)
             gc = g(c)
         else:
-            a, c, gc = c, d, gd
+            a, ga, c, gc = c, gc, d, gd
             d = a + _INVPHI * (b - a)
             gd = g(d)
-    t = 0.5 * (a + b)
+
+
+def _golden_max(g, lo, hi):
+    """``(t, g(t))`` at the midpoint of the golden search's last bracket."""
+    *_, (ts, _) = _golden_brackets(g, lo, hi)
+    t = 0.5 * (ts[0] + ts[3])
     return t, g(t)
 
 
@@ -159,7 +160,11 @@ class ConvexRate:
     ):
         """Rate ``t -> fn(t) - fn(1)``, memoised per ``t``: ``fn`` runs once per
         distinct ``t`` (two threads asking at once may both run it, for the
-        same value).  The caller gives the exact right derivative at 1."""
+        same value).  The caller gives the exact, finite right derivative at 1."""
+        d1, slope, t_hi = float(right_derivative_at_1), float(slope_at_infinity), float(t_hi)
+        if not (math.isfinite(d1) and math.isfinite(t_hi)) or math.isnan(slope):
+            raise ValueError("need a finite right derivative at 1 and t_hi and a slope at "
+                             f"infinity that is not NaN, got {d1!r}, {t_hi!r} and {slope!r}")
         f1 = fn(1.0)
         if not abs(f1) <= RATE_AT_ONE_TOL:
             raise ValueError(f"rate function must vanish at 1, got f(1) = {f1!r}")
@@ -172,9 +177,9 @@ class ConvexRate:
 
         return cls(
             fn=shifted,
-            right_derivative_at_1=float(right_derivative_at_1),
-            slope_at_infinity=float(slope_at_infinity),
-            t_hi=float(t_hi),
+            right_derivative_at_1=d1,
+            slope_at_infinity=slope,
+            t_hi=t_hi,
         )
 
     @classmethod
@@ -193,7 +198,9 @@ class ConvexRate:
         v = np.asarray(values, dtype=float).copy()
         if a.ndim != 1 or a.shape != v.shape or a.size < 2:
             raise ValueError("need matching 1-d grids with at least two points")
-        if np.diff(a).min() <= 0:
+        if not (np.isfinite(a).all() and np.isfinite(v).all()):
+            raise ValueError("sampled alphas and values must be finite")
+        if not np.diff(a).min() > 0:
             raise ValueError("alpha grid must be strictly increasing")
         if not abs(a[0] - 1.0) <= GRID_EDGE_TOL:
             raise ValueError("alpha grid must start at 1")
@@ -203,7 +210,7 @@ class ConvexRate:
         minorant = _convex_minorant(a, v)
         scale = max(np.abs(v).max(), 1.0)
         worst = float((v - minorant).max())
-        if worst > CONVEXITY_TOL * scale:
+        if not worst <= CONVEXITY_TOL * scale:
             raise ValueError(
                 f"samples are not convex: deviation {worst:.3e} above gate"
             )
@@ -278,15 +285,15 @@ def polar(f, a):
 
 
 def _exceeds(f, a, r):
-    """``polar(f, a) + a - r > 0.0``, settled by the golden search's samples
-    when they can, by the full search otherwise.
+    """``polar(f, a) + a - r > 0.0``, read off one golden search.
 
     Past the derivative at 1, with ``g(t) = a (t - 1) - f(t)`` not climbing at
     ``t_hi``, the polar is ``max(val, end, 0)``: ``end = g(t_hi)``, ``val`` the
     search's final value.  So ``a > r`` or ``end + a - r > 0.0`` settle the
-    sign exactly, and the search's samples settle it within ``SIGN_MARGIN``:
-    ``val`` is at least the best sample (less the margin) and at most the
-    concave cap of the current bracket.
+    sign exactly, and each bracket of the search settles it within
+    ``SIGN_MARGIN``: ``val`` is at least the best inner sample (less the
+    margin) and at most the bracket's concave cap.  A sign no bracket settles
+    is that of ``max(val, end, 0) + a - r``, the search's own final value.
     """
     if a > f.right_derivative_at_1:
         def g(t):
@@ -296,24 +303,16 @@ def _exceeds(f, a, r):
         if not climbing:
             if a > r or end + a - r > 0.0:
                 return True
-            known = {1.0: g(1.0), f.t_hi: end}
-
-            def settle(lo, c, d, hi, gc, gd):
-                known[c], known[d] = gc, gd
-                ts = (lo, c, d, hi)
-                vs = [known[t] for t in ts]
+            for ts, vs in _golden_brackets(g, 1.0, f.t_hi):
                 if not all(map(math.isfinite, vs)):
-                    return None
-                if max(gc, gd) + a - r > SIGN_MARGIN:
+                    continue
+                if max(vs[1], vs[2]) + a - r > SIGN_MARGIN:
                     return True
                 if _concave_cap(ts, vs) + a - r < -SIGN_MARGIN:
                     return False
-                return None
-
-            settled = _golden_max(g, 1.0, f.t_hi, settle)
-            if isinstance(settled, bool):
-                return settled
-    return polar(f, a) + a - r > 0.0  # a callable rate's memo holds the samples
+            t = 0.5 * (ts[0] + ts[3])
+            return max(g(t), end, 0.0) + a - r > 0.0
+    return polar(f, a) + a - r > 0.0  # below the derivative or climbing: no search
 
 
 @dataclass
@@ -432,7 +431,7 @@ def rate_from_samples(n_list, alphas, psi_matrix):
     m = np.asarray(psi_matrix, dtype=float)
     if n.size < 3:
         raise ValueError("need at least three sample sizes for extrapolation")
-    if np.diff(n).min() <= 0:
+    if not np.diff(n).min() > 0:
         raise ValueError("sample sizes must be strictly increasing")
     if m.shape != (n.size, a.size):
         raise ValueError(f"psi matrix shape {m.shape} does not match grids")

@@ -54,9 +54,11 @@ def _check_order(t):
 
 
 def _check_args(variant, t):
-    """Refuse an unknown variant, then a sandwiched order ``t <= 0``, before
-    any operator is looked at."""
+    """Refuse an unknown variant, then a non-finite order, then a sandwiched
+    order ``t <= 0``, before any operator is looked at."""
     _check_variant(variant)
+    if not math.isfinite(t):
+        raise ValueError(f"order must be finite, got {t!r}")
     if variant == "sandwiched":
         _check_order(t)
 
@@ -162,7 +164,7 @@ def renyi_divergence(rho, sigma, alpha, variant="plain"):
     ``alpha = 1`` is the relative entropy; ``alpha > 1`` returns ``inf``
     whenever ``supp rho`` is not contained in ``supp sigma``.
     """
-    _check_variant(variant)
+    _check_args(variant, alpha)
     if alpha < 0:
         raise ValueError("negative orders are out of scope")
     if abs(alpha - 1.0) < ORDER_ONE_TOL:

@@ -10,6 +10,7 @@ writes the family object that ``sconv.families.family_from_json`` reads.
 import csv
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -70,30 +71,13 @@ def classical_renyi_divergence(p, q, alpha):
 
 
 def full_search_anti(f, r):
-    """``hoeffding_anti``'s case split and bisection, every sign taken from a
-    full golden search, ``polar(f, a) + a - r > 0.0``."""
-    H = hoeffding
-    a_min, a_max = f.right_derivative_at_1, f.slope_at_infinity
-    if r <= a_min + H.ZERO_REGIME_TOL:
-        return H.HoeffdingResult(r=r, value=0.0, regime="zero")
-    if math.isfinite(a_max):
-        tail = H.polar_detail(f, a_max)
-        if math.isfinite(tail.value) and r >= tail.value + a_max - H.LINEAR_TAIL_TOL:
-            return H.HoeffdingResult(r=r, value=r - a_max, regime="linear_tail", a_r=a_max,
-                                     tail_dominated=tail.tail_dominated)
-    lo, hi = a_min, a_max if math.isfinite(a_max) else r + 1.0
-    for _ in range(H.BISECTION_MAX_STEPS):
-        if hi - lo <= H.BISECTION_XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if H.polar(f, mid) + mid - r > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    a_r = 0.5 * (lo + hi)
-    detail = H.polar_detail(f, a_r)
-    return H.HoeffdingResult(r=r, value=r - a_r, regime="interior", a_r=a_r,
-                             attaining_t=detail.argmax_t, tail_dominated=detail.tail_dominated)
+    """``hoeffding_anti`` with every bisection sign taken from a full golden
+    search, ``polar(f, a) + a - r > 0.0``."""
+    def full_search_sign(f, a, r):
+        return hoeffding.polar(f, a) + a - r > 0.0
+
+    with mock.patch.object(hoeffding, "_exceeds", full_search_sign):
+        return hoeffding.hoeffding_anti(f, r)
 
 
 # -- scaling residuals -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the batch command line: scenario validation, table emission,
 exit codes, and byte-stable CSV output."""
 
+import csv
 import json
 import math
 import re
@@ -96,6 +97,11 @@ FAMILY_PSI_REFERENCES = {
     "gibbs": lambda p, n, alpha, variant: n * psi(
         fam.gibbs_state(p.null, 1), fam.gibbs_state(p.alt, 1), alpha, variant),
 }
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def write_scenario(tmp_path, obj, name="scenario.json"):
@@ -684,11 +690,22 @@ class TestMain:
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        scenario = write_scenario(tmp_path, {"task": "sc-report", "family": binary_family()})
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--out", str(tmp_path), "--threads", threads])
+            main(["sc-report", "--scenario", scenario, "--out", str(tmp_path),
+                  "--threads", threads])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
-        assert not (tmp_path / "verify_summary.json").exists()
+        assert not (tmp_path / "sc_report.csv").exists()
+
+    @pytest.mark.parametrize("task", ["renyi", "hoeffding", "family", "ldp", "verify"])
+    def test_threads_only_on_the_sweeps(self, tmp_path, capsys, task):
+        with pytest.raises(SystemExit) as exc:
+            main([task, "--scenario", str(tmp_path / "unread.json"), "--out", str(tmp_path),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_t_range_exits_two(self, tmp_path, capsys):
         scenario = write_scenario(
@@ -1003,3 +1020,25 @@ class TestMain:
         assert refs and sorted(p.name for p in tmp_path.glob("*.csv")) == refs
         for name in refs:
             assert (tmp_path / name).read_bytes() == (case / "ref" / name).read_bytes()
+
+    @pytest.mark.parametrize("workload", ["markov-sc-report", "quasifree-sc-report",
+                                          "pinched-and-short-jobs"])
+    def test_hoeffding_values_match_the_reports_predicted_H(self, tmp_path, workload):
+        # the anti-divergence through a second task: a hoeffding scenario on each
+        # draw's sc-report family, r_grid and variant writes, for every r, the
+        # predicted_H cells of that r's reference report
+        for case in sorted((CATALOG / workload).glob("s[0-9][0-9]")):
+            report = json.loads((case / "sc_report.json").read_text(encoding="utf-8"))
+            r_grid = report["params"]["r_grid"]
+            params = {"r_grid": r_grid, "out": "h.csv"}
+            if "variant" in report["params"]:
+                params["variant"] = report["params"]["variant"]
+            scenario = write_scenario(
+                tmp_path, {"task": "hoeffding", "family": report["family"], "params": params})
+            assert main(["hoeffding", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+            rows = read_csv(tmp_path / "h.csv")
+            assert [float(row["r"]) for row in rows] == r_grid
+            for idx, row in enumerate(rows):
+                name = f"sc_report_{idx:02d}.csv" if len(r_grid) > 1 else "sc_report.csv"
+                cells = {line["predicted_H"] for line in read_csv(case / "ref" / name)}
+                assert cells == {row["value"]}, (case.name, idx)

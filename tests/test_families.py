@@ -238,6 +238,12 @@ class TestGibbs:
         with pytest.raises(ValueError, match=">= 1"):
             factorization_certificate(p, 1, 1, 0, 0.5)
 
+    def test_certificate_refuses_nan_eta(self, monkeypatch):
+        # refused before any Gibbs state is built (NaN passed `eta < 1.0`)
+        monkeypatch.setattr("sconv.families.gibbs_state", None)
+        with pytest.raises(ValueError, match="factorization constant must be >= 1"):
+            factorization_certificate(onsite_gibbs(), 1, 1, 0, math.nan)
+
 
 class TestMarkovTransfer:
     def test_n1_reduces_to_classical(self):

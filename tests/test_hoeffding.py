@@ -241,6 +241,46 @@ def test_sample_refusals(call, message):
         call()
 
 
+# non-finite samples once passed the NaN-blind gates: a NaN value the
+# convexity gate, a NaN alpha the increasing-grid gate, and an infinity both
+@pytest.mark.parametrize("alphas, values", [
+    ([1.0, 2.0, 3.0, 4.0], [0.0, math.nan, 1.0, 2.0]),
+    ([1.0, 2.0, 3.0], [0.0, 1.0, math.inf]),
+    ([1.0, math.nan, 3.0], [0.0, 1.0, 2.0]),
+    ([1.0, 2.0, math.inf], [0.0, 1.0, 2.0]),
+], ids=["nan-value", "inf-value", "nan-alpha", "inf-alpha"])
+def test_non_finite_samples_refused(alphas, values):
+    with pytest.raises(ValueError, match="sampled alphas and values must be finite"):
+        ConvexRate.from_samples(alphas, values)
+
+
+def test_rate_from_samples_refuses_non_finite_psi():
+    psi_matrix = np.outer([4.0, 8.0, 16.0], [0.0, 0.5, 1.5])
+    psi_matrix[1, 1] = math.nan
+    with pytest.raises(ValueError, match="sampled alphas and values must be finite"):
+        rate_from_samples([4, 8, 16], [1.0, 2.0, 3.0], psi_matrix)
+
+
+@pytest.mark.parametrize("kwargs, got", [
+    ({"right_derivative_at_1": math.nan}, "nan, 64.0 and inf"),
+    ({"right_derivative_at_1": math.inf}, "inf, 64.0 and inf"),
+    ({"slope_at_infinity": math.nan}, "0.0, 64.0 and nan"),
+    ({"t_hi": math.nan}, "0.0, nan and inf"),
+], ids=["nan-derivative", "inf-derivative", "nan-slope", "nan-t_hi"])
+def test_from_callable_refuses_bad_inputs(kwargs, got):
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return (t - 1.0) ** 2
+
+    with pytest.raises(ValueError, match=re.escape(f"is not NaN, got {got}")):
+        ConvexRate.from_callable(fn, **{"right_derivative_at_1": 0.0, **kwargs})
+    assert calls == []  # refused before the rate runs
+    steep = ConvexRate.from_callable(fn, 0.0, slope_at_infinity=math.inf)
+    assert steep.slope_at_infinity == math.inf
+
+
 # -- the bisection's signs, read off the golden search's samples ----------
 
 P, Q = (0.7, 0.3), (0.4, 0.6)
@@ -324,3 +364,33 @@ def test_certified_signs_halve_the_distinct_evaluations(build):
 
     r = rates_between(build(), 1)[0]
     assert distinct_evaluations(hoeffding_anti, r) < 0.5 * distinct_evaluations(full_search_anti, r)
+
+
+@pytest.mark.parametrize("name", sorted(RATES))
+def test_each_sign_starts_at_most_one_golden_search(name, monkeypatch):
+    # every bisection step, and a grid of thresholds: a sign no bracket
+    # settles is read off the same search's final value, not a second one
+    searches, per_sign = [], []
+    brackets, exceeds = hoeffding._golden_brackets, hoeffding._exceeds
+
+    def counted_brackets(*args):
+        searches.append(args)
+        return brackets(*args)
+
+    def counted_exceeds(f, a, r):
+        searches.clear()
+        sign = exceeds(f, a, r)
+        per_sign.append(len(searches))
+        return sign
+
+    monkeypatch.setattr(hoeffding, "_golden_brackets", counted_brackets)
+    monkeypatch.setattr(hoeffding, "_exceeds", counted_exceeds)
+    f = RATES[name]()
+    for r in rates_between(f):
+        hoeffding_anti(f, r)
+        hi = f.slope_at_infinity if math.isfinite(f.slope_at_infinity) else r + 1.0
+        for a in np.linspace(f.right_derivative_at_1 - 0.1, hi + 0.1, 23):
+            hoeffding._exceeds(f, a, r)
+    assert max(per_sign) <= 1
+    # past its slope the linear rate's objective climbs at t_hi: no search at all
+    assert sum(per_sign) > 0 or name == "linear"

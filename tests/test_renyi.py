@@ -161,6 +161,13 @@ class TestSupportHandling:
         with pytest.raises(ValueError, match="t > 0"):
             psi(*qubit_pair, -1.0, variant="sandwiched")
 
+    @pytest.mark.parametrize("variant", ["plain", "sandwiched"])
+    @pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_order_refused(self, qubit_pair, variant, order):
+        for quantity in (psi, psi_derivative, renyi_divergence):
+            with pytest.raises(ValueError, match=f"order must be finite, got {order!r}"):
+                quantity(*qubit_pair, order, variant)
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("variant", ["plain", "sandwiched"])
